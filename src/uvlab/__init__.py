@@ -27,7 +27,7 @@ from .errors import (AddressError, BudgetError, CapacityError, ParseError,
                      ShapeMismatchError)
 from .gadgets import (GadgetProgram, ZHZHZ, cascade_acceptance,
                       end_to_end_reduction, magic_gadget, magic_state,
-                      single_qubit_proof_verifier, zhzhz_decompose)
+                      zhzhz_decompose)
 from .optimize import (AcceptanceOperator, SeesawResult,
                        build_acceptance_operator, power_iteration_norm,
                        seesaw, spectral_norm)

@@ -17,13 +17,15 @@ With probability 1/2 each:
 Per register the uniformity branch splits three ways: x_i = 1 (weight a_i),
 x_i = 0 and y_i = 0 (weight b_i), and the always-rejecting x_i = 0, y_i = 1
 (weight c_i); the acceptance probability is an exact dynamic program over
-these weights, polynomial in k.
+these weights (:func:`uvlab.provers.uniformity_weights`), polynomial in k.
 
-Exact consistency enumerates the joint outcome grid only while the number
-of tuples fits the budget (default 10^7, overridable via the UVLAB_BUDGET
-environment variable); an all-accepting support short-circuits to exactly
-1 without enumeration.  Past the budget, Monte-Carlo mode samples outcome
-tuples and reports a 99% Hoeffding half-width.
+Exact consistency reads the conflict table shared with the two-proof
+verifier (:func:`uvlab.qma2.consistency_accept_table`, n <= 10) and
+enumerates the joint outcome grid only while the number of tuples fits the
+budget (default 10^7, overridable via the UVLAB_BUDGET environment
+variable); an all-accepting support short-circuits to exactly 1 without
+enumeration.  Past the budget, Monte-Carlo mode samples outcome tuples and
+reports a 99% Hoeffding half-width; it needs no table and no cap.
 """
 
 from __future__ import annotations
@@ -34,9 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ShapeMismatchError
+from .errors import BudgetError
+from .provers import stack_proofs, uniformity_weights
+from .qma2 import consistency_accept_table
 from .sgraph import SuccinctCircuit, expand
-from .states import PureState, computational_distribution, uniformity_measure
+from .states import PureState
+from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
 
 DEFAULT_BUDGET = 10 ** 7
 MC_CONFIDENCE = 0.99
@@ -49,7 +54,11 @@ def default_k(n: int) -> int:
 
 
 def enumeration_budget() -> int:
-    return int(os.environ.get("UVLAB_BUDGET", DEFAULT_BUDGET))
+    """The exact-enumeration budget: UVLAB_BUDGET when set, else 10^7."""
+    raw = os.environ.get("UVLAB_BUDGET", str(DEFAULT_BUDGET))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"UVLAB_BUDGET must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -72,21 +81,9 @@ class BellReport:
                 "ci_halfwidth": self.ci_halfwidth, "z_tail": self.z_tail}
 
 
-def _check_proofs(c: SuccinctCircuit, proofs):
-    want = (2 ** c.n, 3)
-    for i, p in enumerate(proofs):
-        if p.shape.dims != want:
-            raise ShapeMismatchError(f"proof {i} has dims {p.shape.dims}, expected {want}")
-
-
 def uniformity_stats(state: PureState) -> tuple[float, float, float]:
     """(a, b, c) = Pr[x=1], Pr[x=0, y=0], Pr[x=0, y=1] for one register."""
-    color0, color1 = uniformity_measure(state, "color")
-    a = color1.probability
-    if color0.post_state is None:
-        return a, 0.0, 0.0
-    node0, node1 = uniformity_measure(color0.post_state, "node")
-    return a, color0.probability * node0.probability, color0.probability * node1.probability
+    return tuple(float(w) for w in uniformity_weights(stack_proofs([state]))[0])
 
 
 def z_threshold(k: int) -> int:
@@ -94,68 +91,58 @@ def z_threshold(k: int) -> int:
     return math.ceil(k / 6)
 
 
+def _count_dp(out: np.ndarray, counted: np.ndarray) -> np.ndarray:
+    """Poisson-binomial DP: f[z] sums, over the register sets S of size z,
+    prod_{i in S} counted[i] * prod_{i not in S} out[i]."""
+    f = np.zeros(len(counted) + 1)
+    f[0] = 1.0
+    for a, b in zip(out, counted):
+        f[1:] = f[1:] * a + f[:-1] * b
+        f[0] *= a
+    return f
+
+
+def _probability(mass: np.ndarray) -> float:
+    """Sum of DP entries (nonnegative), clamped at 1 against their rounding."""
+    return min(1.0, float(mass.sum()))
+
+
+def _uniformity_accept(weights: np.ndarray, threshold: int) -> float:
+    # a c outcome rejects outright, so only a (not in Z) and b carry mass
+    return _probability(_count_dp(weights[:, 0], weights[:, 1])[threshold:])
+
+
+def _z_pmf(weights: np.ndarray) -> np.ndarray:
+    return _count_dp(weights[:, 0], weights[:, 1] + weights[:, 2])
+
+
 def uniformity_accept_exact(proofs, k_threshold: int | None = None) -> float:
     """Exact uniformity acceptance via a Poisson-binomial-style DP.
 
     Register i contributes a_i when left out of Z, b_i when in Z with a
     passing node outcome; any c_i event rejects, so the DP simply drops
-    that weight.  Acceptance sums the DP mass at |Z| >= ceil(k/6).
+    that weight.  Acceptance sums the DP mass at |Z| >= ceil(k/6), clamped
+    to [0, 1]: each of the k steps rounds, so the unclamped sum is within
+    about k * 2^-52 of the exact value for the computed weights.
     """
-    k = len(proofs)
-    thr = z_threshold(k) if k_threshold is None else k_threshold
-    f = np.zeros(k + 1)
-    f[0] = 1.0
-    for state in proofs:
-        a, b, _ = uniformity_stats(state)
-        f[1:] = f[1:] * a + f[:-1] * b
-        f[0] *= a
-    return float(f[thr:].sum())
+    thr = z_threshold(len(proofs)) if k_threshold is None else k_threshold
+    return _uniformity_accept(uniformity_weights(stack_proofs(proofs)), thr)
 
 
 def z_distribution(proofs) -> np.ndarray:
     """Exact PMF of |Z| (the count of color outcomes 0) over the k proofs."""
-    k = len(proofs)
-    f = np.zeros(k + 1)
-    f[0] = 1.0
-    for state in proofs:
-        a, b, cc = uniformity_stats(state)
-        p0 = b + cc
-        f[1:] = f[1:] * (1 - p0) + f[:-1] * p0
-        f[0] *= 1 - p0
-    return f
+    return _z_pmf(uniformity_weights(stack_proofs(proofs)))
 
 
 def z_tail_below_threshold(proofs) -> float:
     """Exact Pr[|Z| < k/6]."""
-    return float(z_distribution(proofs)[: z_threshold(len(proofs))].sum())
+    return _probability(z_distribution(proofs)[: z_threshold(len(proofs))])
 
 
 def z_prime_set(proofs) -> list[int]:
     """Registers whose color measurement yields 0 with probability >= 1/12."""
-    out = []
-    for i, state in enumerate(proofs):
-        a, b, cc = uniformity_stats(state)
-        if b + cc >= Z_PRIME_THRESHOLD:
-            out.append(i)
-    return out
-
-
-def _pair_reject_table(c: SuccinctCircuit) -> np.ndarray:
-    """reject[(v1,c1),(v2,c2)] for one ordered pair of register outcomes."""
-    size = 2 ** c.n
-    adj = np.zeros((size, size), dtype=bool)
-    for u, v in expand(c).edges:
-        adj[u, v] = adj[v, u] = True
-    vs = np.repeat(np.arange(size), 3)
-    cs = np.tile(np.arange(3), size)
-    v1, v2 = vs[:, None], vs[None, :]
-    c1, c2 = cs[:, None], cs[None, :]
-    return ((v1 == v2) & (c1 != c2)) | (
-        adj[np.minimum(v1, v2), np.maximum(v1, v2)] & (c1 == c2))
-
-
-def _register_distributions(proofs) -> np.ndarray:
-    return np.stack([computational_distribution(p).reshape(-1) for p in proofs])
+    w = uniformity_weights(stack_proofs(proofs))
+    return [int(i) for i in np.nonzero(w[:, 1] + w[:, 2] >= Z_PRIME_THRESHOLD)[0]]
 
 
 def _support_all_accepting(dists: np.ndarray, reject: np.ndarray) -> bool:
@@ -235,15 +222,16 @@ def consistency_accept(c: SuccinctCircuit, proofs, mode: str = "exact",
     Exact mode returns a float; Monte-Carlo mode returns (estimate,
     halfwidth) and requires both a sample count and a seed.
     """
-    _check_proofs(c, proofs)
-    dists = _register_distributions(proofs)
-    if mode == "exact":
-        return _consistency_exact(dists, _pair_reject_table(c),
-                                  enumeration_budget() if budget is None else budget)
-    if mode != "mc":
+    if mode not in ("exact", "mc"):
         raise ValueError(f"unknown consistency mode {mode!r}")
-    if not samples or seed is None:
-        raise ValueError("Monte-Carlo mode requires samples and seed")
+    if mode == "mc" and (samples is None or samples < 1 or seed is None):
+        raise ValueError("Monte-Carlo mode requires a positive number of samples and a seed")
+    # the table is capped, so an oversized instance fails before the stack
+    reject = ~consistency_accept_table(c) if mode == "exact" else None
+    dists = np.abs(stack_proofs(proofs, c.n)).reshape(len(proofs), -1) ** 2
+    if mode == "exact":
+        return _consistency_exact(dists, reject,
+                                  enumeration_budget() if budget is None else budget)
     return _consistency_monte_carlo(dists, sorted(expand(c).edges),
                                     2 ** c.n, samples, seed)
 
@@ -252,16 +240,20 @@ def acceptance(c: SuccinctCircuit, proofs, mode: str = "exact",
                samples: int | None = None, seed: int | None = None,
                budget: int | None = None) -> BellReport:
     """Half-half mixture of the consistency and uniformity tests."""
-    _check_proofs(c, proofs)
     k = len(proofs)
-    p_unif = uniformity_accept_exact(proofs)
-    zdist = tuple(float(p) for p in z_distribution(proofs))
-    ztail = float(sum(zdist[: z_threshold(k)]))
+    # consistency first: past the table's cap, exact mode fails before allocating
     if mode == "exact":
         p_cons = consistency_accept(c, proofs, "exact", budget=budget)
+    else:
+        p_cons, hw = consistency_accept(c, proofs, "mc", samples=samples, seed=seed)
+    weights = uniformity_weights(stack_proofs(proofs, c.n))
+    p_unif = _uniformity_accept(weights, z_threshold(k))
+    zpmf = _z_pmf(weights)
+    zdist = tuple(float(p) for p in zpmf)
+    ztail = _probability(zpmf[: z_threshold(k)])
+    if mode == "exact":
         return BellReport(p_cons, p_unif, (p_cons + p_unif) / 2.0, "exact", k,
                           z_tail=ztail, z_distribution=zdist)
-    p_cons, hw = consistency_accept(c, proofs, "mc", samples=samples, seed=seed)
     return BellReport(p_cons, p_unif, (p_cons + p_unif) / 2.0, "montecarlo", k,
                       samples=samples, seed=seed, ci_halfwidth=hw / 2.0,
                       z_tail=ztail, z_distribution=zdist)

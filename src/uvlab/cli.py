@@ -70,6 +70,13 @@ def _proofs_for(c, strategy: str, k: int, seed: int | None):
     raise ParseError(f"unknown strategy {strategy!r}; pick honest, near or random")
 
 
+def _check_mc(args):
+    if args.samples is None or args.seed is None:
+        raise ParseError("--mode mc requires --samples and --seed")
+    if args.samples < 1:
+        raise ParseError(f"--samples must be a positive integer, got {args.samples}")
+
+
 def _run_qma2(args, c, name) -> dict:
     proofs, bad = _proofs_for(c, args.strategy, 2, args.seed)
     report = qma2.acceptance_exact(c, proofs[0], proofs[1])
@@ -78,8 +85,7 @@ def _run_qma2(args, c, name) -> dict:
     if bad is not None:
         out["declared_violations"] = bad
     if args.mode == "mc":
-        if not args.samples or args.seed is None:
-            raise ParseError("--mode mc requires --samples and --seed")
+        _check_mc(args)
         rng = np.random.default_rng(args.seed)
         hits = sum(qma2.run_sampled(c, proofs[0], proofs[1], rng)[0]
                    for _ in range(args.samples))
@@ -93,8 +99,8 @@ def _run_bellqma(args, c, name) -> dict:
     if k < 2:
         raise ParseError("bellqma needs k >= 2")
     proofs, bad = _proofs_for(c, args.strategy, k, args.seed)
-    if args.mode == "mc" and (not args.samples or args.seed is None):
-        raise ParseError("--mode mc requires --samples and --seed")
+    if args.mode == "mc":
+        _check_mc(args)
     report = bellqma.acceptance(c, proofs, mode=args.mode,
                                 samples=args.samples, seed=args.seed)
     out = {"instance": name, "n": c.n, "strategy": args.strategy,
@@ -193,6 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        bellqma.enumeration_budget()     # a malformed UVLAB_BUDGET fails on every path
         return args.fn(args)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

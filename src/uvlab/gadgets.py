@@ -197,13 +197,6 @@ def cascade_acceptance(inner_acceptance: float, t: int, mode: str = "exact",
     return float(np.mean(fails | inner))
 
 
-def single_qubit_proof_verifier(inner_acceptance: float, program: GadgetProgram,
-                                mode: str = "exact", samples: int | None = None,
-                                seed: int | None = None) -> float:
-    """Transformed acceptance for a full gadget program (t = 3 per unitary)."""
-    return cascade_acceptance(inner_acceptance, program.t, mode, samples, seed)
-
-
 def haar_unitary(rng: np.random.Generator) -> np.ndarray:
     """Haar-random 2x2 unitary via QR of a complex Gaussian matrix."""
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

@@ -9,7 +9,9 @@ honest proof for a coloring c is
 
 with vertices outside the graph padded by color 0.  Any node (x) color state
 factors row-wise as amplitudes alpha_i on nodes and conditional unit rows
-beta_{i,j} on colors; that view drives all the soundness lemmas.
+beta_{i,j} on colors; that view drives all the soundness lemmas.  Both
+verifiers read k proofs as one ``(k, 2^n, 3)`` array (:func:`stack_proofs`)
+and take their uniformity weights from :func:`uniformity_weights`.
 """
 
 from __future__ import annotations
@@ -21,11 +23,8 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 from .sgraph import Coloring, SuccinctCircuit, expand
-from .states import PureState, RegisterShape, uniformity_measure
-
-#: Convention for decomposition rows with alpha_i = 0: the conditional color
-#: row is undefined, stored as (1, 0, ...) and never read on such rows.
-ZERO_ROW = "unit-first"
+from .states import ZERO_BRANCH_TOL, PureState, RegisterShape
+from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
 
 
 def proof_shape(n: int) -> RegisterShape:
@@ -38,17 +37,11 @@ class ProofDecomposition:
     """Row decomposition amps[i, j] = alpha[i] * beta[i, j].
 
     alpha carries the node marginal (real, nonnegative by convention; any
-    phase lives in beta), each beta row is a unit vector, and gamma
-    optionally stores post-measurement node amplitudes produced by
-    :func:`color_branch_node_amplitudes`.
+    phase lives in beta) and each beta row is a unit vector.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
-    gamma: np.ndarray | None = None
-
-    def node_probabilities(self) -> np.ndarray:
-        return np.abs(self.alpha) ** 2
 
 
 def decompose(state: PureState) -> ProofDecomposition:
@@ -72,16 +65,51 @@ def reconstruct(d: ProofDecomposition, labels=("node", "color")) -> PureState:
     return PureState(shape, t.reshape(-1))
 
 
+def stack_proofs(proofs, n: int | None = None) -> np.ndarray:
+    """Stack k node (x) color proofs with 2^n nodes each into one
+    ``(k, 2^n, 3)`` amplitude array; n defaults to the first proof's.
+    Raises :class:`ShapeMismatchError` for a proof with other dims."""
+    want = (2 ** n if n is not None else proofs[0].shape.dims[0], 3)
+    batch = np.empty((len(proofs),) + want, dtype=np.complex128)
+    for i, p in enumerate(proofs):
+        if p.shape.dims != want:
+            raise ShapeMismatchError(f"proof {i} has dims {p.shape.dims}, expected {want}")
+        batch[i] = p.tensor_view()
+    return batch
+
+
+def _color_overlap(batch: np.ndarray) -> np.ndarray:
+    """xi = t . u_3: each register's color projected onto u_3, shape (k, 2^n)."""
+    return batch @ np.full(3, 1.0 / math.sqrt(3))
+
+
+def uniformity_weights(batch: np.ndarray) -> np.ndarray:
+    """(k, 3) weights (a, b, c) = (Pr[x=1], Pr[x=0, y=0], Pr[x=0, y=1]) of
+    the color (x) then node (y) uniformity measurement on a proof batch.
+
+    Closed form with xi = t . u_3: Pr[x=0] = ||xi||^2, b = |sum xi|^2 / 2^n,
+    c = ||xi||^2 - b, a = 1 - ||xi||^2, clamped at 0 against rounding.  As in
+    :func:`uniformity_measure`, a color-0 branch below ZERO_BRANCH_TOL has no
+    post state, so its register gets b = c = 0 exactly.
+    """
+    xi = _color_overlap(batch)
+    p0 = np.sum(np.abs(xi) ** 2, axis=1)
+    b = np.abs(xi.sum(axis=1)) ** 2 / xi.shape[1]
+    c = np.maximum(p0 - b, 0.0)
+    dark = p0 < ZERO_BRANCH_TOL
+    b[dark] = c[dark] = 0.0
+    return np.stack([np.maximum(1.0 - p0, 0.0), b, c], axis=1)
+
+
 def color_branch_node_amplitudes(state: PureState) -> tuple[float, np.ndarray]:
     """Probability of color-register outcome 0 under the uniformity
-    measurement, and the node amplitudes of the renormalized post state."""
-    b0, _ = uniformity_measure(state, "color")
-    if b0.post_state is None:
-        return 0.0, np.zeros(state.shape.dims[0], dtype=np.complex128)
-    post = b0.post_state.tensor_view()
-    # post factors as xi (x) u_3; contract the color axis to recover xi
-    gamma = post.sum(axis=1) / math.sqrt(post.shape[1])
-    return b0.probability, gamma
+    measurement, and the node amplitudes gamma = xi / ||xi|| of the
+    renormalized post state, which factors as gamma (x) u_3."""
+    batch = stack_proofs([state])
+    _, b, c = uniformity_weights(batch)[0]
+    if b + c == 0.0:
+        return 0.0, np.zeros(batch.shape[1], dtype=np.complex128)
+    return float(b + c), _color_overlap(batch)[0] / math.sqrt(b + c)
 
 
 def honest_proof(c: SuccinctCircuit, col: Coloring) -> PureState:

@@ -12,9 +12,10 @@ and runs one of three tests chosen uniformly at random:
   gives 1.
 
 ``acceptance_exact`` computes all three branch probabilities exactly; the
-consistency term enumerates the full (3 * 2^n)^2 outcome grid, which caps
-the instance size at n <= 8.  ``run_sampled`` draws one verdict from the
-exact branch distributions.
+consistency term enumerates the full (3 * 2^n)^2 outcome grid through the
+conflict table both verifiers share, which caps the instance size at
+n <= 10.  ``run_sampled`` draws one verdict from the exact branch
+distributions.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ShapeMismatchError
+from .errors import CapacityError
+from .provers import stack_proofs, uniformity_weights
 from .sgraph import SuccinctCircuit, expand
-from .states import (PureState, computational_distribution, swap_test,
-                     uniformity_measure)
+from .states import PureState, swap_test
+from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
 
-MAX_CONSISTENCY_N = 8
+MAX_CONSISTENCY_N = 10     # the n = 10 table holds 9.4 MB of booleans
 
 
 @dataclass(frozen=True)
@@ -55,17 +57,13 @@ def soundness_bound(n: int) -> float:
     return 1.0 / (3.0 * 1e10 * 4.0 ** n)
 
 
-def _check_proof_shape(c: SuccinctCircuit, state: PureState, who: str):
-    if state.shape.dims != (2 ** c.n, 3):
-        raise ShapeMismatchError(
-            f"{who} has dims {state.shape.dims}, expected {(2 ** c.n, 3)}")
-
-
 @lru_cache(maxsize=64)
 def consistency_accept_table(c: SuccinctCircuit) -> np.ndarray:
     """Boolean table accept[(v1, c1), (v2, c2)] over flattened vertex-color
-    outcomes (index v * 3 + color), applying the ordered edge query.
+    outcomes (index v * 3 + color): a pair rejects when it shows one vertex
+    with two colors, or an edge with one color.
 
+    Raises :class:`CapacityError` above MAX_CONSISTENCY_N before allocating.
     Cached per circuit (read-only array; do not mutate).
     """
     if c.n > MAX_CONSISTENCY_N:
@@ -75,35 +73,22 @@ def consistency_accept_table(c: SuccinctCircuit) -> np.ndarray:
     adj = np.zeros((size, size), dtype=bool)
     for u, v in expand(c).edges:
         adj[u, v] = adj[v, u] = True
-    vs = np.repeat(np.arange(size), 3)
-    cs = np.tile(np.arange(3), size)
-    v1, v2 = vs[:, None], vs[None, :]
-    c1, c2 = cs[:, None], cs[None, :]
-    same_vertex = (v1 == v2) & (c1 != c2)
-    edge_hit = adj[np.minimum(v1, v2), np.maximum(v1, v2)] & (c1 == c2)
-    table = ~(same_vertex | edge_hit)
+    same_color = np.eye(3, dtype=bool)
+    # kron(A, B)[(v1, c1), (v2, c2)] = A[v1, v2] & B[c1, c2]
+    table = ~(np.kron(np.eye(size, dtype=bool), ~same_color)
+              | np.kron(adj, same_color))
     table.setflags(write=False)
     return table
 
 
-def _uniformity_reject_probability(r1: PureState) -> float:
-    color0, _ = uniformity_measure(r1, "color")
-    if color0.post_state is None:
-        return 0.0
-    _, node1 = uniformity_measure(color0.post_state, "node")
-    return color0.probability * node1.probability
-
-
 def acceptance_exact(c: SuccinctCircuit, r1: PureState, r2: PureState) -> VerdictReport:
     """Exact acceptance probabilities of the three tests and their mixture."""
-    _check_proof_shape(c, r1, "r1")
-    _check_proof_shape(c, r2, "r2")
-    p_eq = swap_test(r1, r2, mode="closed_form")
-    p = computational_distribution(r1).reshape(-1)
-    q = computational_distribution(r2).reshape(-1)
     accept = consistency_accept_table(c)
+    batch = stack_proofs([r1, r2], c.n)
+    p_eq = swap_test(r1, r2, mode="closed_form")
+    p, q = np.abs(batch).reshape(2, -1) ** 2
     p_cons = float(p @ accept @ q)
-    p_unif = 1.0 - _uniformity_reject_probability(r1)
+    p_unif = 1.0 - float(uniformity_weights(batch[:1])[0, 2])
     total = (p_eq + p_cons + p_unif) / 3.0
     return VerdictReport(p_eq, p_cons, p_unif, total)
 
@@ -112,8 +97,7 @@ def run_sampled(c: SuccinctCircuit, r1: PureState, r2: PureState,
                 rng: np.random.Generator) -> tuple[bool, dict]:
     """One verifier run: pick a test uniformly, sample its measurement
     outcomes from the exact branch distributions, return (accept, log)."""
-    _check_proof_shape(c, r1, "r1")
-    _check_proof_shape(c, r2, "r2")
+    batch = stack_proofs([r1, r2], c.n)
     test = ("equality", "consistency", "uniformity")[rng.integers(3)]
     log: dict = {"test": test}
     if test == "equality":
@@ -122,19 +106,18 @@ def run_sampled(c: SuccinctCircuit, r1: PureState, r2: PureState,
         log["ancilla"] = outcome
         accept = outcome == 0
     elif test == "consistency":
-        size = 2 ** c.n
         accept_table = consistency_accept_table(c)
-        o1 = int(rng.choice(3 * size, p=computational_distribution(r1).reshape(-1)))
-        o2 = int(rng.choice(3 * size, p=computational_distribution(r2).reshape(-1)))
+        p, q = np.abs(batch).reshape(2, -1) ** 2
+        o1 = int(rng.choice(p.size, p=p))
+        o2 = int(rng.choice(q.size, p=q))
         log.update(v1=o1 // 3, c1=o1 % 3, v2=o2 // 3, c2=o2 % 3)
         accept = bool(accept_table[o1, o2])
     else:
-        color0, _ = uniformity_measure(r1, "color")
-        x = int(rng.random() >= color0.probability)
+        _, b, cc = uniformity_weights(batch[:1])[0]
+        x = int(rng.random() >= b + cc)
         log["color_outcome"] = x
         if x == 0:
-            _, node1 = uniformity_measure(color0.post_state, "node")
-            y = int(rng.random() < node1.probability)
+            y = int(rng.random() < cc / (b + cc))
             log["node_outcome"] = y
             accept = y == 0
         else:

@@ -91,12 +91,6 @@ class ExplicitGraph:
             if not (0 <= u < v < self.m):
                 raise ValueError(f"edge ({u},{v}) out of range for m={self.m}")
 
-    def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.m, self.m), dtype=bool)
-        for u, v in self.edges:
-            adj[u, v] = adj[v, u] = True
-        return adj
-
 
 @dataclass(frozen=True)
 class Coloring:

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from uvlab import bellqma, corpus
-from uvlab.errors import BudgetError
+from uvlab.errors import BudgetError, CapacityError
 from uvlab.provers import (haar_state, honest_proof, near_coloring_proof,
                            proof_shape, random_product_proofs)
 from uvlab.qma2 import acceptance_exact
-from uvlab.sgraph import Coloring, expand
+from uvlab.sgraph import Coloring, ExplicitGraph, encode_explicit, expand
 from uvlab.states import PureState, basis_state
 
 
@@ -56,6 +56,14 @@ class TestUniformityDP:
         dist = bellqma.z_distribution([h] * 12)
         accept = bellqma.uniformity_accept_exact([h] * 12)
         assert abs(accept - dist[2:].sum()) < 1e-12
+
+    def test_honest_n4_at_most_one(self):
+        # k3_n4 at k = 480 once reported p_unif 1 + 1.3e-13
+        c = corpus.load("k3_n4")
+        rep = bellqma.acceptance(c, [honest_proof(c, corpus.witness_coloring("k3_n4"))] * 480)
+        assert rep.p_uniformity <= 1.0 and rep.p_total <= 1.0
+        want = binom_tail_at_least(480, 1 / 3, bellqma.z_threshold(480))
+        assert abs(rep.p_uniformity - want) < 1e-12
 
     def test_honest_mean_z_is_k_over_3(self, k3, k3_coloring):
         h = honest_proof(k3, k3_coloring)
@@ -169,6 +177,24 @@ class TestAcceptance:
         d = rep.to_dict()
         assert {"p_cons", "p_unif", "p_total", "mode", "k", "samples",
                 "seed", "ci_halfwidth", "z_tail"} <= set(d)
+
+
+class TestCapacity:
+    @staticmethod
+    def edge_instance(n):
+        c = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), n)
+        return c, [honest_proof(c, Coloring((0, 1)))] * bellqma.default_k(n)
+
+    def test_honest_exact_at_n10(self):
+        c, proofs = self.edge_instance(10)
+        rep = bellqma.acceptance(c, proofs, mode="exact")
+        assert rep.p_consistency == 1.0
+        assert 1 - 2.0 ** (-len(proofs) / 40) <= rep.p_total <= 1.0
+
+    def test_exact_above_cap_raises(self):
+        c, proofs = self.edge_instance(11)
+        with pytest.raises(CapacityError):
+            bellqma.acceptance(c, proofs, mode="exact")
 
 
 class TestChernoff:

@@ -142,10 +142,40 @@ class TestErrorsAndFormats:
     def test_capacity_exit_3(self, tmp_path):
         from uvlab.sgraph import encode_explicit, format_sgc
         big = tmp_path / "big.sgc"
-        circuit = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 9)
+        circuit = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 11)
         big.write_text(format_sgc(circuit))
         assert run_cli(["run", "--instance", str(big),
                         "--protocol", "qma2", "--strategy", "honest"]) == 3
+
+    # width None runs on k3_n2; an integer width runs on one edge at that n
+    @pytest.mark.parametrize("width, argv, budget, code, message", [
+        (None, ["--protocol", "oracle"], None, cli.EXIT_OK, ""),
+        (None, ["--protocol", "qma2", "--mode", "mc", "--samples", "-5", "--seed", "1"],
+         None, cli.EXIT_INSTANCE, "--samples must be a positive integer"),
+        (None, ["--protocol", "qma2", "--mode", "mc", "--samples", "0", "--seed", "1"],
+         None, cli.EXIT_INSTANCE, "--samples must be a positive integer"),
+        (None, ["--protocol", "bellqma", "--mode", "mc", "--samples", "-5", "--seed", "1"],
+         None, cli.EXIT_INSTANCE, "--samples must be a positive integer"),
+        (None, ["--protocol", "bellqma", "--mode", "mc", "--samples", "10"],
+         None, cli.EXIT_INSTANCE, "--seed"),
+        (None, ["--protocol", "oracle"], "abc", cli.EXIT_INSTANCE, "UVLAB_BUDGET"),
+        (None, ["--protocol", "oracle"], "0", cli.EXIT_INSTANCE, "UVLAB_BUDGET"),
+        (None, ["--protocol", "bellqma"], "-3", cli.EXIT_INSTANCE, "UVLAB_BUDGET"),
+        (None, ["--protocol", "bellqma", "--k", "3"], "1000", cli.EXIT_OK, ""),
+        (11, ["--protocol", "bellqma"], None, cli.EXIT_CAPACITY, "n <= 10"),
+    ])
+    def test_exit_codes(self, width, argv, budget, code, message, tmp_path,
+                        monkeypatch, capsys):
+        from uvlab.sgraph import encode_explicit, format_sgc
+        path = instance_path("k3_n2")
+        if width is not None:
+            path = tmp_path / "edge.sgc"
+            path.write_text(format_sgc(
+                encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), width)))
+        if budget is not None:
+            monkeypatch.setenv("UVLAB_BUDGET", budget)
+        assert run_cli(["run", "--instance", str(path), *argv]) == code
+        assert message in capsys.readouterr().err
 
     def test_csv_flattening(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -6,8 +6,7 @@ import pytest
 from uvlab.gadgets import (GadgetProgram, H_MATRIX, cascade_acceptance,
                            end_to_end_reduction, haar_unitary, magic_gadget,
                            magic_gadget_joint_branches, magic_state, rz_matrix,
-                           single_qubit_proof_verifier, unitary_preparing,
-                           zhzhz_decompose)
+                           unitary_preparing, zhzhz_decompose)
 from uvlab.states import apply_gate, qubit
 
 
@@ -149,7 +148,7 @@ class TestCascade:
         prog = GadgetProgram((zhzhz_decompose(haar_unitary(rng)),))
         assert prog.t == 3
         assert len(prog.magic_angles()) == 3
-        assert abs(single_qubit_proof_verifier(0.5, prog)
+        assert abs(cascade_acceptance(0.5, prog.t)
                    - (1 - 2.0 ** (-3) * 0.5)) < 1e-12
 
     def test_program_json_shape(self, rng):

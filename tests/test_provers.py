@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uvlab.provers import (ProverStrategy, color_branch_node_amplitudes,
                            decompose, haar_state, honest_proof,
                            near_coloring_proof, proof_shape,
-                           random_product_proofs, reconstruct)
+                           random_product_proofs, reconstruct, stack_proofs,
+                           uniformity_weights)
 from uvlab.sgraph import Coloring, ExplicitGraph, encode_explicit
-from uvlab.states import basis_state, uniformity_measure
+from uvlab.states import PureState, basis_state, uniformity_measure
 
 
 class TestHonestProof:
@@ -117,3 +120,50 @@ class TestStrategies:
     def test_unknown_kind(self, k3):
         with pytest.raises(ValueError, match="unknown strategy"):
             ProverStrategy("devious").states(k3, 2)
+
+
+def measured_weights(state):
+    """Reference (a, b, c) and post-state node amplitudes from two explicit
+    uniformity measurements, color register first."""
+    color0, color1 = uniformity_measure(state, "color")
+    if color0.post_state is None:
+        return (color1.probability, 0.0, 0.0), None
+    node0, node1 = uniformity_measure(color0.post_state, "node")
+    gamma = color0.post_state.tensor_view().sum(axis=1) / math.sqrt(3)
+    return (color1.probability, color0.probability * node0.probability,
+            color0.probability * node1.probability), gamma
+
+
+@st.composite
+def proof_batches(draw):
+    """1-3 proofs on n = 1..4 whose rows are random, zero, or dark (color row
+    orthogonal to the uniform superposition), so whole registers can be dark."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    proofs = []
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = draw(st.lists(st.sampled_from("rzd"), min_size=2 ** n, max_size=2 ** n))
+        t = rng.standard_normal((2 ** n, 3)) + 1j * rng.standard_normal((2 ** n, 3))
+        for i, kind in enumerate(kinds):
+            if kind == "z":
+                t[i] = 0.0
+            elif kind == "d":
+                t[i] -= t[i].mean()
+        if not np.any(t):
+            t[0] = np.array([1.0, -1.0, 0.0])
+        proofs.append(PureState(proof_shape(n), (t / np.linalg.norm(t)).reshape(-1)))
+    return proofs
+
+
+class TestUniformityWeights:
+    @settings(max_examples=300, deadline=None)
+    @given(proof_batches())
+    def test_closed_form_matches_two_measurements(self, proofs):
+        weights = uniformity_weights(stack_proofs(proofs))
+        for got, state in zip(weights, proofs):
+            want, gamma = measured_weights(state)
+            assert np.all(np.abs(got - want) < 1e-12)
+            p, node_amps = color_branch_node_amplitudes(state)
+            assert abs(p - (want[1] + want[2])) < 1e-12
+            if gamma is not None and p > 1e-6:
+                assert np.allclose(node_amps, gamma, atol=1e-9)

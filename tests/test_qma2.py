@@ -8,8 +8,8 @@ from uvlab import corpus, optimize
 from uvlab.errors import CapacityError, ShapeMismatchError
 from uvlab.provers import (haar_state, honest_proof, near_coloring_proof,
                            proof_shape)
-from uvlab.qma2 import (acceptance_exact, report_dict, run_sampled,
-                        soundness_bound)
+from uvlab.qma2 import (acceptance_exact, consistency_accept_table, report_dict,
+                        run_sampled, soundness_bound)
 from uvlab.sgraph import Coloring, encode_explicit, expand
 from uvlab.states import basis_state
 
@@ -45,6 +45,20 @@ class TestCompleteness:
             assert abs(r.p_consistency - 1.0) < 1e-12
             assert abs(r.p_uniformity - 1.0) < 1e-12
             assert abs(r.p_total - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["k4_n2", "petersen_n4"])
+def test_conflict_table_matches_plain_loops(name):
+    c = corpus.load(name)
+    size = 2 ** c.n
+    edges = set(expand(c).edges)
+    want = np.ones((3 * size, 3 * size), dtype=bool)
+    for v1, c1, v2, c2 in itertools.product(range(size), range(3),
+                                            range(size), range(3)):
+        two_colors = v1 == v2 and c1 != c2
+        one_color_edge = (min(v1, v2), max(v1, v2)) in edges and c1 == c2
+        want[v1 * 3 + c1, v2 * 3 + c2] = not (two_colors or one_color_edge)
+    assert np.array_equal(consistency_accept_table(c), want)
 
 
 class TestTightnessCheat:
@@ -162,7 +176,7 @@ class TestErrorsAndReports:
 
     def test_capacity_above_n8(self):
         from uvlab.sgraph import ExplicitGraph
-        c = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 9)
+        c = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 11)
         h = honest_proof(c, Coloring((0, 1)))
         with pytest.raises(CapacityError):
             acceptance_exact(c, h, h)
