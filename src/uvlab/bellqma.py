@@ -186,11 +186,12 @@ def _consistency_exact(dists: np.ndarray, reject: np.ndarray, budget: int) -> fl
 
 
 def _consistency_monte_carlo(dists: np.ndarray, edges, size: int,
-                             samples: int, seed: int,
-                             batch: int = 50_000) -> tuple[float, float]:
+                             samples: int, seed: int) -> tuple[float, float]:
     """Sample outcome tuples register-by-register and apply the pairwise
-    predicate via a per-sample vertex/color presence table."""
+    predicate via a per-sample vertex/color presence table, in batches of
+    at most 50,000 rows and a 16 MiB presence table."""
     k = dists.shape[0]
+    batch = min(50_000, 2 ** 24 // (3 * size))
     cdfs = np.cumsum(dists, axis=1)
     rng = np.random.default_rng(seed)
     rejected = 0
@@ -203,7 +204,7 @@ def _consistency_monte_carlo(dists: np.ndarray, edges, size: int,
             out = np.searchsorted(cdfs[i], rng.random(b), side="right")
             np.clip(out, 0, dists.shape[1] - 1, out=out)
             pres[rows, out // 3, out % 3] = True
-        ncolors = pres.sum(axis=2)
+        ncolors = pres.sum(axis=2, dtype=np.uint8)
         bad = (ncolors >= 2).any(axis=1)
         for u, v in edges:
             bad |= (pres[:, u, :] & pres[:, v, :]).any(axis=1)

@@ -6,7 +6,7 @@ expectation of a Hermitian operator A on the doubled proof space:
     A = (A_eq + A_cons + A_unif) / 3,
     A_eq   = (I + SWAP_{R1 R2}) / 2,
     A_cons = diagonal 0/1 table of accepting outcome pairs,
-    A_unif = I - (node complement projector (x) color uniform projector) on R1.
+    A_unif = I - R (x) I,  R = (I - J/2^n) (x) J/3 on R1 (node (x) color).
 
 Its largest eigenvalue is the best acceptance over all joint states, i.e.
 the entangled optimum; a certified upper bound for everything a pair of
@@ -15,7 +15,9 @@ states themselves: fixing one register, the optimal other register is the
 top eigenvector of the partially contracted operator, so alternating
 eigenvector steps never decrease the value.
 
-Dimension cap: the operator is dense over (3 * 2^n)^2, so n <= 4.
+A is never built: it is applied in closed form from the consistency table,
+O(d^2) per product for proof dimension d = 3 * 2^n; the spectral norm is a
+power iteration on that product, and the partial contractions are d x d.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from .qma2 import consistency_accept_table
 from .sgraph import SuccinctCircuit
 from .states import PureState
 
-MAX_OPERATOR_N = 4
+# per-step cost caps n: a product takes O(d^2) time and memory, a seesaw step
+# O(d^3) time; at n = 6 the norm takes about 3 s, a seesaw restart 13 s
+MAX_OPERATOR_N = 6
 HERMITIAN_TOL = 1e-10
 CONVERGENCE_TOL = 1e-12
 DEFAULT_RESTARTS = 50
@@ -39,13 +43,43 @@ DEFAULT_ITERS = 500
 
 @dataclass(frozen=True)
 class AcceptanceOperator:
-    matrix: np.ndarray = field(repr=False)
+    """A held as its consistency table.  ``op @ v`` applies A to a joint
+    vector (R1-major, length d^2) or to each column of a (d^2, m) block, so
+    ``op @ np.eye(d * d)`` is the dense matrix."""
+
+    accept: np.ndarray = field(repr=False)
     instance: str = ""
-    verifier: str = "two-proof"
 
     @property
     def proof_dim(self) -> int:
-        return int(round(self.matrix.shape[0] ** 0.5))
+        return self.accept.shape[0]
+
+    def _reject_r1(self) -> np.ndarray:
+        size = self.proof_dim // 3
+        return np.kron(np.eye(size) - 1.0 / size, np.full((3, 3), 1.0 / 3.0))
+
+    def __matmul__(self, v) -> np.ndarray:
+        d = self.proof_dim
+        joint = np.asarray(v).reshape(d, d, -1)        # V: rows R1, columns R2
+        # R V: the mean over colors, minus its mean over nodes, repeated on 3 colors
+        by_node = joint.reshape(d // 3, 3, d, -1).mean(axis=1)
+        by_node -= by_node.mean(axis=0)
+        out = (0.5 * (joint + joint.transpose(1, 0, 2)) + self.accept[:, :, None] * joint
+               + joint - np.repeat(by_node, 3, axis=0)) / 3.0
+        return out.reshape(np.shape(v))
+
+    def contract_r2(self, y: np.ndarray) -> np.ndarray:
+        """M1 on R1 with x^† M1 x = <x (x) y|A|x (x) y> for unit y."""
+        eye = np.eye(self.proof_dim)
+        return (0.5 * (eye + np.outer(y, y.conj())) + np.diag(self.accept @ np.abs(y) ** 2)
+                + eye - self._reject_r1()) / 3.0
+
+    def contract_r1(self, x: np.ndarray) -> np.ndarray:
+        """M2 on R2 with y^† M2 y = <x (x) y|A|x (x) y> for unit x."""
+        eye = np.eye(self.proof_dim)
+        unif = 1.0 - float(np.real(np.vdot(x, self._reject_r1() @ x)))
+        return (0.5 * (eye + np.outer(x, x.conj())) + np.diag(np.abs(x) ** 2 @ self.accept)
+                + unif * eye) / 3.0
 
 
 @dataclass(frozen=True)
@@ -59,72 +93,46 @@ class SeesawResult:
 
 
 def build_acceptance_operator(c: SuccinctCircuit, instance: str = "") -> AcceptanceOperator:
-    """Dense Hermitian acceptance operator over (node, color) x 2."""
+    """Structured Hermitian acceptance operator over (node, color) x 2."""
     if c.n > MAX_OPERATOR_N:
         raise CapacityError(f"operator construction needs n <= {MAX_OPERATOR_N}")
-    size = 2 ** c.n
-    d = 3 * size
-    d2 = d * d
-
-    accept_diag = consistency_accept_table(c).reshape(-1).astype(np.float64)
-    a_cons = np.diag(accept_diag)
-
-    swap = np.zeros((d2, d2))
-    a = np.arange(d2) // d
-    b = np.arange(d2) % d
-    swap[b * d + a, a * d + b] = 1.0
-    a_eq = 0.5 * (np.eye(d2) + swap)
-
-    p0_color = np.full((3, 3), 1.0 / 3.0)
-    p0_node = np.full((size, size), 1.0 / size)
-    reject_r1 = np.kron(np.eye(size) - p0_node, p0_color)
-    a_unif = np.eye(d2) - np.kron(reject_r1, np.eye(d))
-
-    matrix = ((a_eq + a_cons + a_unif) / 3.0).astype(np.complex128)
-    return AcceptanceOperator(matrix, instance=instance)
-
-
-def _as_matrix(op) -> np.ndarray:
-    return op.matrix if isinstance(op, AcceptanceOperator) else np.asarray(op)
+    return AcceptanceOperator(consistency_accept_table(c), instance=instance)
 
 
 def spectral_norm(op) -> float:
-    """Largest eigenvalue of a Hermitian operator (full symmetric solve)."""
-    m = _as_matrix(op)
-    if np.linalg.norm(m - m.conj().T, np.inf) > HERMITIAN_TOL:
-        raise ValueError("operator is not Hermitian within 1e-10")
-    return float(np.linalg.eigvalsh(m)[-1])
+    """Largest eigenvalue of an AcceptanceOperator or Hermitian matrix."""
+    if not isinstance(op, AcceptanceOperator):
+        op = np.asarray(op)
+        if np.linalg.norm(op - op.conj().T, np.inf) > HERMITIAN_TOL:
+            raise ValueError("operator is not Hermitian within 1e-10")
+    return power_iteration_norm(op)
 
 
 def power_iteration_norm(op, iters: int = 10 ** 4, seed: int = 0) -> float:
     """Largest eigenvalue by power iteration on A + I (all eigenvalues of
-    the shifted operator are positive, so no sign ambiguity).  Cross-check
-    for the eigensolver, not the primary path."""
-    m = _as_matrix(op)
-    n = m.shape[0]
+    the shifted operator are positive, so no sign ambiguity), stopped once
+    ||A v - theta v|| < 1e-13 for the Rayleigh quotient theta.  Raises if
+    ``iters`` steps do not get there."""
+    n = op.proof_dim ** 2 if isinstance(op, AcceptanceOperator) else len(op)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    shifted = m + np.eye(n)
-    last = 0.0
     for _ in range(iters):
-        w = shifted @ v
-        nrm = np.linalg.norm(w)
-        v = w / nrm
-        val = float(np.real(np.vdot(v, shifted @ v)))
-        if abs(val - last) < 1e-15:
-            break
-        last = val
-    return last - 1.0
+        w = op @ v
+        theta = float(np.real(np.vdot(v, w)))
+        if np.linalg.norm(w - theta * v) < 1e-13:
+            return theta
+        w += v
+        v = w / np.linalg.norm(w)
+    raise RuntimeError(f"power iteration did not reach residual 1e-13 in {iters} steps")
 
 
 def product_value(op, r1: PureState | np.ndarray, r2: PureState | np.ndarray) -> float:
     """<r1 (x) r2 | A | r1 (x) r2>."""
-    m = _as_matrix(op)
     x = r1.amps if isinstance(r1, PureState) else np.asarray(r1).reshape(-1)
     y = r2.amps if isinstance(r2, PureState) else np.asarray(r2).reshape(-1)
     joint = np.kron(x, y)
-    return float(np.real(np.vdot(joint, m @ joint)))
+    return float(np.real(np.vdot(joint, op @ joint)))
 
 
 def _top_eigvec(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -132,8 +140,9 @@ def _top_eigvec(m: np.ndarray) -> tuple[np.ndarray, float]:
     return vecs[:, -1], float(vals[-1])
 
 
-def seesaw(op, restarts: int = DEFAULT_RESTARTS, iters: int = DEFAULT_ITERS,
-           seed: int = 0, init_states: tuple | None = None) -> SeesawResult:
+def seesaw(op: AcceptanceOperator, restarts: int = DEFAULT_RESTARTS,
+           iters: int = DEFAULT_ITERS, seed: int = 0,
+           init_states: tuple | None = None) -> SeesawResult:
     """Alternating eigenvector maximization over the two proof registers.
 
     Haar-random restarts plus an optional caller-supplied initialization
@@ -141,22 +150,16 @@ def seesaw(op, restarts: int = DEFAULT_RESTARTS, iters: int = DEFAULT_ITERS,
     monotone; the best pair over all restarts is returned.  Deterministic
     for a fixed seed.
     """
-    m = _as_matrix(op)
-    d2 = m.shape[0]
-    d = int(round(d2 ** 0.5))
-    a4 = m.reshape(d, d, d, d)
+    d = op.proof_dim
     rng = np.random.default_rng(seed)
-    n = int(round(np.log2(d / 3)))
-    shape = proof_shape(n)
+    shape = proof_shape(int(round(np.log2(d / 3))))
 
     def run(x, y):
         trace = []
-        val = product_value(m, x, y)
+        val = product_value(op, x, y)
         for it in range(iters):
-            m1 = np.einsum("acbd,c,d->ab", a4, np.conj(y), y)
-            x, _ = _top_eigvec(m1)
-            m2 = np.einsum("acbd,a,b->cd", a4, np.conj(x), x)
-            y, new = _top_eigvec(m2)
+            x, _ = _top_eigvec(op.contract_r2(y))
+            y, new = _top_eigvec(op.contract_r1(x))
             trace.append(new)
             if abs(new - val) < CONVERGENCE_TOL:
                 return x, y, new, it + 1, trace
@@ -173,11 +176,7 @@ def seesaw(op, restarts: int = DEFAULT_RESTARTS, iters: int = DEFAULT_ITERS,
         y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         starts.append((x / np.linalg.norm(x), y / np.linalg.norm(y)))
 
-    best = None
-    for x0, y0 in starts:
-        x, y, val, its, trace = run(x0, y0)
-        if best is None or val > best[2]:
-            best = (x, y, val, its, trace)
-    x, y, val, its, trace = best
+    # the first of equally good restarts wins
+    x, y, val, its, trace = max((run(x0, y0) for x0, y0 in starts), key=lambda r: r[2])
     return SeesawResult((PureState(shape, x), PureState(shape, y)),
                         float(val), its, restarts, seed, tuple(trace))

@@ -20,7 +20,7 @@ distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,7 +42,6 @@ class VerdictReport:
     p_consistency: float
     p_uniformity: float
     p_total: float
-    branch_log: tuple = field(default=(), repr=False)
 
     def to_dict(self) -> dict:
         return {"p_eq": self.p_equality, "p_cons": self.p_consistency,

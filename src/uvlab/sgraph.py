@@ -43,6 +43,7 @@ INVALID, NON_EDGE, EDGE = 0b00, 0b10, 0b11
 MAX_GATES = 10 ** 5
 MAX_EXPAND_VERTICES = 1 << 16
 MAX_BRUTE_FORCE_VERTICES = 20
+MAX_LABEL_BITS = 20      # one proof, 3 * 2^n amplitudes, fits states.MAX_TOTAL_DIM
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,8 @@ class SuccinctCircuit:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.n > MAX_LABEL_BITS:     # checked before 2^n is evaluated
+            raise CapacityError(f"n={self.n} exceeds the label-width cap {MAX_LABEL_BITS}")
         if not 1 <= self.m <= 2 ** self.n:
             raise ValueError(f"m={self.m} outside [1, 2^{self.n}]")
         if len(self.gates) > MAX_GATES:

@@ -132,10 +132,6 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
-    @property
-    def total_dim(self) -> int:
-        return self.shape.total
-
     def tensor_view(self) -> np.ndarray:
         """Read-only view of the amplitudes reshaped to the register dims."""
         return self.amps.reshape(self.shape.dims)

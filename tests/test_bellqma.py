@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,18 @@ class TestCapacity:
         c, proofs = self.edge_instance(11)
         with pytest.raises(CapacityError):
             bellqma.acceptance(c, proofs, mode="exact")
+
+    def test_mc_presence_table_is_bounded(self):
+        # 50,000 rows of 3 * 2^10 presence bits would take 154 MB at once
+        c, proofs = self.edge_instance(10)
+        tracemalloc.start()
+        try:
+            p, _ = bellqma.consistency_accept(c, proofs[:2], mode="mc", samples=50_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p == 1.0
+        assert peak < 64 * 2 ** 20
 
 
 class TestChernoff:

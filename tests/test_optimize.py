@@ -6,8 +6,32 @@ from uvlab.errors import CapacityError
 from uvlab.optimize import (build_acceptance_operator, power_iteration_norm,
                             product_value, seesaw, spectral_norm)
 from uvlab.provers import haar_state, honest_proof, near_coloring_proof, proof_shape
-from uvlab.qma2 import acceptance_exact, soundness_bound
+from uvlab.qma2 import acceptance_exact, consistency_accept_table, soundness_bound
 from uvlab.sgraph import Coloring, encode_explicit, ExplicitGraph
+
+
+def dense_reference(c):
+    """The dense (3 * 2^n)^2 x (3 * 2^n)^2 operator, built term by term
+    from its definition; the structured form must agree with it."""
+    size = 2 ** c.n
+    d = 3 * size
+    d2 = d * d
+
+    accept_diag = consistency_accept_table(c).reshape(-1).astype(np.float64)
+    a_cons = np.diag(accept_diag)
+
+    swap = np.zeros((d2, d2))
+    a = np.arange(d2) // d
+    b = np.arange(d2) % d
+    swap[b * d + a, a * d + b] = 1.0
+    a_eq = 0.5 * (np.eye(d2) + swap)
+
+    p0_color = np.full((3, 3), 1.0 / 3.0)
+    p0_node = np.full((size, size), 1.0 / size)
+    reject_r1 = np.kron(np.eye(size) - p0_node, p0_color)
+    a_unif = np.eye(d2) - np.kron(reject_r1, np.eye(d))
+
+    return ((a_eq + a_cons + a_unif) / 3.0).astype(np.complex128)
 
 
 @pytest.fixture(scope="module")
@@ -22,11 +46,11 @@ def k4_module():
 
 class TestOperator:
     def test_hermitian(self, k4_op):
-        m = k4_op.matrix
+        m = k4_op @ np.eye(144)
         assert np.linalg.norm(m - m.conj().T, np.inf) < 1e-10
 
     def test_eigenvalues_in_unit_interval(self, k4_op):
-        vals = np.linalg.eigvalsh(k4_op.matrix)
+        vals = np.linalg.eigvalsh(k4_op @ np.eye(144))
         assert vals[0] >= -1e-9 and vals[-1] <= 1 + 1e-9
 
     def test_product_states_match_exact_verdict(self, k4_module, k4_op, rng):
@@ -47,19 +71,19 @@ class TestOperator:
         joint states.  Pin the fact and verify the witness is genuinely
         entangled yet accepted with certainty, while the product cheat
         stays strictly below the separable ceiling."""
-        lam, vecs = np.linalg.eigh(k4_op.matrix)
+        lam, vecs = np.linalg.eigh(k4_op @ np.eye(144))
         assert abs(lam[-1] - 1.0) < 1e-9
         witness = vecs[:, -1]
         d = 12
         schmidt = np.linalg.svd(witness.reshape(d, d), compute_uv=False)
         assert (schmidt > 1e-9).sum() > 1        # not a product state
         # the witness passes each test component with probability 1:
-        assert abs(np.real(np.vdot(witness, k4_op.matrix @ witness)) - 1.0) < 1e-9
+        assert abs(np.real(np.vdot(witness, k4_op @ witness)) - 1.0) < 1e-9
         cheat = near_coloring_proof(k4_module, Coloring((0, 1, 2, 0)))
         assert product_value(k4_op, cheat, cheat) <= 1 - soundness_bound(2)
 
     def test_capacity_cap(self):
-        c = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 5)
+        c = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 7)
         with pytest.raises(CapacityError):
             build_acceptance_operator(c)
 
@@ -117,3 +141,57 @@ class TestSeesaw:
     def test_value_is_reached_by_returned_states(self, k4_op):
         res = seesaw(k4_op, restarts=4, seed=13)
         assert abs(product_value(k4_op, *res.states) - res.value) < 1e-9
+
+
+K4 = ExplicitGraph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
+SMALL = [name for name in corpus.available() if corpus.manifest()[name]["n"] <= 3]
+
+
+class TestStructuredForm:
+    @pytest.mark.parametrize("name", ["k4_n2", "c5_n3"])
+    def test_matvec_matches_dense(self, name, rng):
+        c = corpus.load(name)
+        op = build_acceptance_operator(c, instance=name)
+        m = dense_reference(c)
+        d2 = m.shape[0]
+        block = rng.standard_normal((d2, 4)) + 1j * rng.standard_normal((d2, 4))
+        assert np.abs(op @ block - m @ block).max() < 1e-12
+        assert np.abs(op @ block[:, 0] - m @ block[:, 0]).max() < 1e-12
+
+    @pytest.mark.parametrize("name", SMALL)
+    def test_spectral_norm_matches_dense_eigvalsh(self, name):
+        c = corpus.load(name)
+        lam = spectral_norm(build_acceptance_operator(c, instance=name))
+        assert abs(lam - np.linalg.eigvalsh(dense_reference(c))[-1]) < 1e-12
+
+    @pytest.mark.parametrize("name", ["k4_n2", "c5_n3"])
+    def test_partial_contractions_match_dense(self, name, rng):
+        c = corpus.load(name)
+        op = build_acceptance_operator(c, instance=name)
+        d = op.proof_dim
+        a4 = dense_reference(c).reshape(d, d, d, d)
+        for _ in range(3):
+            x = haar_state(proof_shape(c.n), rng).amps
+            y = haar_state(proof_shape(c.n), rng).amps
+            m1 = np.einsum("acbd,c,d->ab", a4, np.conj(y), y)
+            m2 = np.einsum("acbd,a,b->cd", a4, np.conj(x), x)
+            assert np.abs(op.contract_r2(y) - m1).max() < 1e-12
+            assert np.abs(op.contract_r1(x) - m2).max() < 1e-12
+
+    def test_power_iteration_raises_when_not_converged(self, k4_op):
+        with pytest.raises(RuntimeError, match="did not reach"):
+            power_iteration_norm(k4_op, iters=5)
+
+    def test_k4_past_the_old_cap(self, rng):
+        """n = 5 was above the cap while the operator was dense."""
+        c = encode_explicit(K4, 5)
+        op = build_acceptance_operator(c)
+        for _ in range(3):
+            r1 = haar_state(proof_shape(5), rng)
+            r2 = haar_state(proof_shape(5), rng)
+            assert abs(product_value(op, r1, r2) - acceptance_exact(c, r1, r2).p_total) < 1e-12
+        lam = spectral_norm(op)
+        assert abs(lam - 1.0) < 1e-9
+        cheat = near_coloring_proof(c, Coloring((0, 1, 2, 0)))
+        res = seesaw(op, restarts=0, init_states=(cheat, cheat))
+        assert 1 - 2 / (3 * 4 ** 5) <= res.value <= lam + 1e-9

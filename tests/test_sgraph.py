@@ -86,6 +86,11 @@ class TestParser:
         with pytest.raises(CapacityError):
             SuccinctCircuit(1, 2, gates, 2, 2)
 
+    def test_label_width_capacity(self):
+        text = "SGC 1\nn 1000000\nm 2\nw0 = CONST0\nout pair w0\nout edge w0\n"
+        with pytest.raises(CapacityError, match="label-width"):
+            parse_sgc(text)
+
 
 class TestEvalPair:
     def test_k3_edge(self):
