@@ -53,6 +53,19 @@ def default_k(n: int) -> int:
     return 120 * n
 
 
+def soundness_bound(n: int) -> float:
+    """Rejection floor 4^-n / 12000 at k = 120 n for non-3-colorable
+    instances, valid for unentangled proofs."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return 4.0 ** (-n) / 12000.0
+
+
+def completeness_bound(k: int) -> float:
+    """Acceptance floor 1 - 2^(-k/40) of k honest proofs."""
+    return 1.0 - 2.0 ** (-k / 40.0)
+
+
 def enumeration_budget() -> int:
     """The exact-enumeration budget: UVLAB_BUDGET when set, else 10^7."""
     raw = os.environ.get("UVLAB_BUDGET", str(DEFAULT_BUDGET))
@@ -72,7 +85,6 @@ class BellReport:
     seed: int | None = None
     ci_halfwidth: float | None = None    # on p_total; only the consistency
     z_tail: float | None = None          # term is estimated, so hw_cons / 2
-    z_distribution: tuple[float, ...] | None = None
 
     def to_dict(self) -> dict:
         return {"p_cons": self.p_consistency, "p_unif": self.p_uniformity,
@@ -152,16 +164,12 @@ def _support_all_accepting(dists: np.ndarray, reject: np.ndarray) -> bool:
     Registers are grouped by identical support so the honest case (k equal
     states) costs one table lookup, not k^2.
     """
-    counts: dict[tuple, int] = {}
-    for row in dists:
-        key = tuple(np.nonzero(row > 0.0)[0])
-        counts[key] = counts.get(key, 0) + 1
-    classes = list(counts)
-    for i, si in enumerate(classes):
-        for sj in classes[i:]:
-            if si == sj and counts[si] < 2:
+    supports, counts = np.unique(dists > 0.0, axis=0, return_counts=True)
+    for i, si in enumerate(supports):
+        for j in range(i, len(supports)):
+            if i == j and counts[i] < 2:
                 continue
-            if reject[np.ix_(si, sj)].any():
+            if reject[np.ix_(si, supports[j])].any():
                 return False
     return True
 
@@ -216,8 +224,7 @@ def _consistency_monte_carlo(dists: np.ndarray, edges, size: int,
 
 
 def consistency_accept(c: SuccinctCircuit, proofs, mode: str = "exact",
-                       samples: int | None = None, seed: int | None = None,
-                       budget: int | None = None):
+                       samples: int | None = None, seed: int | None = None):
     """Consistency-test acceptance probability over all register pairs.
 
     Exact mode returns a float; Monte-Carlo mode returns (estimate,
@@ -231,30 +238,26 @@ def consistency_accept(c: SuccinctCircuit, proofs, mode: str = "exact",
     reject = ~consistency_accept_table(c) if mode == "exact" else None
     dists = np.abs(stack_proofs(proofs, c.n)).reshape(len(proofs), -1) ** 2
     if mode == "exact":
-        return _consistency_exact(dists, reject,
-                                  enumeration_budget() if budget is None else budget)
+        return _consistency_exact(dists, reject, enumeration_budget())
     return _consistency_monte_carlo(dists, sorted(expand(c).edges),
                                     2 ** c.n, samples, seed)
 
 
 def acceptance(c: SuccinctCircuit, proofs, mode: str = "exact",
-               samples: int | None = None, seed: int | None = None,
-               budget: int | None = None) -> BellReport:
-    """Half-half mixture of the consistency and uniformity tests."""
+               samples: int | None = None, seed: int | None = None) -> BellReport:
+    """Half-half mixture of the consistency and uniformity tests.  Only
+    Monte-Carlo reports carry samples, seed and a half-width."""
     k = len(proofs)
+    exact = mode == "exact"
     # consistency first: past the table's cap, exact mode fails before allocating
-    if mode == "exact":
-        p_cons = consistency_accept(c, proofs, "exact", budget=budget)
+    if exact:
+        p_cons = consistency_accept(c, proofs, "exact")
+        mc = {}
     else:
         p_cons, hw = consistency_accept(c, proofs, "mc", samples=samples, seed=seed)
+        mc = {"samples": samples, "seed": seed, "ci_halfwidth": hw / 2.0}
     weights = uniformity_weights(stack_proofs(proofs, c.n))
     p_unif = _uniformity_accept(weights, z_threshold(k))
-    zpmf = _z_pmf(weights)
-    zdist = tuple(float(p) for p in zpmf)
-    ztail = _probability(zpmf[: z_threshold(k)])
-    if mode == "exact":
-        return BellReport(p_cons, p_unif, (p_cons + p_unif) / 2.0, "exact", k,
-                          z_tail=ztail, z_distribution=zdist)
-    return BellReport(p_cons, p_unif, (p_cons + p_unif) / 2.0, "montecarlo", k,
-                      samples=samples, seed=seed, ci_halfwidth=hw / 2.0,
-                      z_tail=ztail, z_distribution=zdist)
+    ztail = _probability(_z_pmf(weights)[: z_threshold(k)])
+    return BellReport(p_cons, p_unif, (p_cons + p_unif) / 2.0,
+                      "exact" if exact else "montecarlo", k, z_tail=ztail, **mc)

@@ -86,9 +86,7 @@ def _run_qma2(args, c, name) -> dict:
         out["declared_violations"] = bad
     if args.mode == "mc":
         _check_mc(args)
-        rng = np.random.default_rng(args.seed)
-        hits = sum(qma2.run_sampled(c, proofs[0], proofs[1], rng)[0]
-                   for _ in range(args.samples))
+        hits = qma2.run_sampled(report, args.samples, np.random.default_rng(args.seed))
         out["sampled_acceptance"] = hits / args.samples
         out["samples"] = args.samples
     return out
@@ -104,8 +102,8 @@ def _run_bellqma(args, c, name) -> dict:
     report = bellqma.acceptance(c, proofs, mode=args.mode,
                                 samples=args.samples, seed=args.seed)
     out = {"instance": name, "n": c.n, "strategy": args.strategy,
-           "paper_soundness_floor": 4.0 ** (-c.n) / 12000.0,
-           "paper_completeness_floor": 1.0 - 2.0 ** (-k / 40.0)}
+           "paper_soundness_floor": bellqma.soundness_bound(c.n),
+           "paper_completeness_floor": bellqma.completeness_bound(k)}
     out.update(report.to_dict())
     if bad is not None:
         out["declared_violations"] = bad

@@ -21,10 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import CapacityError, ShapeMismatchError
 from .sgraph import Coloring, SuccinctCircuit, expand
 from .states import ZERO_BRANCH_TOL, PureState, RegisterShape
 from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
+
+MAX_BATCH_AMPLITUDES = 2 ** 24     # k * 3 * 2^n complex128s: 256 MiB
 
 
 def proof_shape(n: int) -> RegisterShape:
@@ -65,11 +67,22 @@ def reconstruct(d: ProofDecomposition, labels=("node", "color")) -> PureState:
     return PureState(shape, t.reshape(-1))
 
 
+def _check_batch_size(k: int, nodes: int):
+    """Raise :class:`CapacityError` when k proofs of ``nodes`` x 3
+    amplitudes exceed MAX_BATCH_AMPLITUDES; call before allocating."""
+    if k * 3 * nodes > MAX_BATCH_AMPLITUDES:
+        raise CapacityError(
+            f"k={k} proofs at n={nodes.bit_length() - 1} need {k * 3 * nodes} "
+            f"amplitudes, above the proof-batch cap of {MAX_BATCH_AMPLITUDES} (2^24)")
+
+
 def stack_proofs(proofs, n: int | None = None) -> np.ndarray:
     """Stack k node (x) color proofs with 2^n nodes each into one
     ``(k, 2^n, 3)`` amplitude array; n defaults to the first proof's.
-    Raises :class:`ShapeMismatchError` for a proof with other dims."""
+    Raises :class:`ShapeMismatchError` for a proof with other dims and
+    :class:`CapacityError` above MAX_BATCH_AMPLITUDES."""
     want = (2 ** n if n is not None else proofs[0].shape.dims[0], 3)
+    _check_batch_size(len(proofs), want[0])
     batch = np.empty((len(proofs),) + want, dtype=np.complex128)
     for i, p in enumerate(proofs):
         if p.shape.dims != want:
@@ -153,17 +166,18 @@ class ProverStrategy:
     """A named way of producing the k proof states for an instance.
 
     kind: ``honest`` (needs a valid coloring), ``near_coloring`` (needs a
-    flawed coloring plus its violation count), ``arbitrary`` (explicit
-    states), or ``random`` (needs a seed).
+    flawed coloring plus its violation count), or ``random`` (needs a
+    seed).  :meth:`states` checks the k-proof batch against
+    MAX_BATCH_AMPLITUDES before building any proof.
     """
 
     kind: str
     coloring: Coloring | None = None
     violations: int = 1
     seed: int | None = None
-    states_override: tuple[PureState, ...] = ()
 
     def states(self, c: SuccinctCircuit, k: int) -> list[PureState]:
+        _check_batch_size(k, 2 ** c.n)
         if self.kind == "honest":
             if self.coloring is None or not self.coloring.is_valid_for(expand(c)):
                 raise ValueError("honest strategy requires a valid coloring")
@@ -176,9 +190,4 @@ class ProverStrategy:
             if self.seed is None:
                 raise ValueError("random strategy requires a seed")
             return random_product_proofs(proof_shape(c.n), k, self.seed)
-        if self.kind == "arbitrary":
-            if not self.states_override:
-                raise ValueError("arbitrary strategy requires explicit states")
-            reps = (k + len(self.states_override) - 1) // len(self.states_override)
-            return list((self.states_override * reps)[:k])
         raise ValueError(f"unknown strategy kind {self.kind!r}")

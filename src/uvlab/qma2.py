@@ -14,8 +14,9 @@ and runs one of three tests chosen uniformly at random:
 ``acceptance_exact`` computes all three branch probabilities exactly; the
 consistency term enumerates the full (3 * 2^n)^2 outcome grid through the
 conflict table both verifiers share, which caps the instance size at
-n <= 10.  ``run_sampled`` draws one verdict from the exact branch
-distributions.
+n <= 10.  ``run_sampled`` draws the accepting count of many independent
+verifier runs at once from those exact probabilities: a multinomial split
+of the runs over the three tests, then one binomial per test.
 """
 
 from __future__ import annotations
@@ -81,48 +82,27 @@ def consistency_accept_table(c: SuccinctCircuit) -> np.ndarray:
 
 
 def acceptance_exact(c: SuccinctCircuit, r1: PureState, r2: PureState) -> VerdictReport:
-    """Exact acceptance probabilities of the three tests and their mixture."""
+    """Exact acceptance probabilities of the three tests and their mixture,
+    each clamped to [0, 1] against rounding (a Haar state paired with itself
+    can give a swap test a few ulps above 1)."""
     accept = consistency_accept_table(c)
     batch = stack_proofs([r1, r2], c.n)
     p_eq = swap_test(r1, r2, mode="closed_form")
     p, q = np.abs(batch).reshape(2, -1) ** 2
     p_cons = float(p @ accept @ q)
     p_unif = 1.0 - float(uniformity_weights(batch[:1])[0, 2])
-    total = (p_eq + p_cons + p_unif) / 3.0
-    return VerdictReport(p_eq, p_cons, p_unif, total)
+    probs = [min(1.0, max(0.0, x)) for x in (p_eq, p_cons, p_unif)]
+    return VerdictReport(*probs, min(1.0, sum(probs) / 3.0))
 
 
-def run_sampled(c: SuccinctCircuit, r1: PureState, r2: PureState,
-                rng: np.random.Generator) -> tuple[bool, dict]:
-    """One verifier run: pick a test uniformly, sample its measurement
-    outcomes from the exact branch distributions, return (accept, log)."""
-    batch = stack_proofs([r1, r2], c.n)
-    test = ("equality", "consistency", "uniformity")[rng.integers(3)]
-    log: dict = {"test": test}
-    if test == "equality":
-        p_eq = swap_test(r1, r2, mode="closed_form")
-        outcome = int(rng.random() >= p_eq)      # ancilla 0 accepts
-        log["ancilla"] = outcome
-        accept = outcome == 0
-    elif test == "consistency":
-        accept_table = consistency_accept_table(c)
-        p, q = np.abs(batch).reshape(2, -1) ** 2
-        o1 = int(rng.choice(p.size, p=p))
-        o2 = int(rng.choice(q.size, p=q))
-        log.update(v1=o1 // 3, c1=o1 % 3, v2=o2 // 3, c2=o2 % 3)
-        accept = bool(accept_table[o1, o2])
-    else:
-        _, b, cc = uniformity_weights(batch[:1])[0]
-        x = int(rng.random() >= b + cc)
-        log["color_outcome"] = x
-        if x == 0:
-            y = int(rng.random() < cc / (b + cc))
-            log["node_outcome"] = y
-            accept = y == 0
-        else:
-            accept = True
-    log["accept"] = accept
-    return accept, log
+def run_sampled(report: VerdictReport, samples: int, rng: np.random.Generator) -> int:
+    """Number of accepting runs among ``samples`` independent verifier runs:
+    the count of runs picking each test is multinomial(samples, 1/3 each),
+    and each test's accepting runs are binomial in its exact probability.
+    O(1) in ``samples``; no outcome array is built."""
+    picks = rng.multinomial(samples, [1 / 3] * 3)
+    probs = [report.p_equality, report.p_consistency, report.p_uniformity]
+    return int(rng.binomial(picks, probs).sum())
 
 
 def report_dict(c: SuccinctCircuit, report: VerdictReport, *, instance: str,

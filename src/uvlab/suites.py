@@ -482,7 +482,7 @@ def acceptance_4_bellqma_completeness(limit=10.0) -> CheckResult:
         worst = -np.inf
         for k in (60, 120, 240):
             report = bellqma.acceptance(c, [honest] * k, mode="exact")
-            floor = 1.0 - 2.0 ** (-k / 40.0)
+            floor = bellqma.completeness_bound(k)
             worst = max(worst, floor - report.p_total)
         return worst <= 0, f"max (floor - p_total) = {worst:.3e} for k in 60,120,240"
     return _timed("criterion_4_bellqma_completeness", limit, run)
@@ -500,7 +500,7 @@ def acceptance_6_bellqma_soundness(limit=300.0) -> CheckResult:
     def run():
         c = corpus.load("k4_n2")
         n, k = c.n, 240
-        floor = 4.0 ** (-n) / 12000.0
+        floor = bellqma.soundness_bound(n)
         shape = provers.proof_shape(n)
         cheat = provers.near_coloring_proof(c, sgraph.Coloring((0, 1, 2, 0)), violations=1)
         basis = states.basis_state(shape, (0, 0))

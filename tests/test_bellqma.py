@@ -9,7 +9,7 @@ from uvlab import bellqma, corpus
 from uvlab.errors import BudgetError, CapacityError
 from uvlab.provers import (haar_state, honest_proof, near_coloring_proof,
                            proof_shape, random_product_proofs)
-from uvlab.qma2 import acceptance_exact
+from uvlab.qma2 import acceptance_exact, consistency_accept_table
 from uvlab.sgraph import Coloring, ExplicitGraph, encode_explicit, expand
 from uvlab.states import PureState, basis_state
 
@@ -123,6 +123,17 @@ class TestConsistency:
                 accept += (1 / 4) ** 4
         assert abs(got - accept) < 1e-12
 
+    def test_support_shortcut_matches_pairwise_loop(self, k4, rng):
+        reject = ~consistency_accept_table(k4)
+        for _ in range(300):
+            # rows drawn from a pool of three supports, so classes repeat
+            pool = rng.random((3, 12)) < 0.12
+            dists = pool[rng.integers(3, size=rng.integers(2, 6))] * 1.0
+            k = len(dists)
+            want = not any(reject[np.ix_(dists[i] > 0, dists[j] > 0)].any()
+                           for i in range(k) for j in range(i + 1, k))
+            assert bellqma._support_all_accepting(dists, reject) == want
+
     def test_budget_error_directs_to_mc(self, k4, rng):
         proofs = random_product_proofs(proof_shape(2), 12, seed=2)
         with pytest.raises(BudgetError, match="Monte-Carlo"):
@@ -178,6 +189,13 @@ class TestAcceptance:
         d = rep.to_dict()
         assert {"p_cons", "p_unif", "p_total", "mode", "k", "samples",
                 "seed", "ci_halfwidth", "z_tail"} <= set(d)
+
+
+def test_published_bounds():
+    assert bellqma.soundness_bound(2) == 1 / (16 * 12000)
+    assert bellqma.completeness_bound(240) == 1 - 2.0 ** (-6)
+    with pytest.raises(ValueError):
+        bellqma.soundness_bound(0)
 
 
 class TestCapacity:

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import pytest
 
@@ -79,6 +81,28 @@ class TestQma2Protocol:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_byte_identical_sampled_reports(self, tmp_path):
+        outs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert run_cli(["run", "--instance", instance_path("k4_n2"),
+                            "--protocol", "qma2", "--strategy", "near",
+                            "--mode", "mc", "--samples", "100000", "--seed", "7",
+                            "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        report = json.loads(outs[0])
+        halfwidth = math.sqrt(math.log(2 / 0.01) / (2 * 100_000))
+        assert abs(report["sampled_acceptance"] - report["p_total"]) < halfwidth
+
+    def test_sample_count_is_not_allocated(self, capsys):
+        code = run_cli(["run", "--instance", instance_path("k4_n2"),
+                        "--protocol", "qma2", "--strategy", "near",
+                        "--mode", "mc", "--samples", "1000000000000", "--seed", "7"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert abs(report["sampled_acceptance"] - report["p_total"]) < 1e-5
+
     def test_sampled_mode(self, capsys):
         code = run_cli(["run", "--instance", instance_path("k3_n2"),
                         "--protocol", "qma2", "--strategy", "honest",
@@ -146,6 +170,23 @@ class TestErrorsAndFormats:
         big.write_text(format_sgc(circuit))
         assert run_cli(["run", "--instance", str(big),
                         "--protocol", "qma2", "--strategy", "honest"]) == 3
+
+    def test_proof_batch_cap_exit_3(self, tmp_path, capsys):
+        from uvlab.sgraph import encode_explicit, format_sgc
+        big = tmp_path / "edge14.sgc"
+        big.write_text(format_sgc(
+            encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 14)))
+        tracemalloc.start()
+        try:
+            code = run_cli(["run", "--instance", str(big), "--protocol", "bellqma",
+                            "--strategy", "random", "--mode", "mc",
+                            "--samples", "10", "--seed", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_CAPACITY
+        assert "k=1680 proofs at n=14" in capsys.readouterr().err
+        assert peak < 16 * 2 ** 20
 
     # width None runs on k3_n2; an integer width runs on one edge at that n
     @pytest.mark.parametrize("width, argv, budget, code, message", [

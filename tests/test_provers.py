@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uvlab.provers import (ProverStrategy, color_branch_node_amplitudes,
-                           decompose, haar_state, honest_proof,
-                           near_coloring_proof, proof_shape,
+from uvlab.bellqma import default_k
+from uvlab.errors import CapacityError
+from uvlab.provers import (MAX_BATCH_AMPLITUDES, ProverStrategy,
+                           color_branch_node_amplitudes, decompose, haar_state,
+                           honest_proof, near_coloring_proof, proof_shape,
                            random_product_proofs, reconstruct, stack_proofs,
                            uniformity_weights)
 from uvlab.sgraph import Coloring, ExplicitGraph, encode_explicit
@@ -112,14 +114,30 @@ class TestStrategies:
         strat = ProverStrategy("random", seed=3)
         assert len(strat.states(k3, 4)) == 4
 
-    def test_arbitrary_cycles_states(self, k3, k3_coloring):
-        h = honest_proof(k3, k3_coloring)
-        strat = ProverStrategy("arbitrary", states_override=(h,))
-        assert len(strat.states(k3, 5)) == 5
-
     def test_unknown_kind(self, k3):
         with pytest.raises(ValueError, match="unknown strategy"):
             ProverStrategy("devious").states(k3, 2)
+
+
+class TestBatchCap:
+    # 342 proofs at n = 14 need 342 * 3 * 2^14 > 2^24 amplitudes
+    edge_n14 = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 14)
+
+    def test_default_k_fits_through_n11(self):
+        assert default_k(11) * 3 * 2 ** 11 <= MAX_BATCH_AMPLITUDES
+        assert default_k(12) * 3 * 2 ** 12 > MAX_BATCH_AMPLITUDES
+
+    @pytest.mark.parametrize("strategy", [ProverStrategy("random", seed=1),
+                                          ProverStrategy("honest", coloring=Coloring((0, 1)))])
+    def test_strategy_checks_before_building(self, strategy):
+        with pytest.raises(CapacityError, match="k=342 proofs at n=14"):
+            strategy.states(self.edge_n14, 342)
+        assert len(strategy.states(self.edge_n14, 2)) == 2
+
+    def test_stack_checks_before_allocating(self):
+        h = honest_proof(self.edge_n14, Coloring((0, 1)))
+        with pytest.raises(CapacityError, match=str(MAX_BATCH_AMPLITUDES)):
+            stack_proofs([h] * 342, 14)
 
 
 def measured_weights(state):

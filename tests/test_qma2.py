@@ -8,9 +8,9 @@ from uvlab import corpus, optimize
 from uvlab.errors import CapacityError, ShapeMismatchError
 from uvlab.provers import (haar_state, honest_proof, near_coloring_proof,
                            proof_shape)
-from uvlab.qma2 import (acceptance_exact, consistency_accept_table, report_dict,
-                        run_sampled, soundness_bound)
-from uvlab.sgraph import Coloring, encode_explicit, expand
+from uvlab.qma2 import (VerdictReport, acceptance_exact, consistency_accept_table,
+                        report_dict, run_sampled, soundness_bound)
+from uvlab.sgraph import Coloring, ExplicitGraph, encode_explicit, expand
 from uvlab.states import basis_state
 
 
@@ -105,30 +105,42 @@ class TestEqualityExamples:
 class TestSampledRuns:
     def test_honest_always_accepts(self, k3, k3_coloring, rng):
         h = honest_proof(k3, k3_coloring)
-        assert all(run_sampled(k3, h, h, rng)[0] for _ in range(300))
+        assert run_sampled(acceptance_exact(k3, h, h), 300, rng) == 300
 
-    def test_seed_reproducible(self, k4, rng):
+    def test_seed_reproducible(self, k4):
         cheat = near_coloring_proof(k4, Coloring((0, 1, 2, 0)))
-        runs1 = [run_sampled(k4, cheat, cheat, np.random.default_rng(4))[1]
-                 for _ in range(1)]
-        runs2 = [run_sampled(k4, cheat, cheat, np.random.default_rng(4))[1]
-                 for _ in range(1)]
-        assert runs1 == runs2
+        report = acceptance_exact(k4, cheat, cheat)
+        counts = [run_sampled(report, 1000, np.random.default_rng(4)) for _ in range(2)]
+        assert counts[0] == counts[1]
 
     def test_k4_cheat_converges(self, k4):
         cheat = near_coloring_proof(k4, Coloring((0, 1, 2, 0)))
         n_runs = 10 ** 5
-        rng = np.random.default_rng(123)
-        hits = sum(run_sampled(k4, cheat, cheat, rng)[0] for _ in range(n_runs))
+        hits = run_sampled(acceptance_exact(k4, cheat, cheat), n_runs,
+                           np.random.default_rng(123))
         p = 1 - 1 / 24
         sigma = math.sqrt(p * (1 - p) / n_runs)
         assert abs(hits / n_runs - p) < 3 * sigma
 
-    def test_log_structure(self, k3, k3_coloring, rng):
-        h = honest_proof(k3, k3_coloring)
-        accept, log = run_sampled(k3, h, h, rng)
-        assert log["test"] in ("equality", "consistency", "uniformity")
-        assert log["accept"] is accept
+    def test_branch_mixture_within_hoeffding(self):
+        # equality always accepts, consistency never: only the test choice
+        # and the uniformity draw vary
+        n_runs = 20_000
+        hits = run_sampled(VerdictReport(1.0, 0.0, 1.0, 2 / 3), n_runs,
+                           np.random.default_rng(8))
+        halfwidth = math.sqrt(math.log(2 / 0.01) / (2 * n_runs))
+        assert abs(hits / n_runs - 2 / 3) < halfwidth
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_haar_self_pairs_stay_probabilities(n):
+    c = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), n)
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        r = haar_state(proof_shape(n), rng)
+        report = acceptance_exact(c, r, r)
+        assert all(0.0 <= p <= 1.0 for p in report.to_dict().values())
+        assert 0 <= run_sampled(report, 100, rng) <= 100
 
 
 class TestSoundness:
@@ -175,7 +187,6 @@ class TestErrorsAndReports:
             acceptance_exact(k3, h, wrong)
 
     def test_capacity_above_n8(self):
-        from uvlab.sgraph import ExplicitGraph
         c = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 11)
         h = honest_proof(c, Coloring((0, 1)))
         with pytest.raises(CapacityError):
