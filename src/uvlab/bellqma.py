@@ -20,12 +20,21 @@ x_i = 0 and y_i = 0 (weight b_i), and the always-rejecting x_i = 0, y_i = 1
 these weights (:func:`uvlab.provers.uniformity_weights`), polynomial in k.
 
 Exact consistency reads the conflict table shared with the two-proof
-verifier (:func:`uvlab.qma2.consistency_accept_table`, n <= 10) and
-enumerates the joint outcome grid only while the number of tuples fits the
+verifier (:func:`uvlab.qma2.consistency_accept_table`, n <= 10).  The test
+accepts iff the set of observed outcomes is independent in the conflict
+graph.  Support outcomes that conflict with no support outcome never
+reject, so they merge into one wildcard mass w_i per register; the rest
+form the core.  An empty core (honest proofs, at any n and k) accepts with
+probability exactly 1.  Otherwise, for each independent set T of the core
+with at most k outcomes, f(T) = prod_i (p_i(T) + w_i) is the probability
+that every core outcome seen lies in T; the subset Moebius transform over
+this downward-closed family turns f into Pr[the core outcomes seen are
+exactly T], and their sum, clamped to [0, 1], is the acceptance.  The
 budget (default 10^7, overridable via the UVLAB_BUDGET environment
-variable); an all-accepting support short-circuits to exactly 1 without
-enumeration.  Past the budget, Monte-Carlo mode samples outcome tuples and
-reports a 99% Hoeffding half-width; it needs no table and no cap.
+variable) bounds the N * (k + core size) entries this allocates for N
+sets, checked before each allocation.  Past it, Monte-Carlo mode samples
+outcome tuples and reports a 99% Hoeffding half-width; it needs no table
+and no cap.
 """
 
 from __future__ import annotations
@@ -157,40 +166,40 @@ def z_prime_set(proofs) -> list[int]:
     return [int(i) for i in np.nonzero(w[:, 1] + w[:, 2] >= Z_PRIME_THRESHOLD)[0]]
 
 
-def _support_all_accepting(dists: np.ndarray, reject: np.ndarray) -> bool:
-    """True iff no pair of registers can produce a rejecting outcome pair,
-    in which case the exact consistency acceptance is 1 regardless of k.
-
-    Registers are grouped by identical support so the honest case (k equal
-    states) costs one table lookup, not k^2.
-    """
-    supports, counts = np.unique(dists > 0.0, axis=0, return_counts=True)
-    for i, si in enumerate(supports):
-        for j in range(i, len(supports)):
-            if i == j and counts[i] < 2:
-                continue
-            if reject[np.ix_(si, supports[j])].any():
-                return False
-    return True
-
-
 def _consistency_exact(dists: np.ndarray, reject: np.ndarray, budget: int) -> float:
-    k, d = dists.shape
-    if _support_all_accepting(dists, reject):
+    """Exact consistency acceptance: the Moebius sum over the independent
+    sets of the conflict core (module docstring).  Row T of ``drop`` holds,
+    per core outcome j in T, the row of T without j, and -1 for j not in T.
+    Each of the S = sum_T 2^|T| signed terms reaches the sum with relative
+    error below (k + 3m + 24) 2^-53 (product, transform, pairwise sum), so
+    the unclamped sum is within (k + 3m + 24) S 2^-53 of the exact value."""
+    k, live = len(dists), dists.max(axis=0) > 0.0
+    core = live & (reject & live).any(axis=1)
+    if not core.any():
         return 1.0
-    if d ** k > budget:
-        raise BudgetError(
-            f"{d}^{k} joint outcomes exceed the budget {budget}; "
-            "use Monte-Carlo mode")
-    joint = dists[0]
-    for i in range(1, k):
-        joint = np.multiply.outer(joint, dists[i])
-    bad = np.zeros((d,) * k, dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            view = reject.reshape((d, d) + (1,) * (k - 2))
-            bad |= np.moveaxis(view, (0, 1), (i, j))
-    return float(joint[~bad].sum())
+    p, wild = dists[:, core].T, dists[:, ~core].sum(axis=1)
+    conflict, m = reject[np.ix_(core, core)], int(core.sum())
+    drop, free = np.full((1, m), -1), np.ones((1, m), dtype=bool)
+    for j in range(m):
+        sel = np.flatnonzero(free[:, j])
+        size = len(free) + sel.size
+        if size * (k + m) > budget:
+            raise BudgetError(f"{size} independent sets of a {m}-outcome conflict core "
+                              f"at k={k} exceed the budget {budget}; use Monte-Carlo mode")
+        pos = np.full(len(free) + 1, -1)          # pos[-1] = -1 keeps absent outcomes absent
+        pos[sel] = np.arange(len(free), size)
+        grown = pos[drop[sel]]
+        grown[:, j] = sel
+        room = (grown >= 0).sum(axis=1, keepdims=True) < k    # k registers see <= k outcomes
+        drop, free = np.vstack([drop, grown]), np.vstack([free, free[sel] & ~conflict[j] & room])
+    member = drop >= 0
+    mass = member @ p
+    mass += wild
+    mass = mass.prod(axis=1)                      # Pr[the core outcomes seen lie in T]
+    for j in range(m):
+        rows = np.flatnonzero(member[:, j])
+        mass[rows] -= mass[drop[rows, j]]
+    return min(1.0, max(0.0, float(mass.sum())))
 
 
 def _consistency_monte_carlo(dists: np.ndarray, edges, size: int,
@@ -247,6 +256,8 @@ def acceptance(c: SuccinctCircuit, proofs, mode: str = "exact",
                samples: int | None = None, seed: int | None = None) -> BellReport:
     """Half-half mixture of the consistency and uniformity tests.  Only
     Monte-Carlo reports carry samples, seed and a half-width."""
+    if mode not in ("exact", "mc"):
+        raise ValueError(f"unknown acceptance mode {mode!r}")
     k = len(proofs)
     exact = mode == "exact"
     # consistency first: past the table's cap, exact mode fails before allocating

@@ -23,5 +23,6 @@ class ParseError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """Exact enumeration would exceed the configured outcome budget; the
-    caller should switch to Monte-Carlo mode."""
+    """Exact k-proof consistency would allocate more than the configured
+    budget of N * (k + core size) entries, for the N independent sets of
+    the conflict core; the caller should switch to Monte-Carlo mode."""

@@ -168,33 +168,21 @@ def magic_gadget_joint_branches(target: PureState, omega: float):
             MeasurementBranch(2, p_odd, mk(p_odd, odd)))
 
 
-def cascade_acceptance(inner_acceptance: float, t: int, mode: str = "exact",
-                       samples: int | None = None, seed: int | None = None) -> float:
-    """Acceptance of the transformed verifier after t gadget attempts.
-
-    Exact mode walks the failure cascade (accept on any gadget failure, run
-    the inner decision on full success); sampled mode draws gadget outcomes
-    and inner verdicts.  Both converge on 1 - 2^{-t} (1 - p).
+def cascade_acceptance(inner_acceptance: float, t: int) -> float:
+    """Acceptance of the transformed verifier after t gadget attempts: walk
+    the failure cascade (accept on any gadget failure, run the inner
+    decision on full success), which gives 1 - 2^{-t} (1 - p).
     """
     if not 0.0 <= inner_acceptance <= 1.0:
         raise ValueError("inner acceptance must lie in [0, 1]")
     if t < 0:
         raise ValueError("t must be >= 0")
-    if mode == "exact":
-        accept = 0.0
-        live = 1.0
-        for _ in range(t):
-            accept += live * 0.5       # gadget failed: accept outright
-            live *= 0.5
-        return accept + live * inner_acceptance
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    if not samples or seed is None:
-        raise ValueError("sampled mode requires samples and seed")
-    rng = np.random.default_rng(seed)
-    fails = (rng.random((samples, t)) < 0.5).any(axis=1) if t else np.zeros(samples, bool)
-    inner = rng.random(samples) < inner_acceptance
-    return float(np.mean(fails | inner))
+    accept = 0.0
+    live = 1.0
+    for _ in range(t):
+        accept += live * 0.5       # gadget failed: accept outright
+        live *= 0.5
+    return accept + live * inner_acceptance
 
 
 def haar_unitary(rng: np.random.Generator) -> np.ndarray:

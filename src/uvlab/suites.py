@@ -183,10 +183,28 @@ def _perturbed_honest(n, ext, rng, node_noise, color_noise) -> states.PureState:
     return states.PureState(provers.proof_shape(n), t.reshape(-1))
 
 
-def _perturbed_honest_pair(c, coloring, rng, node_noise, color_noise):
-    ext = coloring.extended(c.n)
-    return (_perturbed_honest(c.n, ext, rng, node_noise, color_noise),
-            _perturbed_honest(c.n, ext, rng, node_noise, color_noise))
+def _hypothesis_pairs(trials, seed, uniformity=False):
+    """Perturbed honest k3_n2 pairs, one seeded stream per check, kept when
+    they pass equality and the same-vertex check (and, if asked, the
+    uniformity test) with probability at least 1 - 1e-10 4^-n."""
+    rng = np.random.default_rng(seed)
+    c = corpus.load("k3_n2")
+    ext = corpus.witness_coloring("k3_n2").extended(c.n)
+    hypo = 1.0 - 1e-10 * 4.0 ** (-c.n)
+    for _ in range(trials):
+        psi, phi = (_perturbed_honest(c.n, ext, rng, 2e-7, 2e-7) for _ in range(2))
+        report = qma2.acceptance_exact(c, psi, phi)
+        if (report.p_equality >= hypo and _same_vertex_pass(psi, phi) >= hypo
+                and (not uniformity or report.p_uniformity >= hypo)):
+            yield c, psi
+
+
+def _same_vertex_pass(psi, phi) -> float:
+    """1 - sum_v (P_v Q_v - sum_c p_vc q_vc): the chance that the two
+    proofs do not show one vertex with two colors."""
+    p = states.computational_distribution(psi)
+    q = states.computational_distribution(phi)
+    return 1.0 - float((p.sum(axis=1) * q.sum(axis=1) - (p * q).sum(axis=1)).sum())
 
 
 def check_well_defined_color(trials=120, seed=17) -> CheckResult:
@@ -194,17 +212,8 @@ def check_well_defined_color(trials=120, seed=17) -> CheckResult:
     probability have one dominant color (|beta|^2 >= 0.9) on every vertex
     with node weight at least 2^-n / 100."""
     def run():
-        rng = np.random.default_rng(seed)
         checked = violations = 0
-        c = corpus.load("k3_n2")
-        coloring = corpus.witness_coloring("k3_n2")
-        for _ in range(trials):
-            psi, phi = _perturbed_honest_pair(c, coloring, rng, 2e-7, 2e-7)
-            hypo = 1.0 - 1e-10 * 4.0 ** (-c.n)
-            p_eq = states.swap_test(psi, phi, "closed_form")
-            p_same = _same_vertex_pass(psi, phi)
-            if p_eq < hypo or p_same < hypo:
-                continue
+        for c, psi in _hypothesis_pairs(trials, seed):
             checked += 1
             d = provers.decompose(psi)
             for v in range(2 ** c.n):
@@ -216,34 +225,13 @@ def check_well_defined_color(trials=120, seed=17) -> CheckResult:
     return _timed("well_defined_color", None, run)
 
 
-def _same_vertex_pass(psi, phi) -> float:
-    p = states.computational_distribution(psi)
-    q = states.computational_distribution(phi)
-    same = np.einsum("vc,vd->vcd", p, q)
-    reject = 0.0
-    for c1 in range(3):
-        for c2 in range(3):
-            if c1 != c2:
-                reject += float(same[:, c1, c2].sum())
-    return 1.0 - reject
-
-
 def check_color_register_floor(trials=120, seed=18) -> CheckResult:
     """Same hypothesis as the well-defined-color check; the uniformity
     color branch 0 probability stays at least 0.05."""
     def run():
-        rng = np.random.default_rng(seed)
         checked = 0
         worst = np.inf
-        c = corpus.load("k3_n2")
-        coloring = corpus.witness_coloring("k3_n2")
-        for _ in range(trials):
-            psi, phi = _perturbed_honest_pair(c, coloring, rng, 2e-7, 2e-7)
-            hypo = 1.0 - 1e-10 * 4.0 ** (-c.n)
-            if states.swap_test(psi, phi, "closed_form") < hypo:
-                continue
-            if _same_vertex_pass(psi, phi) < hypo:
-                continue
+        for _c, psi in _hypothesis_pairs(trials, seed):
             checked += 1
             b0, _ = states.uniformity_measure(psi, "color")
             worst = min(worst, b0.probability)
@@ -256,18 +244,9 @@ def check_all_nodes_present(trials=120, seed=19) -> CheckResult:
     """Adding the uniformity test to the hypothesis forces every node
     weight to at least 2^-n / 100."""
     def run():
-        rng = np.random.default_rng(seed)
         checked = 0
         worst = np.inf
-        c = corpus.load("k3_n2")
-        coloring = corpus.witness_coloring("k3_n2")
-        for _ in range(trials):
-            psi, phi = _perturbed_honest_pair(c, coloring, rng, 2e-7, 2e-7)
-            hypo = 1.0 - 1e-10 * 4.0 ** (-c.n)
-            report = qma2.acceptance_exact(c, psi, phi)
-            if (report.p_equality < hypo or report.p_uniformity < hypo
-                    or _same_vertex_pass(psi, phi) < hypo):
-                continue
+        for c, psi in _hypothesis_pairs(trials, seed, uniformity=True):
             checked += 1
             d = provers.decompose(psi)
             floor = 1e-2 * 2.0 ** (-c.n)
@@ -494,9 +473,9 @@ def acceptance_5_chernoff(limit=5.0) -> CheckResult:
                        res.seconds, limit)
 
 
-def acceptance_6_bellqma_soundness(limit=300.0) -> CheckResult:
+def acceptance_6_bellqma_soundness(limit=10.0) -> CheckResult:
     """Every tested strategy on the 4-clique rejects with probability at
-    least 4^-n / 12000 at k = 240, consistency estimated by Monte Carlo."""
+    least 4^-n / 12000 at k = 240, consistency computed exactly."""
     def run():
         c = corpus.load("k4_n2")
         n, k = c.n, 240
@@ -513,15 +492,10 @@ def acceptance_6_bellqma_soundness(limit=300.0) -> CheckResult:
         }
         lines = []
         ok = True
-        for i, (name, proofs) in enumerate(strategies.items()):
-            report = bellqma.acceptance(c, proofs, mode="mc", samples=10 ** 6,
-                                        seed=9900 + i)
-            rejection = 1.0 - report.p_total
-            margin = rejection - floor
-            good = margin > report.ci_halfwidth
-            ok = ok and good
-            lines.append(f"{name}: rejection {rejection:.6f} "
-                         f"(floor {floor:.2e}, hw {report.ci_halfwidth:.2e})")
+        for name, proofs in strategies.items():
+            rejection = 1.0 - bellqma.acceptance(c, proofs, mode="exact").p_total
+            ok = ok and rejection >= floor
+            lines.append(f"{name}: rejection {rejection:.6f} (floor {floor:.2e}, exact)")
         return ok, "; ".join(lines)
     return _timed("criterion_6_bellqma_soundness", limit, run)
 

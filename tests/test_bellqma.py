@@ -8,7 +8,7 @@ import pytest
 from uvlab import bellqma, corpus
 from uvlab.errors import BudgetError, CapacityError
 from uvlab.provers import (haar_state, honest_proof, near_coloring_proof,
-                           proof_shape, random_product_proofs)
+                           proof_shape, random_product_proofs, stack_proofs)
 from uvlab.qma2 import acceptance_exact, consistency_accept_table
 from uvlab.sgraph import Coloring, ExplicitGraph, encode_explicit, expand
 from uvlab.states import PureState, basis_state
@@ -24,6 +24,26 @@ def dark_state(n=2):
     t = np.zeros((2 ** n, 3), dtype=np.complex128)
     t[0] = np.array([1.0, w, w ** 2]) / math.sqrt(3)
     return PureState(proof_shape(n), t.reshape(-1))
+
+
+def grid_reference(dists, reject):
+    """Exact consistency acceptance by enumerating all d^k joint outcomes:
+    a tuple accepts iff no register pair shows a rejecting outcome pair.
+    The Moebius sum over the conflict core must agree with it."""
+    k, d = dists.shape
+    joint = dists[0]
+    for i in range(1, k):
+        joint = np.multiply.outer(joint, dists[i])
+    bad = np.zeros((d,) * k, dtype=bool)
+    for i in range(k):
+        for j in range(i + 1, k):
+            view = reject.reshape((d, d) + (1,) * (k - 2))
+            bad |= np.moveaxis(view, (0, 1), (i, j))
+    return float(joint[~bad].sum())
+
+
+def outcome_dists(c, proofs):
+    return np.abs(stack_proofs(proofs, c.n)).reshape(len(proofs), -1) ** 2
 
 
 class TestUniformityDP:
@@ -123,21 +143,54 @@ class TestConsistency:
                 accept += (1 / 4) ** 4
         assert abs(got - accept) < 1e-12
 
-    def test_support_shortcut_matches_pairwise_loop(self, k4, rng):
+    def test_empty_core_is_exactly_one(self, k4, rng):
         reject = ~consistency_accept_table(k4)
+        empty = 0
         for _ in range(300):
-            # rows drawn from a pool of three supports, so classes repeat
-            pool = rng.random((3, 12)) < 0.12
-            dists = pool[rng.integers(3, size=rng.integers(2, 6))] * 1.0
-            k = len(dists)
-            want = not any(reject[np.ix_(dists[i] > 0, dists[j] > 0)].any()
-                           for i in range(k) for j in range(i + 1, k))
-            assert bellqma._support_all_accepting(dists, reject) == want
+            # rows drawn from a pool of three supports, so supports repeat
+            pool = rng.random((3, 12)) * (rng.random((3, 12)) < 0.12)
+            pool[:, 0] += 1e-3                       # no empty row
+            dists = pool[rng.integers(3, size=rng.integers(2, 6))]
+            dists /= dists.sum(axis=1, keepdims=True)
+            live = np.flatnonzero(dists.max(axis=0) > 0)
+            core = any(reject[a, b] for a in live for b in live)
+            got = bellqma._consistency_exact(dists, reject, 10 ** 7)
+            if not core:
+                empty += 1
+                assert got == 1.0
+            else:
+                assert abs(got - grid_reference(dists, reject)) < 1e-12
+        assert 0 < empty < 300
 
-    def test_budget_error_directs_to_mc(self, k4, rng):
-        proofs = random_product_proofs(proof_shape(2), 12, seed=2)
+    @pytest.mark.parametrize("name, max_k", [("k4_n2", 6), ("k4_n3", 5)])
+    def test_matches_grid_reference(self, name, max_k):
+        c = corpus.load(name)
+        reject = ~consistency_accept_table(c)
+        cheat = near_coloring_proof(c, Coloring((0, 1, 2, 0)))
+        for k in range(2, max_k + 1):
+            for proofs in [[cheat] * k] + [
+                    random_product_proofs(proof_shape(c.n), k, s) for s in (1, 2, 3)]:
+                dists = outcome_dists(c, proofs)
+                got = bellqma._consistency_exact(dists, reject, 10 ** 7)
+                assert abs(got - grid_reference(dists, reject)) < 1e-12
+
+    def test_core_above_64_outcomes_matches_grid(self):
+        # K_30 at n = 5: all 90 outcomes of the 30 vertices conflict
+        c = encode_explicit(ExplicitGraph(30, frozenset(
+            (u, v) for u in range(30) for v in range(u + 1, 30))), 5)
+        reject = ~consistency_accept_table(c)
+        dists = outcome_dists(c, random_product_proofs(proof_shape(5), 3, 4))
+        dists[:, 90:] = 0.0
+        dists /= dists.sum(axis=1, keepdims=True)
+        got = bellqma._consistency_exact(dists, reject, 10 ** 7)
+        assert abs(got - grid_reference(dists, reject)) < 1e-12
+
+    def test_budget_error_directs_to_mc(self):
+        # full support at n = 4 has about 1.2e9 independent sets
+        c = corpus.load("k4_n4")
+        proofs = random_product_proofs(proof_shape(4), bellqma.default_k(4), seed=2)
         with pytest.raises(BudgetError, match="Monte-Carlo"):
-            bellqma.consistency_accept(k4, proofs, "exact")
+            bellqma.consistency_accept(c, proofs, "exact")
 
     def test_env_var_overrides_budget(self, k4, monkeypatch):
         proofs = random_product_proofs(proof_shape(2), 3, seed=2)
@@ -179,6 +232,11 @@ class TestAcceptance:
         # per-register stats a=2/3, b=(1/3)2^-n; threshold ceil(2/6)=1
         a, b = 2 / 3, (1 / 3) * 2.0 ** (-3)
         assert abs(rep.p_uniformity - (b * b + 2 * a * b)) < 1e-12
+
+    def test_unknown_mode_rejected(self, k4):
+        proofs = random_product_proofs(proof_shape(2), 3, seed=2)
+        with pytest.raises(ValueError, match="mode"):
+            bellqma.acceptance(k4, proofs, mode="Exact", samples=100, seed=1)
 
     def test_mc_report_fields(self, k4):
         cheat = near_coloring_proof(k4, Coloring((0, 1, 2, 0)))
@@ -239,7 +297,9 @@ class TestChernoff:
 class TestSoundnessAcrossWidths:
     def test_every_no_instance_rejects_at_floor(self):
         # rejection floor 4^-n / 12000 at k = 120 n, for each bundled
-        # non-3-colorable instance; cheat analyzed exactly, random by MC
+        # non-3-colorable instance; the cheat exactly at every n, random
+        # proofs exactly where their conflict core fits the budget (n <= 3)
+        # and by Monte Carlo at n = 4
         for name, entry in corpus.manifest().items():
             if entry["colorable"]:
                 continue
@@ -248,15 +308,18 @@ class TestSoundnessAcrossWidths:
             k = bellqma.default_k(n)
             floor = 4.0 ** (-n) / 12000.0
             cheat = near_coloring_proof(c, Coloring((0, 1, 2, 0)))
-            rep = bellqma.acceptance(c, [cheat] * k, mode="mc",
-                                     samples=200_000, seed=31)
+            rep = bellqma.acceptance(c, [cheat] * k, mode="exact")
             # the cheat's consistency rejection is exactly the chance that
             # both endpoints of the bad edge {0,3} show up among k draws
             q = 1 - 2.0 ** (-n)
             exact_cons = 2 * q ** k - (2 * q - 1) ** k
-            assert abs(rep.p_consistency - exact_cons) <= 2 * rep.ci_halfwidth
-            assert (1 - rep.p_total) - rep.ci_halfwidth >= floor, name
+            assert abs(rep.p_consistency - exact_cons) < 1e-12 * min(1.0, exact_cons)
+            assert 1 - rep.p_total >= floor, name
             rand = random_product_proofs(proof_shape(n), k, seed=77)
-            rep = bellqma.acceptance(c, rand, mode="mc",
-                                     samples=200_000, seed=32)
-            assert (1 - rep.p_total) - rep.ci_halfwidth >= floor, name
+            if n <= 3:
+                rep = bellqma.acceptance(c, rand, mode="exact")
+                assert 1 - rep.p_total >= floor, name
+            else:
+                rep = bellqma.acceptance(c, rand, mode="mc",
+                                         samples=200_000, seed=32)
+                assert (1 - rep.p_total) - rep.ci_halfwidth >= floor, name

@@ -188,7 +188,8 @@ class TestErrorsAndFormats:
         assert "k=1680 proofs at n=14" in capsys.readouterr().err
         assert peak < 16 * 2 ** 20
 
-    # width None runs on k3_n2; an integer width runs on one edge at that n
+    # width None runs on k3_n2, a name runs that bundled instance, and an
+    # integer width runs on one edge at that n; every row stays under 64 MB
     @pytest.mark.parametrize("width, argv, budget, code, message", [
         (None, ["--protocol", "oracle"], None, cli.EXIT_OK, ""),
         (None, ["--protocol", "qma2", "--mode", "mc", "--samples", "-5", "--seed", "1"],
@@ -204,19 +205,28 @@ class TestErrorsAndFormats:
         (None, ["--protocol", "bellqma"], "-3", cli.EXIT_INSTANCE, "UVLAB_BUDGET"),
         (None, ["--protocol", "bellqma", "--k", "3"], "1000", cli.EXIT_OK, ""),
         (11, ["--protocol", "bellqma"], None, cli.EXIT_CAPACITY, "n <= 10"),
+        ("k4_n2", ["--protocol", "bellqma", "--strategy", "near"], None, cli.EXIT_OK, ""),
+        ("k4_n4", ["--protocol", "bellqma", "--strategy", "random", "--seed", "1"],
+         None, cli.EXIT_CAPACITY, "use Monte-Carlo mode"),
     ])
     def test_exit_codes(self, width, argv, budget, code, message, tmp_path,
                         monkeypatch, capsys):
         from uvlab.sgraph import encode_explicit, format_sgc
-        path = instance_path("k3_n2")
-        if width is not None:
+        path = instance_path(width if isinstance(width, str) else "k3_n2")
+        if isinstance(width, int):
             path = tmp_path / "edge.sgc"
             path.write_text(format_sgc(
                 encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), width)))
         if budget is not None:
             monkeypatch.setenv("UVLAB_BUDGET", budget)
-        assert run_cli(["run", "--instance", str(path), *argv]) == code
+        tracemalloc.start()
+        try:
+            assert run_cli(["run", "--instance", str(path), *argv]) == code
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert message in capsys.readouterr().err
+        assert peak < 64 * 2 ** 20
 
     def test_csv_flattening(self, tmp_path):
         out = tmp_path / "r.csv"

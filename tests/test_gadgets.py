@@ -137,13 +137,6 @@ class TestCascade:
                 want = 1 - 2.0 ** (-t) * (1 - p)
                 assert abs(cascade_acceptance(p, t) - want) < 1e-9
 
-    def test_sampled_converges(self):
-        n = 200_000
-        got = cascade_acceptance(0.25, 2, mode="sampled", samples=n, seed=8)
-        want = 1 - 0.25 * 0.75
-        sigma = math.sqrt(want * (1 - want) / n)
-        assert abs(got - want) < 4 * sigma
-
     def test_program_t(self, rng):
         prog = GadgetProgram((zhzhz_decompose(haar_unitary(rng)),))
         assert prog.t == 3

@@ -1,8 +1,9 @@
 """Full-count property sweeps from the module invariants, one per check."""
 
+import numpy as np
 import pytest
 
-from uvlab import suites
+from uvlab import provers, states, suites
 
 
 @pytest.mark.parametrize("check", suites.LEMMA_CHECKS,
@@ -12,3 +13,16 @@ def test_lemma_check(check):
     print()
     print(result.line())
     assert result.passed, result.detail
+
+
+def test_same_vertex_pass_matches_pairwise_sum():
+    # reference: sum p(v, c) q(v, d) over one vertex with two colors c != d
+    rng = np.random.default_rng(5)
+    shape = provers.proof_shape(3)
+    for _ in range(20):
+        psi, phi = (provers.haar_state(shape, rng) for _ in range(2))
+        p = states.computational_distribution(psi)
+        q = states.computational_distribution(phi)
+        reject = sum(p[v, a] * q[v, b] for v in range(8)
+                     for a in range(3) for b in range(3) if a != b)
+        assert abs(suites._same_vertex_pass(psi, phi) - (1.0 - reject)) < 1e-12

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uvlab import corpus
-from uvlab.errors import CapacityError, ParseError
+from uvlab.errors import AddressError, CapacityError, ParseError
 from uvlab.sgraph import (EDGE, INVALID, NON_EDGE, Coloring, ExplicitGraph,
                           brute_force_3color, encode_explicit, eval_pair,
                           expand, format_sgc, min_violation_coloring,
@@ -90,6 +92,35 @@ class TestParser:
         text = "SGC 1\nn 1000000\nm 2\nw0 = CONST0\nout pair w0\nout edge w0\n"
         with pytest.raises(CapacityError, match="label-width"):
             parse_sgc(text)
+
+
+# SGC documents built line by line: numbered gates and output lines, with
+# up to two lines of arbitrary tokens, valid and not, spliced in
+FUZZ_TOKENS = ["SGC", "1", "n", "m", "0", "2", "3", "-1", "20", "21", "x", "=",
+               "AND", "OR", "NOT", "CONST0", "CONST1", "u0", "u1", "v0", "v1",
+               "u5", "w0", "w1", "w2", "w9", "out", "pair", "edge", "#"]
+FUZZ_HEADS = ["", "SGC 1\n", "SGC 1\nn 2\nm 3\n", "SGC 1\nn 1\nm 2\n"]
+FUZZ_GATES = ["AND u0 v0", "OR v0 u0", "NOT u0", "CONST0", "CONST1"]
+FUZZ_OUTS = ["out pair u0", "out edge v0", "out pair w0", "out edge w0"]
+
+
+class TestParserFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(FUZZ_HEADS), st.lists(st.sampled_from(FUZZ_GATES), max_size=4),
+           st.lists(st.sampled_from(FUZZ_OUTS), min_size=2, max_size=3),
+           st.lists(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=5).map(" ".join),
+                    max_size=2),
+           st.integers(0, 7))
+    def test_token_documents_parse_or_raise_documented_errors(self, head, gates, outs,
+                                                              soup, at):
+        # a document either parses and expands to a well-formed graph or
+        # fails with one of the package's documented input errors
+        lines = [f"w{i} = {op}" for i, op in enumerate(gates)] + outs
+        try:
+            g = expand(parse_sgc(head + "\n".join(lines[:at] + soup + lines[at:])))
+        except (ParseError, CapacityError, AddressError):
+            return
+        assert all(0 <= u < v < g.m for u, v in g.edges)
 
 
 class TestEvalPair:
