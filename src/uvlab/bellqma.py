@@ -34,7 +34,12 @@ budget (default 10^7, overridable via the UVLAB_BUDGET environment
 variable) bounds the N * (k + core size) entries this allocates for N
 sets, checked before each allocation.  Past it, Monte-Carlo mode samples
 outcome tuples and reports a 99% Hoeffding half-width; it needs no table
-and no cap.
+and no cap.  A rejected sample stays rejected as outcomes are added, so
+the sampler tests its samples after registers 1, 2, 4, 8, ... and k,
+drops the rejected ones, and stops drawing for a batch once none is left.
+It still consumes one uniform per register and sample, skipping the
+unused ones by advancing the generator, so a seed gives the same estimate
+as drawing every register.
 """
 
 from __future__ import annotations
@@ -202,30 +207,57 @@ def _consistency_exact(dists: np.ndarray, reject: np.ndarray, budget: int) -> fl
     return min(1.0, max(0.0, float(mass.sum())))
 
 
+def _rejects(pres: np.ndarray, edges) -> np.ndarray:
+    """Per row of a (rows, vertices, 3) presence table: does it show a
+    vertex with two colors or an edge with one color?  Each vertex's
+    colors are packed into the bits of one byte first."""
+    p = pres.view(np.uint8)
+    colors = p[..., 0] | (p[..., 1] << 1) | (p[..., 2] << 2)
+    bad = (colors & (colors - 1)).max(axis=1) > 0
+    for u, v in edges:
+        bad |= (colors[:, u] & colors[:, v]) > 0
+    return bad
+
+
 def _consistency_monte_carlo(dists: np.ndarray, edges, size: int,
                              samples: int, seed: int) -> tuple[float, float]:
-    """Sample outcome tuples register-by-register and apply the pairwise
-    predicate via a per-sample vertex/color presence table, in batches of
-    at most 50,000 rows and a 16 MiB presence table."""
-    k = dists.shape[0]
+    """Sample outcome tuples register by register into a per-sample
+    vertex/color presence table, in batches of at most 50,000 rows and a
+    16 MiB table, and count the rows that :func:`_rejects` flags.
+
+    A dependent outcome set stays dependent as outcomes are added, so the
+    predicate runs after registers 1, 2, 4, 8, ... and k, and the rows it
+    flags are counted once and dropped.  When a batch has no live row left,
+    its remaining registers are skipped and the generator is advanced past
+    the uniforms they would have consumed, so each register still takes one
+    ``random(b)`` per batch and the estimate equals the full draw's for the
+    same seed.  A draw is clipped to its register's last outcome of nonzero
+    probability."""
+    k, d = dists.shape
     batch = min(50_000, 2 ** 24 // (3 * size))
     cdfs = np.cumsum(dists, axis=1)
+    last = d - 1 - np.argmax(dists[:, ::-1] > 0.0, axis=1)
+    checkpoints = {min(2 ** j, k) for j in range(k.bit_length() + 1)}
     rng = np.random.default_rng(seed)
     rejected = 0
     done = 0
     while done < samples:
         b = min(batch, samples - done)
-        pres = np.zeros((b, size, 3), dtype=bool)
-        rows = np.arange(b)
+        pres = np.zeros((b, 3 * size), dtype=bool)
+        live = np.arange(b)
         for i in range(k):
-            out = np.searchsorted(cdfs[i], rng.random(b), side="right")
-            np.clip(out, 0, dists.shape[1] - 1, out=out)
-            pres[rows, out // 3, out % 3] = True
-        ncolors = pres.sum(axis=2, dtype=np.uint8)
-        bad = (ncolors >= 2).any(axis=1)
-        for u, v in edges:
-            bad |= (pres[:, u, :] & pres[:, v, :]).any(axis=1)
-        rejected += int(bad.sum())
+            u = rng.random(b)
+            out = np.searchsorted(cdfs[i], u if len(live) == b else u[live], side="right")
+            np.minimum(out, last[i], out=out)
+            pres[np.arange(len(live)), out] = True
+            if i + 1 in checkpoints:
+                bad = _rejects(pres.reshape(-1, size, 3), edges)
+                if bad.any():
+                    rejected += int(bad.sum())
+                    pres, live = pres[~bad], live[~bad]
+                    if not len(live):
+                        rng.bit_generator.advance(b * (k - i - 1))
+                        break
         done += b
     p_accept = 1.0 - rejected / samples
     halfwidth = math.sqrt(math.log(2.0 / (1.0 - MC_CONFIDENCE)) / (2.0 * samples))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -468,9 +468,7 @@ def acceptance_4_bellqma_completeness(limit=10.0) -> CheckResult:
 
 
 def acceptance_5_chernoff(limit=5.0) -> CheckResult:
-    res = check_chernoff_tail(limit=limit)
-    return CheckResult("criterion_5_chernoff_tail", res.passed, res.detail,
-                       res.seconds, limit)
+    return replace(check_chernoff_tail(limit=limit), name="criterion_5_chernoff_tail")
 
 
 def acceptance_6_bellqma_soundness(limit=10.0) -> CheckResult:
@@ -501,9 +499,7 @@ def acceptance_6_bellqma_soundness(limit=10.0) -> CheckResult:
 
 
 def acceptance_7_swap_agreement(limit=10.0) -> CheckResult:
-    res = check_swap_agreement(limit=limit)
-    return CheckResult("criterion_7_swap_agreement", res.passed, res.detail,
-                       res.seconds, limit)
+    return replace(check_swap_agreement(limit=limit), name="criterion_7_swap_agreement")
 
 
 def acceptance_8_lemma_fixtures(limit=30.0) -> CheckResult:

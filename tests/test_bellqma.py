@@ -42,6 +42,35 @@ def grid_reference(dists, reject):
     return float(joint[~bad].sum())
 
 
+def mc_reference(dists, edges, size, samples, seed):
+    """Monte-Carlo consistency drawing every register of every sample: one
+    ``random(b)`` per register and batch, one vertex/edge predicate per
+    batch.  The early-stopping sampler must return the same pair."""
+    k = dists.shape[0]
+    batch = min(50_000, 2 ** 24 // (3 * size))
+    cdfs = np.cumsum(dists, axis=1)
+    rng = np.random.default_rng(seed)
+    rejected = 0
+    done = 0
+    while done < samples:
+        b = min(batch, samples - done)
+        pres = np.zeros((b, size, 3), dtype=bool)
+        rows = np.arange(b)
+        for i in range(k):
+            out = np.searchsorted(cdfs[i], rng.random(b), side="right")
+            np.clip(out, 0, dists.shape[1] - 1, out=out)
+            pres[rows, out // 3, out % 3] = True
+        ncolors = pres.sum(axis=2, dtype=np.uint8)
+        bad = (ncolors >= 2).any(axis=1)
+        for u, v in edges:
+            bad |= (pres[:, u, :] & pres[:, v, :]).any(axis=1)
+        rejected += int(bad.sum())
+        done += b
+    p_accept = 1.0 - rejected / samples
+    halfwidth = math.sqrt(math.log(2.0 / (1.0 - bellqma.MC_CONFIDENCE)) / (2.0 * samples))
+    return p_accept, halfwidth
+
+
 def outcome_dists(c, proofs):
     return np.abs(stack_proofs(proofs, c.n)).reshape(len(proofs), -1) ** 2
 
@@ -204,6 +233,52 @@ class TestConsistency:
         proofs = random_product_proofs(proof_shape(2), 3, seed=2)
         with pytest.raises(ValueError, match="samples"):
             bellqma.consistency_accept(k4, proofs, "mc")
+
+    @pytest.mark.parametrize("name", ["k4_n2", "k4_n3", "k4_n4"])
+    @pytest.mark.parametrize("strategy", ["near", "random"])
+    def test_mc_matches_reference(self, name, strategy):
+        # same (estimate, halfwidth) as drawing every register: one batch
+        # (1, 999 samples) and three (120,001, whose batches all stop early
+        # for the cheat at k = 240 on k4_n2), k non-powers of two included
+        c = corpus.load(name)
+        edges = sorted(expand(c).edges)
+        for k in (2, 3, 5, 7, bellqma.default_k(c.n)):
+            if strategy == "near":
+                proofs = [near_coloring_proof(c, Coloring((0, 1, 2, 0)))] * k
+            else:
+                proofs = random_product_proofs(proof_shape(c.n), k, seed=k)
+            dists = outcome_dists(c, proofs)
+            for samples in (1, 999, 120_001):
+                if (samples == 120_001 and k == bellqma.default_k(c.n)
+                        and (c.n > 2 or strategy == "random")):
+                    continue       # the reference alone takes 1.5-4 s there
+                got = bellqma._consistency_monte_carlo(dists, edges, 2 ** c.n, samples, 9)
+                assert got == mc_reference(dists, edges, 2 ** c.n, samples, 9)
+                if samples == 120_001 and k in (3, 5, 7):
+                    assert 0.0 < got[0] < 1.0
+
+    def test_mc_keeps_stream_after_early_stop(self):
+        # registers 0 and 1 conflict unless register 1 draws outcome 3
+        # (probability 1e-5), so about 60% of the 20 batches reject every row
+        # at the second checkpoint and skip registers 2-3; the others keep
+        # survivors whose register 2 draw decides
+        dists = np.zeros((4, 12))
+        dists[0, 0] = 1.0
+        dists[1, [1, 3]] = 1 - 1e-5, 1e-5
+        dists[2, [6, 7]] = 0.5
+        dists[3, 6] = 1.0
+        got = bellqma._consistency_monte_carlo(dists, [], 4, 10 ** 6, 1)
+        assert 0.0 < got[0] < 1e-5
+        assert got == mc_reference(dists, [], 4, 10 ** 6, 1)
+
+    def test_mc_draws_stay_in_support(self):
+        # register 0 has all its mass, 0.5, on outcome (vertex 0, color 0);
+        # a draw past its CDF must not land on (3, 2) and meet register 1's
+        # (3, 0)
+        dists = np.zeros((2, 12))
+        dists[0, 0] = 0.5
+        dists[1, 9] = 1.0
+        assert bellqma._consistency_monte_carlo(dists, [], 4, 20_000, 3)[0] == 1.0
 
     def test_mc_agrees_with_exact(self, k4):
         proofs = random_product_proofs(proof_shape(2), 4, seed=6)

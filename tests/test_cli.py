@@ -1,6 +1,8 @@
 import json
 import math
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -260,3 +262,26 @@ class TestSuiteSummarySchema:
         from uvlab.suites import run_suite
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("everything")
+
+
+def readme_run_commands():
+    """Every ``uvlab run`` command of the README's "Command line" block,
+    backslash continuations joined, as argument lists for ``cli.main``."""
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:2] == ["uvlab", "run"]:
+            commands.append(words[1:])
+    return root, commands
+
+
+def test_readme_commands_exit_0(monkeypatch, capsys):
+    root, commands = readme_run_commands()
+    assert len(commands) >= 7
+    monkeypatch.chdir(root)
+    for argv in commands:
+        assert run_cli(argv) == 0, argv
+        assert isinstance(json.loads(capsys.readouterr().out), dict), argv
