@@ -29,7 +29,7 @@ from .gadgets import (GadgetProgram, ZHZHZ, cascade_acceptance,
                       end_to_end_reduction, magic_gadget, magic_state,
                       zhzhz_decompose)
 from .optimize import (AcceptanceOperator, SeesawResult,
-                       build_acceptance_operator, power_iteration_norm,
+                       build_acceptance_operator, lopcg_norm,
                        seesaw, spectral_norm)
 from .provers import (ProofDecomposition, ProverStrategy, decompose,
                       honest_proof, near_coloring_proof, proof_shape,

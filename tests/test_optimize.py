@@ -3,7 +3,7 @@ import pytest
 
 from uvlab import corpus
 from uvlab.errors import CapacityError
-from uvlab.optimize import (build_acceptance_operator, power_iteration_norm,
+from uvlab.optimize import (build_acceptance_operator, lopcg_norm,
                             product_value, seesaw, spectral_norm)
 from uvlab.provers import haar_state, honest_proof, near_coloring_proof, proof_shape
 from uvlab.qma2 import acceptance_exact, consistency_accept_table, soundness_bound
@@ -90,7 +90,7 @@ class TestOperator:
 
 class TestSpectralNorm:
     def test_identity(self):
-        assert abs(spectral_norm(np.eye(7)) - 1.0) < 1e-12
+        assert abs(spectral_norm(np.eye(7)) - 1.0) < 1e-15
 
     def test_diagonal(self):
         assert abs(spectral_norm(np.diag([0.3, 0.9])) - 0.9) < 1e-15
@@ -99,10 +99,30 @@ class TestSpectralNorm:
         with pytest.raises(ValueError, match="Hermitian"):
             spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_power_iteration_agreement(self, k4_op):
+    def test_lopcg_agreement(self, k4_op):
         dense = spectral_norm(k4_op)
-        power = power_iteration_norm(k4_op, iters=10 ** 4, seed=2)
-        assert abs(dense - power) < 1e-9
+        seeded = lopcg_norm(k4_op, iters=10 ** 4, seed=2)
+        assert abs(dense - seeded) < 1e-9
+
+    @pytest.mark.parametrize("diag, top", [([-3.0, 0.5], 0.5), ([-2.0, 0.1, 0.2], 0.2)])
+    def test_eigenvalues_below_minus_one(self, diag, top):
+        """The largest eigenvalue, not the one of largest modulus."""
+        assert abs(spectral_norm(np.diag(diag)) - top) < 1e-15
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 40, 200])
+    def test_complex_hermitian_matches_eigvalsh(self, size):
+        rng = np.random.default_rng(size)
+        a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        a = (a + a.conj().T) / 2
+        assert abs(spectral_norm(a) - np.linalg.eigvalsh(a)[-1]) < 1e-12
+
+    def test_zero_matrix(self):
+        """Every start vector is an eigenvector, so the residual vanishes at once."""
+        assert abs(spectral_norm(np.zeros((5, 5)))) < 1e-15
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="operator must be square"):
+            spectral_norm(np.ones((2, 3)))
 
 
 class TestSeesaw:
@@ -137,6 +157,11 @@ class TestSeesaw:
         res = seesaw(k4_op, restarts=50, seed=7)
         assert res.value >= 1 - 1 / 24 - 1e-9
         assert res.value <= spectral_norm(k4_op) + 1e-9
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_no_start_rejected(self, k4_op, restarts):
+        with pytest.raises(ValueError, match="restarts = .*init_states"):
+            seesaw(k4_op, restarts=restarts)
 
     def test_value_is_reached_by_returned_states(self, k4_op):
         res = seesaw(k4_op, restarts=4, seed=13)
@@ -178,9 +203,15 @@ class TestStructuredForm:
             assert np.abs(op.contract_r2(y) - m1).max() < 1e-12
             assert np.abs(op.contract_r1(x) - m2).max() < 1e-12
 
-    def test_power_iteration_raises_when_not_converged(self, k4_op):
+    @pytest.mark.parametrize("name", SMALL)
+    def test_lopcg_converges_in_100_steps(self, name):
+        """The 1e-13 residual takes 58-66 steps at seed 0 here."""
+        op = build_acceptance_operator(corpus.load(name), instance=name)
+        assert abs(lopcg_norm(op, iters=100) - 1.0) < 1e-12
+
+    def test_lopcg_raises_when_not_converged(self, k4_op):
         with pytest.raises(RuntimeError, match="did not reach"):
-            power_iteration_norm(k4_op, iters=5)
+            lopcg_norm(k4_op, iters=5)
 
     def test_k4_past_the_old_cap(self, rng):
         """n = 5 was above the cap while the operator was dense."""
