@@ -32,14 +32,15 @@ this downward-closed family turns f into Pr[the core outcomes seen are
 exactly T], and their sum, clamped to [0, 1], is the acceptance.  The
 budget (default 10^7, overridable via the UVLAB_BUDGET environment
 variable) bounds the N * (k + core size) entries this allocates for N
-sets, checked before each allocation.  Past it, Monte-Carlo mode samples
-outcome tuples and reports a 99% Hoeffding half-width; it needs no table
-and no cap.  A rejected sample stays rejected as outcomes are added, so
-the sampler tests its samples after registers 1, 2, 4, 8, ... and k,
-drops the rejected ones, and stops drawing for a batch once none is left.
-It still consumes one uniform per register and sample, skipping the
-unused ones by advancing the generator, so a seed gives the same estimate
-as drawing every register.
+sets, checked before each allocation: the set table grows by doubling into
+preallocated rows, never past the N the budget allows.  Past it,
+Monte-Carlo mode samples outcome tuples and reports a 99% Hoeffding
+half-width; it needs no table and no cap.  A rejected sample stays
+rejected as outcomes are added, so the sampler tests its samples after
+registers 1, 2, 4, 8, ... and k, drops the rejected ones, and stops
+drawing for a batch once none is left.  It still consumes one uniform
+per register and sample, skipping the unused ones by advancing the
+generator, so a seed gives the same estimate as drawing every register.
 """
 
 from __future__ import annotations
@@ -171,6 +172,44 @@ def z_prime_set(proofs) -> list[int]:
     return [int(i) for i in np.nonzero(w[:, 1] + w[:, 2] >= Z_PRIME_THRESHOLD)[0]]
 
 
+def _independent_sets(conflict: np.ndarray, k: int, budget: int) -> np.ndarray:
+    """The independent sets of at most k outcomes of an m-outcome conflict
+    core, as the ``drop`` rows of :func:`_consistency_exact`, in the order
+    they are created: each core outcome j in turn extends every set it does
+    not conflict with.  The table grows into preallocated rows, doubled when
+    full and capped at the N sets with N * (k + m) within the budget, so
+    the budget is checked before each allocation."""
+    m = len(conflict)
+    limit = budget // (k + m)
+    index = np.int32 if limit < 2 ** 31 else np.int64     # row numbers stay below limit
+    drop, free, rows = np.full((1, m), -1, dtype=index), np.ones((1, m), dtype=bool), 1
+    for j in range(m):
+        sel = np.flatnonzero(free[:rows, j])
+        size = rows + sel.size
+        if size > limit:
+            raise BudgetError(f"{size} independent sets of a {m}-outcome conflict core "
+                              f"at k={k} exceed the budget {budget}; use Monte-Carlo mode")
+        if size > len(drop):
+            capacity = min(limit, max(size, 2 * len(drop)))
+            drop, free = _with_rows(drop, rows, capacity), _with_rows(free, rows, capacity)
+        pos = np.full(rows + 1, -1, dtype=index)  # pos[-1] = -1 keeps absent outcomes absent
+        pos[sel] = np.arange(rows, size)
+        grown = drop[rows:size]
+        grown[:] = pos[drop[sel]]
+        grown[:, j] = sel
+        room = (grown >= 0).sum(axis=1, keepdims=True) < k    # k registers see <= k outcomes
+        free[rows:size] = free[sel] & ~conflict[j] & room
+        rows = size
+    return drop[:rows]
+
+
+def _with_rows(table: np.ndarray, rows: int, capacity: int) -> np.ndarray:
+    """A table of ``capacity`` rows whose first ``rows`` are copied from ``table``."""
+    out = np.empty((capacity, table.shape[1]), dtype=table.dtype)
+    out[:rows] = table[:rows]
+    return out
+
+
 def _consistency_exact(dists: np.ndarray, reject: np.ndarray, budget: int) -> float:
     """Exact consistency acceptance: the Moebius sum over the independent
     sets of the conflict core (module docstring).  Row T of ``drop`` holds,
@@ -183,25 +222,12 @@ def _consistency_exact(dists: np.ndarray, reject: np.ndarray, budget: int) -> fl
     if not core.any():
         return 1.0
     p, wild = dists[:, core].T, dists[:, ~core].sum(axis=1)
-    conflict, m = reject[np.ix_(core, core)], int(core.sum())
-    drop, free = np.full((1, m), -1), np.ones((1, m), dtype=bool)
-    for j in range(m):
-        sel = np.flatnonzero(free[:, j])
-        size = len(free) + sel.size
-        if size * (k + m) > budget:
-            raise BudgetError(f"{size} independent sets of a {m}-outcome conflict core "
-                              f"at k={k} exceed the budget {budget}; use Monte-Carlo mode")
-        pos = np.full(len(free) + 1, -1)          # pos[-1] = -1 keeps absent outcomes absent
-        pos[sel] = np.arange(len(free), size)
-        grown = pos[drop[sel]]
-        grown[:, j] = sel
-        room = (grown >= 0).sum(axis=1, keepdims=True) < k    # k registers see <= k outcomes
-        drop, free = np.vstack([drop, grown]), np.vstack([free, free[sel] & ~conflict[j] & room])
+    drop = _independent_sets(reject[np.ix_(core, core)], k, budget)
     member = drop >= 0
     mass = member @ p
     mass += wild
     mass = mass.prod(axis=1)                      # Pr[the core outcomes seen lie in T]
-    for j in range(m):
+    for j in range(drop.shape[1]):
         rows = np.flatnonzero(member[:, j])
         mass[rows] -= mass[drop[rows, j]]
     return min(1.0, max(0.0, float(mass.sum())))

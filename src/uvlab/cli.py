@@ -9,7 +9,7 @@ Two subcommands:
   one pass/fail line per check plus a JSON summary.
 
 Exit codes: 0 success, 1 suite check failure, 2 instance/parse/config
-errors, 3 capacity errors.
+errors (a file that cannot be read or written included), 3 capacity errors.
 """
 
 from __future__ import annotations
@@ -35,6 +35,12 @@ def _load_instance(path: str) -> tuple[sgraph.SuccinctCircuit, str]:
     if not p.exists():
         raise ParseError(f"instance file {path!r} does not exist")
     return sgraph.parse_sgc(p.read_text()), p.stem
+
+
+def _check_out(out: str | None):
+    """Fail before any work when the directory of ``--out`` is missing."""
+    if out and not Path(out).parent.is_dir():
+        raise ParseError(f"--out directory {str(Path(out).parent)!r} does not exist")
 
 
 def _emit(report: dict, out: str | None, as_csv: bool):
@@ -144,6 +150,7 @@ def _run_gadget(args, c, name) -> dict:
 
 
 def cmd_run(args) -> int:
+    _check_out(args.out)
     c, name = _load_instance(args.instance)
     runner = {"qma2": _run_qma2, "bellqma": _run_bellqma, "oracle": _run_oracle,
               "seesaw": _run_seesaw, "gadget": _run_gadget}.get(args.protocol)
@@ -155,6 +162,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    _check_out(args.out)
     results = suites.run_suite(args.name)
     for r in results:
         print(r.line())
@@ -199,7 +207,7 @@ def main(argv=None) -> int:
     try:
         bellqma.enumeration_budget()     # a malformed UVLAB_BUDGET fails on every path
         return args.fn(args)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSTANCE
     except (CapacityError, BudgetError) as exc:

@@ -25,6 +25,15 @@ SGC v1 text format (UTF-8, line oriented, ``#`` starts a comment):
 Input wires are named u0..u(n-1) and v0..v(n-1); u0 is the least significant
 bit of u.  Gate lines must appear in order w0, w1, ... and may only reference
 inputs or earlier gates.
+
+:func:`expand` evaluates the circuit on the pairs u < v < m, flattened
+row by row and cut into blocks.  Each wire of a block is one Python int with
+a bit per pair, so a block takes one pass over the gates, and the same
+evaluator serves :func:`eval_pair` on single bits (NOT is ``one - x``
+either way).  A block holds one bit per wire and 32 bytes of labels per
+pair, at most EXPAND_BLOCK_BYTES (8 MiB) in all; the block length follows
+from the wire count before anything is allocated: 669 pairs at the 10^5-gate
+cap, 100,000 to 240,000 for the bundled instances.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,10 +54,16 @@ MAX_GATES = 10 ** 5
 MAX_EXPAND_VERTICES = 1 << 16
 MAX_BRUTE_FORCE_VERTICES = 20
 MAX_LABEL_BITS = 20      # one proof, 3 * 2^n amplitudes, fits states.MAX_TOTAL_DIM
+EXPAND_BLOCK_BYTES = 1 << 23     # live wire bits plus pair labels of one expand block
+
+#: operand count of each gate op
+ARITY = {"AND": 2, "OR": 2, "NOT": 1, "CONST0": 0, "CONST1": 0}
 
 
-@dataclass(frozen=True)
-class CircuitGate:
+class CircuitGate(NamedTuple):
+    """One gate.  A named tuple, not a frozen dataclass: the parser builds one
+    per gate line, and a tuple builds and hashes in half the time."""
+
     op: str          # AND | OR | NOT | CONST0 | CONST1
     a: int = -1      # wire indices; unused operands are -1
     b: int = -1
@@ -73,7 +89,7 @@ class SuccinctCircuit:
         nwires = 2 * self.n + len(self.gates)
         for k, g in enumerate(self.gates):
             limit = 2 * self.n + k
-            operands = {"AND": 2, "OR": 2, "NOT": 1, "CONST0": 0, "CONST1": 0}.get(g.op)
+            operands = ARITY.get(g.op)
             if operands is None:
                 raise ValueError(f"unknown gate op {g.op!r}")
             for w in (g.a, g.b)[:operands]:
@@ -128,10 +144,11 @@ class Coloring:
 
 
 _GATE_RE = re.compile(r"^w(\d+)\s*=\s*(AND|OR|NOT|CONST0|CONST1)\s*(.*)$")
+_WIRE_RE = re.compile(r"([uvw])(\d+)")
 
 
 def _resolve_wire(token: str, n: int, gates_so_far: int, lineno: int) -> int:
-    mt = re.fullmatch(r"([uvw])(\d+)", token)
+    mt = _WIRE_RE.fullmatch(token)
     if not mt:
         raise ParseError(f"bad wire name {token!r}", lineno)
     kind, num = mt.group(1), int(mt.group(2))
@@ -150,6 +167,8 @@ def parse_sgc(text: str) -> SuccinctCircuit:
     gates: list[CircuitGate] = []
     outs = {}
     saw_magic = False
+    # wire names resolved so far; a header line clears it, as wire numbers depend on n
+    known: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -159,10 +178,31 @@ def parse_sgc(text: str) -> SuccinctCircuit:
                 raise ParseError(f"expected 'SGC 1' header, got {line!r}", lineno)
             saw_magic = True
             continue
+        mg = _GATE_RE.match(line)
+        if mg:
+            if header["n"] is None or header["m"] is None:
+                raise ParseError("gate line before n/m headers", lineno)
+            k, op, rest = int(mg.group(1)), mg.group(2), mg.group(3).split()
+            if k != len(gates):
+                raise ParseError(f"expected gate w{len(gates)}, got w{k}", lineno)
+            arity = ARITY[op]
+            if len(rest) != arity:
+                raise ParseError(f"{op} takes {arity} operand(s)", lineno)
+            wires = []
+            for tok in rest:
+                if tok not in known:
+                    known[tok] = _resolve_wire(tok, header["n"], len(gates), lineno)
+                wires.append(known[tok])
+            known[f"w{k}"] = 2 * header["n"] + k
+            gates.append(CircuitGate(op, *wires))
+            if len(gates) > MAX_GATES:
+                raise ParseError(f"gate count exceeds cap {MAX_GATES}", lineno)
+            continue
         parts = line.split()
         if parts[0] in header:
             if len(parts) != 2:
                 raise ParseError(f"malformed header line {line!r}", lineno)
+            known.clear()
             try:
                 header[parts[0]] = int(parts[1])
             except ValueError:
@@ -175,21 +215,7 @@ def parse_sgc(text: str) -> SuccinctCircuit:
                 raise ParseError("output line before n header", lineno)
             outs[parts[1]] = _resolve_wire(parts[2], header["n"], len(gates), lineno)
             continue
-        mg = _GATE_RE.match(line)
-        if not mg:
-            raise ParseError(f"unrecognized line {line!r}", lineno)
-        if header["n"] is None or header["m"] is None:
-            raise ParseError("gate line before n/m headers", lineno)
-        k, op, rest = int(mg.group(1)), mg.group(2), mg.group(3).split()
-        if k != len(gates):
-            raise ParseError(f"expected gate w{len(gates)}, got w{k}", lineno)
-        arity = {"AND": 2, "OR": 2, "NOT": 1, "CONST0": 0, "CONST1": 0}[op]
-        if len(rest) != arity:
-            raise ParseError(f"{op} takes {arity} operand(s)", lineno)
-        wires = [_resolve_wire(tok, header["n"], len(gates), lineno) for tok in rest]
-        gates.append(CircuitGate(op, *wires))
-        if len(gates) > MAX_GATES:
-            raise ParseError(f"gate count exceeds cap {MAX_GATES}", lineno)
+        raise ParseError(f"unrecognized line {line!r}", lineno)
     if not saw_magic:
         raise ParseError("empty file; expected 'SGC 1' header", 1)
     if header["n"] is None or header["m"] is None:
@@ -258,22 +284,34 @@ def eval_pair(c: SuccinctCircuit, u: int, v: int) -> int:
     return EDGE if edge else NON_EDGE
 
 
+def _bit_planes(labels: np.ndarray, n: int) -> list[int]:
+    """Bit i of every label, packed into one int per i: bit p of plane i
+    is bit i of labels[p]."""
+    return [int.from_bytes(np.packbits((labels >> i) & 1, bitorder="little").tobytes(),
+                           "little") for i in range(n)]
+
+
 def expand(c: SuccinctCircuit) -> ExplicitGraph:
-    """Evaluate the circuit on every pair and return the explicit graph."""
-    size = 2 ** c.n
-    if size > MAX_EXPAND_VERTICES:
+    """Evaluate the circuit on every pair u < v < m, one pass over the gates
+    per block of pairs (module docstring), and return the explicit graph."""
+    if 2 ** c.n > MAX_EXPAND_VERTICES:
         raise CapacityError(f"2^{c.n} vertices exceeds expand cap {MAX_EXPAND_VERTICES}")
-    v = np.arange(size, dtype=np.int64)
-    v_bits = [((v >> i) & 1).astype(np.uint8) for i in range(c.n)]
-    zero = np.zeros(size, dtype=np.uint8)
-    one = np.ones(size, dtype=np.uint8)
+    wires = 2 * c.n + len(c.gates)
+    block = 8 * EXPAND_BLOCK_BYTES // (wires + 256)   # >= 669 pairs at MAX_GATES
+    rows = np.arange(c.m, dtype=np.int64)
+    first = rows * (2 * c.m - rows - 1) // 2          # flat index of the pair (u, u + 1)
+    total = c.m * (c.m - 1) // 2
     edges = []
-    for u in range(c.m):
-        ub = [np.uint8((u >> i) & 1) for i in range(c.n)]
-        pair, edge = _wire_values(c, ub, v_bits, zero, one)
-        hit = (np.asarray(pair, dtype=bool) & np.asarray(edge, dtype=bool)
-               & (v > u) & (v < c.m))
-        edges.extend((u, int(w)) for w in np.nonzero(hit)[0])
+    for start in range(0, total, block):
+        flat = np.arange(start, min(start + block, total), dtype=np.int64)
+        u = np.searchsorted(first, flat, side="right") - 1
+        v = flat - first[u] + u + 1
+        pair, edge = _wire_values(c, _bit_planes(u, c.n), _bit_planes(v, c.n),
+                                  0, (1 << len(flat)) - 1)
+        bits = np.frombuffer((pair & edge).to_bytes((len(flat) + 7) // 8, "little"),
+                             dtype=np.uint8)
+        hit = np.flatnonzero(np.unpackbits(bits, count=len(flat), bitorder="little"))
+        edges += zip(u[hit].tolist(), v[hit].tolist())
     return ExplicitGraph(c.m, frozenset(edges))
 
 

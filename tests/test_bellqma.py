@@ -42,6 +42,38 @@ def grid_reference(dists, reject):
     return float(joint[~bad].sum())
 
 
+def mobius_reference(dists, reject, budget):
+    """Exact consistency by the Moebius sum over a set table re-stacked
+    with ``np.vstack`` at every core outcome.  The preallocated table must
+    create the same sets in the same order and give the same float."""
+    k, live = len(dists), dists.max(axis=0) > 0.0
+    core = live & (reject & live).any(axis=1)
+    if not core.any():
+        return 1.0
+    p, wild = dists[:, core].T, dists[:, ~core].sum(axis=1)
+    conflict, m = reject[np.ix_(core, core)], int(core.sum())
+    drop, free = np.full((1, m), -1), np.ones((1, m), dtype=bool)
+    for j in range(m):
+        sel = np.flatnonzero(free[:, j])
+        size = len(free) + sel.size
+        if size * (k + m) > budget:
+            raise BudgetError(f"{size} sets exceed the budget")
+        pos = np.full(len(free) + 1, -1)
+        pos[sel] = np.arange(len(free), size)
+        grown = pos[drop[sel]]
+        grown[:, j] = sel
+        room = (grown >= 0).sum(axis=1, keepdims=True) < k
+        drop, free = np.vstack([drop, grown]), np.vstack([free, free[sel] & ~conflict[j] & room])
+    member = drop >= 0
+    mass = member @ p
+    mass += wild
+    mass = mass.prod(axis=1)
+    for j in range(m):
+        rows = np.flatnonzero(member[:, j])
+        mass[rows] -= mass[drop[rows, j]]
+    return min(1.0, max(0.0, float(mass.sum())))
+
+
 def mc_reference(dists, edges, size, samples, seed):
     """Monte-Carlo consistency drawing every register of every sample: one
     ``random(b)`` per register and batch, one vertex/edge predicate per
@@ -202,6 +234,7 @@ class TestConsistency:
                 dists = outcome_dists(c, proofs)
                 got = bellqma._consistency_exact(dists, reject, 10 ** 7)
                 assert abs(got - grid_reference(dists, reject)) < 1e-12
+                assert got == mobius_reference(dists, reject, 10 ** 7)
 
     def test_core_above_64_outcomes_matches_grid(self):
         # K_30 at n = 5: all 90 outcomes of the 30 vertices conflict
@@ -220,6 +253,30 @@ class TestConsistency:
         proofs = random_product_proofs(proof_shape(4), bellqma.default_k(4), seed=2)
         with pytest.raises(BudgetError, match="Monte-Carlo"):
             bellqma.consistency_accept(c, proofs, "exact")
+
+    def test_budget_caps_table_growth(self, monkeypatch):
+        # a budget one set short of all sets of k4_n3 at k = 5: the table
+        # (an int32 row and a bool per set and core outcome) doubles as it
+        # grows but never past the sets the budget allows, so its peak stays
+        # below twice the table at that cap, the old rows plus the new
+        c, k = corpus.load("k4_n3"), 5
+        proofs = random_product_proofs(proof_shape(3), k, seed=1)
+        reject = ~consistency_accept_table(c)
+        dists = outcome_dists(c, proofs)
+        live = dists.max(axis=0) > 0
+        core = live & (reject & live).any(axis=1)
+        m = int(core.sum())
+        sets = len(bellqma._independent_sets(reject[np.ix_(core, core)], k, 10 ** 7))
+        monkeypatch.setenv("UVLAB_BUDGET", str((sets - 1) * (k + m)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=f"^{sets} independent sets"):
+                bellqma.consistency_accept(c, proofs, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (m, sets) == (24, 11236)
+        assert peak < 2 * 5 * m * (sets - 1)
 
     def test_env_var_overrides_budget(self, k4, monkeypatch):
         proofs = random_product_proofs(proof_shape(2), 3, seed=2)

@@ -190,8 +190,10 @@ class TestErrorsAndFormats:
         assert "k=1680 proofs at n=14" in capsys.readouterr().err
         assert peak < 16 * 2 ** 20
 
-    # width None runs on k3_n2, a name runs that bundled instance, and an
-    # integer width runs on one edge at that n; every row stays under 64 MB
+    # width None runs on k3_n2, a name runs that bundled instance, an integer
+    # width runs on one edge at that n, "dir" passes a directory as the
+    # instance and "suite" runs ``uvlab suite`` with argv instead; {tmp} in
+    # argv is the test's temporary directory.  Every row stays under 64 MB
     @pytest.mark.parametrize("width, argv, budget, code, message", [
         (None, ["--protocol", "oracle"], None, cli.EXIT_OK, ""),
         (None, ["--protocol", "qma2", "--mode", "mc", "--samples", "-5", "--seed", "1"],
@@ -210,6 +212,13 @@ class TestErrorsAndFormats:
         ("k4_n2", ["--protocol", "bellqma", "--strategy", "near"], None, cli.EXIT_OK, ""),
         ("k4_n4", ["--protocol", "bellqma", "--strategy", "random", "--seed", "1"],
          None, cli.EXIT_CAPACITY, "use Monte-Carlo mode"),
+        ("dir", ["--protocol", "oracle"], None, cli.EXIT_INSTANCE, "Is a directory"),
+        (None, ["--protocol", "oracle", "--out", "{tmp}/missing/r.json"],
+         None, cli.EXIT_INSTANCE, "does not exist"),
+        (None, ["--protocol", "oracle", "--out", "{tmp}"], None, cli.EXIT_INSTANCE,
+         "Is a directory"),
+        ("suite", ["lemmas", "--out", "{tmp}/missing/s.json"], None, cli.EXIT_INSTANCE,
+         "does not exist"),
     ])
     def test_exit_codes(self, width, argv, budget, code, message, tmp_path,
                         monkeypatch, capsys):
@@ -219,11 +228,15 @@ class TestErrorsAndFormats:
             path = tmp_path / "edge.sgc"
             path.write_text(format_sgc(
                 encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), width)))
+        if width == "dir":
+            path = tmp_path
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        command = ["suite"] if width == "suite" else ["run", "--instance", str(path)]
         if budget is not None:
             monkeypatch.setenv("UVLAB_BUDGET", budget)
         tracemalloc.start()
         try:
-            assert run_cli(["run", "--instance", str(path), *argv]) == code
+            assert run_cli([*command, *argv]) == code
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

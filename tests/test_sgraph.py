@@ -1,13 +1,16 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uvlab import corpus
+from uvlab import corpus, sgraph
 from uvlab.errors import AddressError, CapacityError, ParseError
-from uvlab.sgraph import (EDGE, INVALID, NON_EDGE, Coloring, ExplicitGraph,
+from uvlab.sgraph import (ARITY, EDGE, EXPAND_BLOCK_BYTES, INVALID, NON_EDGE,
+                          CircuitGate, Coloring, ExplicitGraph, SuccinctCircuit,
                           brute_force_3color, encode_explicit, eval_pair,
                           expand, format_sgc, min_violation_coloring,
                           parse_sgc)
@@ -15,6 +18,41 @@ from uvlab.sgraph import (EDGE, INVALID, NON_EDGE, Coloring, ExplicitGraph,
 
 def graph(m, edges):
     return ExplicitGraph(m, frozenset(tuple(sorted(e)) for e in edges))
+
+
+def expand_reference(c):
+    """Row-by-row expansion: one pass over the gates per vertex u, on uint8
+    arrays over every v.  The block expansion must give the same graph."""
+    size = 2 ** c.n
+    v = np.arange(size, dtype=np.int64)
+    v_bits = [((v >> i) & 1).astype(np.uint8) for i in range(c.n)]
+    zero = np.zeros(size, dtype=np.uint8)
+    one = np.ones(size, dtype=np.uint8)
+    edges = []
+    for u in range(c.m):
+        ub = [np.uint8((u >> i) & 1) for i in range(c.n)]
+        pair, edge = sgraph._wire_values(c, ub, v_bits, zero, one)
+        hit = (np.asarray(pair, dtype=bool) & np.asarray(edge, dtype=bool)
+               & (v > u) & (v < c.m))
+        edges.extend((u, int(w)) for w in np.nonzero(hit)[0])
+    return ExplicitGraph(c.m, frozenset(edges))
+
+
+@st.composite
+def circuits(draw):
+    """Random circuits at n <= 5 with any m <= 2^n.  Operands lean on the
+    newest wire, so NOT and CONST chains are common, and outputs lean on
+    the input wires."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 2 ** n))
+    gates = []
+    for k in range(draw(st.integers(0, 24))):
+        op = draw(st.sampled_from(sorted(ARITY)))
+        newest = 2 * n + k - 1
+        operand = st.one_of(st.just(newest), st.integers(0, newest))
+        gates.append(CircuitGate(op, *[draw(operand) for _ in range(ARITY[op])]))
+    output = st.one_of(st.integers(0, 2 * n - 1), st.integers(0, 2 * n + len(gates) - 1))
+    return SuccinctCircuit(n, m, tuple(gates), draw(output), draw(output))
 
 
 K3 = graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -82,8 +120,16 @@ class TestParser:
         assert g == graph(4, [(0, 1), (0, 3), (1, 3), (2, 3)])
         assert eval_pair(c, 0, 2) == INVALID     # raw pair bit 0
 
+    def test_wire_names_resolve_with_the_n_in_force(self):
+        # v0 is wire 1 at n = 1 and wire 2 at n = 2; a repeated name must
+        # not keep its number across the n header
+        c = parse_sgc("SGC 1\nn 1\nm 2\nw0 = NOT v0\nn 2\nw1 = NOT v0\n"
+                      "w2 = AND v0 w1\nout pair w0\nout edge w2\n")
+        assert c.gates == (CircuitGate("NOT", 1), CircuitGate("NOT", 2),
+                           CircuitGate("AND", 2, 5))
+
     def test_gate_count_cap(self):
-        from uvlab.sgraph import MAX_GATES, CircuitGate, SuccinctCircuit
+        from uvlab.sgraph import MAX_GATES
         gates = tuple(CircuitGate("CONST0") for _ in range(MAX_GATES + 1))
         with pytest.raises(CapacityError):
             SuccinctCircuit(1, 2, gates, 2, 2)
@@ -195,6 +241,41 @@ class TestExpandEncode:
         text = "SGC 1\nn 17\nm 2\nw0 = CONST0\nout pair w0\nout edge w0\n"
         with pytest.raises(CapacityError):
             expand(parse_sgc(text))
+
+    def test_matches_row_reference_on_bundled_instances(self):
+        for name in corpus.available():
+            c = corpus.load(name)
+            assert expand(c) == expand_reference(c), name
+
+    # 40 bytes gives one pair per block at the largest drawn circuit
+    @settings(max_examples=150, deadline=None)
+    @given(circuits(), st.sampled_from([EXPAND_BLOCK_BYTES, 40, 100, 1000]))
+    def test_matches_pairwise_evaluation(self, c, block_bytes):
+        size = 2 ** c.n
+        pairwise = {(u, v) for u in range(size) for v in range(size)
+                    if eval_pair(c, u, v) == EDGE}
+        with mock.patch.object(sgraph, "EXPAND_BLOCK_BYTES", block_bytes):
+            g = expand(c)
+        assert g.edges == pairwise
+        assert g == expand_reference(c)
+
+    def test_block_memory_stays_under_cap(self):
+        # 20,000 NOTs from u0 at n = 12: one row of the reference would hold
+        # 2^12 bytes per wire, 80 MiB in all; here the 32,640 pairs run in
+        # 10 blocks of at most EXPAND_BLOCK_BYTES
+        n, depth, m = 12, 20_000, 256
+        gates = [CircuitGate("NOT", 0)]
+        gates += [CircuitGate("NOT", 2 * n + i) for i in range(depth - 1)]
+        c = SuccinctCircuit(n, m, tuple(gates), 2 * n + depth - 1, 2 * n + depth - 1)
+        tracemalloc.start()
+        try:
+            g = expand(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an even chain returns u0: the edges are the pairs with u odd
+        assert g.edges == {(u, v) for u in range(1, m, 2) for v in range(u + 1, m)}
+        assert peak < EXPAND_BLOCK_BYTES + 4 * 2 ** 20
 
 
 class TestOracle:
