@@ -18,6 +18,8 @@ Per register the uniformity branch splits three ways: x_i = 1 (weight a_i),
 x_i = 0 and y_i = 0 (weight b_i), and the always-rejecting x_i = 0, y_i = 1
 (weight c_i); the acceptance probability is an exact dynamic program over
 these weights (:func:`uvlab.provers.uniformity_weights`), polynomial in k.
+It runs in one pass with the PMF of |Z|, as two rows of one DP.  A report
+stacks the k proofs once, and both tests read that batch.
 
 Exact consistency reads the conflict table shared with the two-proof
 verifier (:func:`uvlab.qma2.consistency_accept_table`, n <= 10).  The test
@@ -35,25 +37,34 @@ variable) bounds the N * (k + core size) entries this allocates for N
 sets, checked before each allocation: the set table grows by doubling into
 preallocated rows, never past the N the budget allows.  Past it,
 Monte-Carlo mode samples outcome tuples and reports a 99% Hoeffding
-half-width; it needs no table and no cap.  A rejected sample stays
-rejected as outcomes are added, so the sampler tests its samples after
-registers 1, 2, 4, 8, ... and k, drops the rejected ones, and stops
-drawing for a batch once none is left.  It still consumes one uniform
-per register and sample, skipping the unused ones by advancing the
-generator, so a seed gives the same estimate as drawing every register.
+half-width.  It works on the same core, built from the edge list over
+the outcomes a draw can land on, so it needs no consistency table and
+runs past n = 10: each sample keeps the core outcomes it has seen as
+packed 64-bit words, and each draw is tested as it lands against its
+outcome's packed conflict row.  A rejected sample stays rejected as outcomes are added, so
+it is counted and dropped at that register, and a batch stops drawing
+once none is left.  It still consumes one uniform per register and
+sample, skipping the unused ones by advancing the generator, so a seed
+gives the same estimate as drawing every register.  An empty core returns
+exactly 1 without drawing.  A draw inverts the register's CDF through a
+guide table of 2^10 bins, which gives the same outcome as a binary search.
+The packed table's (core size + 1) * ceil(core size / 64) * 8 bytes are
+held to 2^24 before allocating; past it (full support at n >= 12) Monte
+Carlo raises :class:`CapacityError`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, CapacityError
 from .provers import stack_proofs, uniformity_weights
-from .qma2 import consistency_accept_table
+from .qma2 import check_table_size, consistency_accept_table
 from .sgraph import SuccinctCircuit, expand
 from .states import PureState
 from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
@@ -61,6 +72,8 @@ from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/trac
 DEFAULT_BUDGET = 10 ** 7
 MC_CONFIDENCE = 0.99
 Z_PRIME_THRESHOLD = 1.0 / 12.0
+MC_TABLE_BYTES = 2 ** 24     # the Monte-Carlo conflict table's cap
+GUIDE_BINS = 2 ** 10        # inverse-CDF guide table bins per register
 
 
 def default_k(n: int) -> int:
@@ -119,13 +132,17 @@ def z_threshold(k: int) -> int:
 
 
 def _count_dp(out: np.ndarray, counted: np.ndarray) -> np.ndarray:
-    """Poisson-binomial DP: f[z] sums, over the register sets S of size z,
-    prod_{i in S} counted[i] * prod_{i not in S} out[i]."""
-    f = np.zeros(len(counted) + 1)
-    f[0] = 1.0
-    for a, b in zip(out, counted):
-        f[1:] = f[1:] * a + f[:-1] * b
-        f[0] *= a
+    """Poisson-binomial DPs in one pass, one per row of ``counted``:
+    f[r, z] sums, over the register sets S of size z,
+    prod_{i in S} counted[r, i] * prod_{i not in S} out[i]."""
+    f = np.zeros((len(counted), counted.shape[1] + 1))
+    f[:, 0] = 1.0
+    head, tail, first = f[:, :-1], f[:, 1:], f[:, 0]      # views, updated in place
+    for a, b in zip(out, counted.T[:, :, None]):
+        grown = head * b                 # read before tail, which overlaps head, moves
+        tail *= a
+        tail += grown
+        first *= a
     return f
 
 
@@ -134,13 +151,11 @@ def _probability(mass: np.ndarray) -> float:
     return min(1.0, float(mass.sum()))
 
 
-def _uniformity_accept(weights: np.ndarray, threshold: int) -> float:
-    # a c outcome rejects outright, so only a (not in Z) and b carry mass
-    return _probability(_count_dp(weights[:, 0], weights[:, 1])[threshold:])
-
-
-def _z_pmf(weights: np.ndarray) -> np.ndarray:
-    return _count_dp(weights[:, 0], weights[:, 1] + weights[:, 2])
+def _uniformity_dps(weights: np.ndarray) -> np.ndarray:
+    """Both DPs over the (k, 3) weights (a, b, c), which leave out the same
+    a: row 0 counts b only, as a c outcome rejects outright; row 1 counts
+    b + c, the PMF of |Z|."""
+    return _count_dp(weights[:, 0], np.stack([weights[:, 1], weights[:, 1] + weights[:, 2]]))
 
 
 def uniformity_accept_exact(proofs, k_threshold: int | None = None) -> float:
@@ -153,12 +168,12 @@ def uniformity_accept_exact(proofs, k_threshold: int | None = None) -> float:
     about k * 2^-52 of the exact value for the computed weights.
     """
     thr = z_threshold(len(proofs)) if k_threshold is None else k_threshold
-    return _uniformity_accept(uniformity_weights(stack_proofs(proofs)), thr)
+    return _probability(_uniformity_dps(uniformity_weights(stack_proofs(proofs)))[0, thr:])
 
 
 def z_distribution(proofs) -> np.ndarray:
     """Exact PMF of |Z| (the count of color outcomes 0) over the k proofs."""
-    return _z_pmf(uniformity_weights(stack_proofs(proofs)))
+    return _uniformity_dps(uniformity_weights(stack_proofs(proofs)))[1]
 
 
 def z_tail_below_threshold(proofs) -> float:
@@ -233,69 +248,134 @@ def _consistency_exact(dists: np.ndarray, reject: np.ndarray, budget: int) -> fl
     return min(1.0, max(0.0, float(mass.sum())))
 
 
-def _rejects(pres: np.ndarray, edges) -> np.ndarray:
-    """Per row of a (rows, vertices, 3) presence table: does it show a
-    vertex with two colors or an edge with one color?  Each vertex's
-    colors are packed into the bits of one byte first."""
-    p = pres.view(np.uint8)
-    colors = p[..., 0] | (p[..., 1] << 1) | (p[..., 2] << 2)
-    bad = (colors & (colors - 1)).max(axis=1) > 0
-    for u, v in edges:
-        bad |= (colors[:, u] & colors[:, v]) > 0
-    return bad
+def _core_table(dists: np.ndarray, last: np.ndarray, edges, size: int):
+    """The conflict core of the outcomes a draw can land on, packed into
+    ``uint64`` words for :func:`_consistency_monte_carlo`.
+
+    Returns (pos, word, bit, conflict), or None for an empty core.
+    ``pos`` maps an outcome to its core index j < m, or to m off the core;
+    core outcome j owns ``bit[j]`` of word ``word[j]``, and ``conflict[j]``
+    sets the bits of the core outcomes it conflicts with.  Row m (off the
+    core) is all zero.  The table is built from the edge list, not from
+    the consistency table, so it is not held to n <= 10; its
+    (m + 1) * ceil(m / 64) * 8 bytes are checked against MC_TABLE_BYTES
+    before allocating."""
+    d = 3 * size
+    drawn = (dists > 0.0).any(axis=0)
+    drawn[last] = True                   # a register with no mass lands on its last
+    drawn = drawn.reshape(size, 3)
+    ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    same_color = drawn[ends[:, 0]] & drawn[ends[:, 1]]       # edge with one color
+    core = drawn & (drawn.sum(axis=1, keepdims=True) > 1)    # vertex with two colors
+    np.logical_or.at(core, ends[:, 0], same_color)
+    np.logical_or.at(core, ends[:, 1], same_color)
+    m = int(core.sum())
+    if not m:
+        return None
+    words = -(-m // 64)
+    need = (m + 1) * words * 8
+    if need > MC_TABLE_BYTES:
+        raise CapacityError(f"the Monte-Carlo conflict table of a {m}-outcome core needs "
+                            f"{need} bytes, above the cap of {MC_TABLE_BYTES} (2^24)")
+    pos = np.full(d, m, dtype=np.intp)
+    pos[np.flatnonzero(core)] = np.arange(m)
+    pos2 = pos.reshape(size, 3)
+    src, dst = [], []
+    for c1, c2 in itertools.permutations(range(3), 2):
+        v = np.flatnonzero(core[:, c1] & core[:, c2])
+        src.append(pos2[v, c1])
+        dst.append(pos2[v, c2])
+    for c in range(3):
+        e = ends[same_color[:, c]]
+        a, b = pos2[e[:, 0], c], pos2[e[:, 1], c]
+        src += [a, b]
+        dst += [b, a]
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    conflict = np.zeros((m + 1, words), dtype=np.uint64)
+    np.bitwise_or.at(conflict, (src, dst >> 6), np.uint64(1) << (dst & 63).astype(np.uint64))
+    j = np.arange(m + 1)
+    word, bit = j >> 6, np.uint64(1) << (j & 63).astype(np.uint64)
+    word[m], bit[m] = 0, 0
+    return pos, word, bit, conflict
 
 
 def _consistency_monte_carlo(dists: np.ndarray, edges, size: int,
                              samples: int, seed: int) -> tuple[float, float]:
-    """Sample outcome tuples register by register into a per-sample
-    vertex/color presence table, in batches of at most 50,000 rows and a
-    16 MiB table, and count the rows that :func:`_rejects` flags.
+    """Sample outcome tuples register by register, in batches of at most
+    50,000 rows and 2^24 / (3 * size) rows, and count the rejected ones.
 
-    A dependent outcome set stays dependent as outcomes are added, so the
-    predicate runs after registers 1, 2, 4, 8, ... and k, and the rows it
-    flags are counted once and dropped.  When a batch has no live row left,
-    its remaining registers are skipped and the generator is advanced past
-    the uniforms they would have consumed, so each register still takes one
-    ``random(b)`` per batch and the estimate equals the full draw's for the
-    same seed.  A draw is clipped to its register's last outcome of nonzero
-    probability."""
+    Each row keeps the core outcomes it has seen as packed bits
+    (:func:`_core_table`).  A draw rejects its row when the row has seen an
+    outcome the draw conflicts with; a rejected row stays rejected, so it
+    is counted and dropped at that register.  When a batch has no live row
+    left, its remaining registers are skipped and the generator is advanced
+    past the uniforms they would have consumed, so each register still
+    takes one ``random(b)`` per batch and the estimate equals the full
+    draw's for the same seed.  An empty core never rejects and returns 1
+    without drawing.
+
+    A draw is ``searchsorted(cdf, u, side="right")``, read from a guide
+    table of GUIDE_BINS bins built the first time a register is drawn: the
+    search starts at the bin's first outcome and steps forward while
+    ``u >= cdf[out]``.  GUIDE_BINS is a power of two, so ``u * GUIDE_BINS``
+    and the bin edges are exact.  A draw is clipped to its register's last
+    outcome of nonzero probability."""
+    halfwidth = math.sqrt(math.log(2.0 / (1.0 - MC_CONFIDENCE)) / (2.0 * samples))
     k, d = dists.shape
-    batch = min(50_000, 2 ** 24 // (3 * size))
-    cdfs = np.cumsum(dists, axis=1)
     last = d - 1 - np.argmax(dists[:, ::-1] > 0.0, axis=1)
-    checkpoints = {min(2 ** j, k) for j in range(k.bit_length() + 1)}
+    table = _core_table(dists, last, edges, size)
+    if table is None:
+        return 1.0, halfwidth
+    pos, word, bit, conflict = table
+    batch = min(50_000, 2 ** 24 // (3 * size))
+    cdfs = np.empty((k, d + 1))
+    np.cumsum(dists, axis=1, out=cdfs[:, :d])
+    cdfs[:, d] = np.inf                       # stepping stops past the last outcome
+    bin_starts = np.arange(GUIDE_BINS) / GUIDE_BINS
+    guides = [None] * k
     rng = np.random.default_rng(seed)
     rejected = 0
     done = 0
     while done < samples:
         b = min(batch, samples - done)
-        pres = np.zeros((b, 3 * size), dtype=bool)
+        seen = np.zeros((b, conflict.shape[1]), dtype=np.uint64)
         live = np.arange(b)
         for i in range(k):
             u = rng.random(b)
-            out = np.searchsorted(cdfs[i], u if len(live) == b else u[live], side="right")
+            if len(live) < b:
+                u = u[live]
+            if guides[i] is None:
+                guides[i] = np.searchsorted(cdfs[i], bin_starts, side="right")
+            out = guides[i][(u * GUIDE_BINS).astype(np.intp)]
+            step = np.flatnonzero(u >= cdfs[i, out])
+            while step.size:
+                out[step] += 1
+                step = step[u[step] >= cdfs[i, out[step]]]
             np.minimum(out, last[i], out=out)
-            pres[np.arange(len(live)), out] = True
-            if i + 1 in checkpoints:
-                bad = _rejects(pres.reshape(-1, size, 3), edges)
-                if bad.any():
-                    rejected += int(bad.sum())
-                    pres, live = pres[~bad], live[~bad]
-                    if not len(live):
-                        rng.bit_generator.advance(b * (k - i - 1))
-                        break
+            j = pos[out]
+            flat = seen.reshape(-1)       # a flat index per row: 2-D fancy |= is slower
+            at = np.arange(0, flat.size, seen.shape[1]) + word[j]
+            flat[at] = flat[at] | bit[j]
+            bad = (seen & np.take(conflict, j, axis=0)).any(axis=1)
+            if bad.any():
+                rejected += int(bad.sum())
+                keep = ~bad
+                seen, live = seen[keep], live[keep]
+                if not len(live):
+                    rng.bit_generator.advance(b * (k - i - 1))
+                    break
         done += b
-    p_accept = 1.0 - rejected / samples
-    halfwidth = math.sqrt(math.log(2.0 / (1.0 - MC_CONFIDENCE)) / (2.0 * samples))
-    return p_accept, halfwidth
+    return 1.0 - rejected / samples, halfwidth
 
 
 def consistency_accept(c: SuccinctCircuit, proofs, mode: str = "exact",
                        samples: int | None = None, seed: int | None = None):
     """Consistency-test acceptance probability over all register pairs.
 
-    Exact mode returns a float; Monte-Carlo mode returns (estimate,
-    halfwidth) and requires both a sample count and a seed.
+    ``proofs`` is a list of k proofs or their ``(k, 2^n, 3)`` batch from
+    :func:`uvlab.provers.stack_proofs`.  Exact mode returns a float;
+    Monte-Carlo mode returns (estimate, halfwidth) and requires both a
+    sample count and a seed.
     """
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown consistency mode {mode!r}")
@@ -303,7 +383,8 @@ def consistency_accept(c: SuccinctCircuit, proofs, mode: str = "exact",
         raise ValueError("Monte-Carlo mode requires a positive number of samples and a seed")
     # the table is capped, so an oversized instance fails before the stack
     reject = ~consistency_accept_table(c) if mode == "exact" else None
-    dists = np.abs(stack_proofs(proofs, c.n)).reshape(len(proofs), -1) ** 2
+    batch = proofs if isinstance(proofs, np.ndarray) else stack_proofs(proofs, c.n)
+    dists = np.abs(batch).reshape(len(batch), -1) ** 2
     if mode == "exact":
         return _consistency_exact(dists, reject, enumeration_budget())
     return _consistency_monte_carlo(dists, sorted(expand(c).edges),
@@ -312,21 +393,24 @@ def consistency_accept(c: SuccinctCircuit, proofs, mode: str = "exact",
 
 def acceptance(c: SuccinctCircuit, proofs, mode: str = "exact",
                samples: int | None = None, seed: int | None = None) -> BellReport:
-    """Half-half mixture of the consistency and uniformity tests.  Only
-    Monte-Carlo reports carry samples, seed and a half-width."""
+    """Half-half mixture of the consistency and uniformity tests, both read
+    from one stacked proof batch.  Only Monte-Carlo reports carry samples,
+    seed and a half-width."""
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown acceptance mode {mode!r}")
     k = len(proofs)
     exact = mode == "exact"
-    # consistency first: past the table's cap, exact mode fails before allocating
     if exact:
-        p_cons = consistency_accept(c, proofs, "exact")
+        check_table_size(c.n)    # past the table's cap, fail before the stack
+    batch = stack_proofs(proofs, c.n)
+    if exact:
+        p_cons = consistency_accept(c, batch, "exact")
         mc = {}
     else:
-        p_cons, hw = consistency_accept(c, proofs, "mc", samples=samples, seed=seed)
+        p_cons, hw = consistency_accept(c, batch, "mc", samples=samples, seed=seed)
         mc = {"samples": samples, "seed": seed, "ci_halfwidth": hw / 2.0}
-    weights = uniformity_weights(stack_proofs(proofs, c.n))
-    p_unif = _uniformity_accept(weights, z_threshold(k))
-    ztail = _probability(_z_pmf(weights)[: z_threshold(k)])
+    accept_mass, z_pmf = _uniformity_dps(uniformity_weights(batch))
+    thr = z_threshold(k)
+    p_unif, ztail = _probability(accept_mass[thr:]), _probability(z_pmf[:thr])
     return BellReport(p_cons, p_unif, (p_cons + p_unif) / 2.0,
                       "exact" if exact else "montecarlo", k, z_tail=ztail, **mc)

@@ -57,6 +57,14 @@ def soundness_bound(n: int) -> float:
     return 1.0 / (3.0 * 1e10 * 4.0 ** n)
 
 
+def check_table_size(n: int):
+    """Raise :class:`CapacityError` when the conflict table of an n-bit
+    instance is above MAX_CONSISTENCY_N; call before allocating."""
+    if n > MAX_CONSISTENCY_N:
+        raise CapacityError(
+            f"consistency grid needs n <= {MAX_CONSISTENCY_N}, got n={n}")
+
+
 @lru_cache(maxsize=64)
 def consistency_accept_table(c: SuccinctCircuit) -> np.ndarray:
     """Boolean table accept[(v1, c1), (v2, c2)] over flattened vertex-color
@@ -66,9 +74,7 @@ def consistency_accept_table(c: SuccinctCircuit) -> np.ndarray:
     Raises :class:`CapacityError` above MAX_CONSISTENCY_N before allocating.
     Cached per circuit (read-only array; do not mutate).
     """
-    if c.n > MAX_CONSISTENCY_N:
-        raise CapacityError(
-            f"consistency grid needs n <= {MAX_CONSISTENCY_N}, got n={c.n}")
+    check_table_size(c.n)
     size = 2 ** c.n
     adj = np.zeros((size, size), dtype=bool)
     for u, v in expand(c).edges:

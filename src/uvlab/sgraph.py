@@ -23,8 +23,9 @@ SGC v1 text format (UTF-8, line oriented, ``#`` starts a comment):
     out edge w2
 
 Input wires are named u0..u(n-1) and v0..v(n-1); u0 is the least significant
-bit of u.  Gate lines must appear in order w0, w1, ... and may only reference
-inputs or earlier gates.
+bit of u.  The n and m headers each appear once, before any gate.  Gate
+lines must appear in order w0, w1, ... and may only reference inputs or
+earlier gates.
 
 :func:`expand` evaluates the circuit on the pairs u < v < m, flattened
 row by row and cut into blocks.  Each wire of a block is one Python int with
@@ -167,8 +168,7 @@ def parse_sgc(text: str) -> SuccinctCircuit:
     gates: list[CircuitGate] = []
     outs = {}
     saw_magic = False
-    # wire names resolved so far; a header line clears it, as wire numbers depend on n
-    known: dict[str, int] = {}
+    known: dict[str, int] = {}    # wire names resolved so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -202,7 +202,8 @@ def parse_sgc(text: str) -> SuccinctCircuit:
         if parts[0] in header:
             if len(parts) != 2:
                 raise ParseError(f"malformed header line {line!r}", lineno)
-            known.clear()
+            if header[parts[0]] is not None:
+                raise ParseError(f"repeated {parts[0]} header", lineno)
             try:
                 header[parts[0]] = int(parts[1])
             except ValueError:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uvlab import bellqma, corpus
 from uvlab.errors import BudgetError, CapacityError
@@ -77,10 +79,13 @@ def mobius_reference(dists, reject, budget):
 def mc_reference(dists, edges, size, samples, seed):
     """Monte-Carlo consistency drawing every register of every sample: one
     ``random(b)`` per register and batch, one vertex/edge predicate per
-    batch.  The early-stopping sampler must return the same pair."""
-    k = dists.shape[0]
+    batch, and a draw past a register's CDF clipped to its last outcome of
+    nonzero probability.  The early-stopping sampler must return the same
+    pair."""
+    k, d = dists.shape
     batch = min(50_000, 2 ** 24 // (3 * size))
     cdfs = np.cumsum(dists, axis=1)
+    last = d - 1 - np.argmax(dists[:, ::-1] > 0.0, axis=1)
     rng = np.random.default_rng(seed)
     rejected = 0
     done = 0
@@ -90,7 +95,7 @@ def mc_reference(dists, edges, size, samples, seed):
         rows = np.arange(b)
         for i in range(k):
             out = np.searchsorted(cdfs[i], rng.random(b), side="right")
-            np.clip(out, 0, dists.shape[1] - 1, out=out)
+            np.minimum(out, last[i], out=out)
             pres[rows, out // 3, out % 3] = True
         ncolors = pres.sum(axis=2, dtype=np.uint8)
         bad = (ncolors >= 2).any(axis=1)
@@ -153,6 +158,32 @@ class TestUniformityDP:
         dist = bellqma.z_distribution([h] * k)
         mean = float(np.arange(k + 1) @ dist)
         assert abs(mean - k / 3) < 1e-9
+
+    def test_two_row_pass_matches_single_dps(self, rng):
+        # each row of the one pass carries the bits of its own DP
+        w = rng.random((50, 3)) * [1.0, 0.5, 0.5]
+        dps = bellqma._uniformity_dps(w)
+        for row, counted in enumerate((w[:, 1], w[:, 1] + w[:, 2])):
+            f = np.zeros(51)
+            f[0] = 1.0
+            for a, b in zip(w[:, 0], counted):
+                f[1:] = f[1:] * a + f[:-1] * b
+                f[0] *= a
+            assert np.array_equal(f, dps[row])
+
+    def test_acceptance_stacks_proofs_once(self, k3, k3_coloring, monkeypatch):
+        calls = []
+
+        def counting(proofs, n=None):
+            calls.append(len(proofs))
+            return stack_proofs(proofs, n)
+
+        monkeypatch.setattr(bellqma, "stack_proofs", counting)
+        h = honest_proof(k3, k3_coloring)
+        for mode in ("exact", "mc"):
+            calls.clear()
+            bellqma.acceptance(k3, [h] * 12, mode, samples=10, seed=1)
+            assert calls == [12]
 
 
 class TestZPrime:
@@ -337,6 +368,49 @@ class TestConsistency:
         dists[1, 9] = 1.0
         assert bellqma._consistency_monte_carlo(dists, [], 4, 20_000, 3)[0] == 1.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mc_matches_reference_on_random_inputs(self, data):
+        # sparse registers with zero rows and mass below 1, full-support
+        # ones for cores past one 64-bit word, random edges (self-loops and
+        # none included), batches of 50,000 crossed
+        size = data.draw(st.sampled_from([1, 2, 4, 8, 32]))
+        k = data.draw(st.integers(1, 9))
+        d = 3 * size
+        dists = np.zeros((k, d))
+        for i in range(k):
+            if data.draw(st.integers(0, 4)) == 0:
+                support = list(range(d))
+            else:
+                support = data.draw(st.lists(st.integers(0, d - 1), max_size=4, unique=True))
+            weights = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(support),
+                                                  max_size=len(support))))
+            if support:
+                mass = data.draw(st.sampled_from([1.0, 0.999, 0.5]))
+                dists[i, support] = weights / weights.sum() * mass
+        pairs = [(u, v) for u in range(size) for v in range(u, size)]
+        edges = sorted(data.draw(st.sets(st.sampled_from(pairs))))
+        samples = data.draw(st.sampled_from([1, 2, 999, 50_001]))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        got = bellqma._consistency_monte_carlo(dists, edges, size, samples, seed)
+        assert got == mc_reference(dists, edges, size, samples, seed)
+
+    def test_mc_honest_is_exactly_one(self, k3, k3_coloring):
+        # an empty conflict core never rejects, so no draw is made
+        proofs = [honest_proof(k3, k3_coloring)] * bellqma.default_k(k3.n)
+        hw = math.sqrt(math.log(2.0 / (1.0 - bellqma.MC_CONFIDENCE)) / (2.0 * 10 ** 6))
+        got = bellqma.consistency_accept(k3, proofs, "mc", samples=10 ** 6, seed=4)
+        assert got == (1.0, hw)
+
+    def test_mc_massless_register_lands_on_last_outcome(self):
+        # register 0 has no mass, so every draw clips to outcome 11
+        # (vertex 3, color 2) and meets register 1's (3, 0)
+        dists = np.zeros((2, 12))
+        dists[1, 9] = 1.0
+        got = bellqma._consistency_monte_carlo(dists, [], 4, 1000, 2)
+        assert got[0] == 0.0
+        assert got == mc_reference(dists, [], 4, 1000, 2)
+
     def test_mc_agrees_with_exact(self, k4):
         proofs = random_product_proofs(proof_shape(2), 4, seed=6)
         exact = bellqma.consistency_accept(k4, proofs, "exact")
@@ -406,16 +480,35 @@ class TestCapacity:
             bellqma.acceptance(c, proofs, mode="exact")
 
     def test_mc_presence_table_is_bounded(self):
-        # 50,000 rows of 3 * 2^10 presence bits would take 154 MB at once
+        # 50,000 rows of 3 * 2^10 presence bits would take 154 MB at once;
+        # random proofs make a 3,072-outcome core, 48 words per row
         c, proofs = self.edge_instance(10)
+        rand = random_product_proofs(proof_shape(10), 2, seed=1)
         tracemalloc.start()
         try:
             p, _ = bellqma.consistency_accept(c, proofs[:2], mode="mc", samples=50_000, seed=1)
+            got = bellqma.consistency_accept(c, rand, mode="mc", samples=50_000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert p == 1.0
         assert peak < 64 * 2 ** 20
+        assert 0.0 < got[0] < 1.0
+        assert got == mc_reference(outcome_dists(c, rand), [(0, 1)], 2 ** 10, 50_000, 1)
+
+    def test_mc_core_table_cap_raises_before_allocating(self):
+        # full support at n = 12: a 12,288-outcome core whose packed table
+        # would take 12,289 * 192 * 8 bytes (18.9 MB), above 2^24
+        dists = outcome_dists(encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 12),
+                              random_product_proofs(proof_shape(12), 2, seed=1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="12288-outcome core"):
+                bellqma._consistency_monte_carlo(dists, [(0, 1)], 2 ** 12, 1000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestChernoff:

@@ -120,13 +120,17 @@ class TestParser:
         assert g == graph(4, [(0, 1), (0, 3), (1, 3), (2, 3)])
         assert eval_pair(c, 0, 2) == INVALID     # raw pair bit 0
 
-    def test_wire_names_resolve_with_the_n_in_force(self):
-        # v0 is wire 1 at n = 1 and wire 2 at n = 2; a repeated name must
-        # not keep its number across the n header
-        c = parse_sgc("SGC 1\nn 1\nm 2\nw0 = NOT v0\nn 2\nw1 = NOT v0\n"
-                      "w2 = AND v0 w1\nout pair w0\nout edge w2\n")
-        assert c.gates == (CircuitGate("NOT", 1), CircuitGate("NOT", 2),
-                           CircuitGate("AND", 2, 5))
+    @pytest.mark.parametrize("text, line", [
+        # v0 is wire 1 at n = 1 but wire 2 at n = 2, so the gate parsed
+        # before a second n header would silently name another wire
+        ("SGC 1\nn 1\nm 2\nw0 = NOT v0\nn 2\nw1 = NOT v0\n", 5),
+        ("SGC 1\nn 2\nn 2\nm 3\n", 3),
+        ("SGC 1\nn 2\nm 3\nw0 = CONST0\nm 4\n", 5),
+    ], ids=["n-after-gate", "n-twice", "m-after-gate"])
+    def test_repeated_header_is_rejected(self, text, line):
+        with pytest.raises(ParseError, match="repeated") as exc:
+            parse_sgc(text + "out pair w0\nout edge w0\n")
+        assert exc.value.line == line
 
     def test_gate_count_cap(self):
         from uvlab.sgraph import MAX_GATES
