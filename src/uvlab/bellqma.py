@@ -1,56 +1,10 @@
 """k-proof verifier restricted to separate, non-adaptive measurements.
 
 Every proof register is measured up front and a classical computation on
-the outcomes decides; the implementation enforces this shape by only ever
-computing per-register outcome distributions, never a joint state.
-
-With probability 1/2 each:
-
-* Consistency: measure every proof in the computational basis and reject
-  if any pair of outcomes shows the same vertex with two colors or an edge
-  with one color.
-* Uniformity: measure each color register (outcome x_i) then each node
-  register (outcome y_i) against the uniform-superposition projector; let
-  Z = {i : x_i = 0}.  Reject if |Z| < k/6 (a tie at exactly k/6 accepts),
-  or if y_i = 1 for some i in Z.
-
-Per register the uniformity branch splits three ways: x_i = 1 (weight a_i),
-x_i = 0 and y_i = 0 (weight b_i), and the always-rejecting x_i = 0, y_i = 1
-(weight c_i); the acceptance probability is an exact dynamic program over
-these weights (:func:`uvlab.provers.uniformity_weights`), polynomial in k.
-It runs in one pass with the PMF of |Z|, as two rows of one DP.  A report
-stacks the k proofs once, and both tests read that batch.
-
-Exact consistency reads the conflict table shared with the two-proof
-verifier (:func:`uvlab.qma2.consistency_accept_table`, n <= 10).  The test
-accepts iff the set of observed outcomes is independent in the conflict
-graph.  Support outcomes that conflict with no support outcome never
-reject, so they merge into one wildcard mass w_i per register; the rest
-form the core.  An empty core (honest proofs, at any n and k) accepts with
-probability exactly 1.  Otherwise, for each independent set T of the core
-with at most k outcomes, f(T) = prod_i (p_i(T) + w_i) is the probability
-that every core outcome seen lies in T; the subset Moebius transform over
-this downward-closed family turns f into Pr[the core outcomes seen are
-exactly T], and their sum, clamped to [0, 1], is the acceptance.  The
-budget (default 10^7, overridable via the UVLAB_BUDGET environment
-variable) bounds the N * (k + core size) entries this allocates for N
-sets, checked before each allocation: the set table grows by doubling into
-preallocated rows, never past the N the budget allows.  Past it,
-Monte-Carlo mode samples outcome tuples and reports a 99% Hoeffding
-half-width.  It works on the same core, built from the edge list over
-the outcomes a draw can land on, so it needs no consistency table and
-runs past n = 10: each sample keeps the core outcomes it has seen as
-packed 64-bit words, and each draw is tested as it lands against its
-outcome's packed conflict row.  A rejected sample stays rejected as outcomes are added, so
-it is counted and dropped at that register, and a batch stops drawing
-once none is left.  It still consumes one uniform per register and
-sample, skipping the unused ones by advancing the generator, so a seed
-gives the same estimate as drawing every register.  An empty core returns
-exactly 1 without drawing.  A draw inverts the register's CDF through a
-guide table of 2^10 bins, which gives the same outcome as a binary search.
-The packed table's (core size + 1) * ceil(core size / 64) * 8 bytes are
-held to 2^24 before allocating; past it (full support at n >= 12) Monte
-Carlo raises :class:`CapacityError`.
+the outcomes decides; only per-register outcome distributions are ever
+computed, never a joint state.  The tests, the uniformity DP, the conflict
+core that exact and Monte-Carlo consistency share, the budget and the caps
+are described once, in the README's ``uvlab.bellqma`` bullet.
 """
 
 from __future__ import annotations
@@ -64,8 +18,7 @@ import numpy as np
 
 from .errors import BudgetError, CapacityError
 from .provers import stack_proofs, uniformity_weights
-from .qma2 import check_table_size, consistency_accept_table
-from .sgraph import SuccinctCircuit, expand
+from .sgraph import SuccinctCircuit, edge_array, expand
 from .states import PureState
 from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
 
@@ -225,19 +178,62 @@ def _with_rows(table: np.ndarray, rows: int, capacity: int) -> np.ndarray:
     return out
 
 
-def _consistency_exact(dists: np.ndarray, reject: np.ndarray, budget: int) -> float:
+def _conflict_core(drawn: np.ndarray, edges, size: int, check) -> tuple:
+    """The conflict core of the outcomes flagged in ``drawn`` (index
+    v * 3 + color), built from the edge list: the flagged outcomes that
+    share a vertex with another flagged color, or an edge with the same
+    flagged color.  Returns (m, pos, src, dst): ``pos`` maps an outcome to
+    its core index j < m, or to m off the core, and the ordered pairs
+    (src[i], dst[i]) are the conflicting core pairs (both orders of each).
+    ``check(m)`` runs once the core is sized, before any pair is listed,
+    so a caller can refuse a core whose table would not fit."""
+    drawn = drawn.reshape(size, 3)
+    ends = edge_array(edges)
+    same_color = drawn[ends[:, 0]] & drawn[ends[:, 1]]       # edge with one color
+    hits = [ends[same_color[:, c]] for c in range(3)]
+    core = drawn & (drawn.sum(axis=1, keepdims=True) > 1)    # vertex with two colors
+    for c, e in enumerate(hits):
+        core[e.reshape(-1), c] = True
+    m = int(core.sum())
+    check(m)
+    pos = np.full(3 * size, m, dtype=np.intp)
+    pos[np.flatnonzero(core)] = np.arange(m)
+    pos2 = pos.reshape(size, 3)
+    src, dst = [], []
+    for c1, c2 in itertools.permutations(range(3), 2):
+        v = np.flatnonzero(core[:, c1] & core[:, c2])
+        src.append(pos2[v, c1])
+        dst.append(pos2[v, c2])
+    for c, e in enumerate(hits):
+        a, b = pos2[e[:, 0], c], pos2[e[:, 1], c]
+        src += [a, b]
+        dst += [b, a]
+    return m, pos, np.concatenate(src), np.concatenate(dst)
+
+
+def _consistency_exact(dists: np.ndarray, edges, size: int, budget: int) -> float:
     """Exact consistency acceptance: the Moebius sum over the independent
-    sets of the conflict core (module docstring).  Row T of ``drop`` holds,
+    sets of the conflict core of the support (README).  The core's m x m
+    conflict table counts against the budget.  Row T of ``drop`` holds,
     per core outcome j in T, the row of T without j, and -1 for j not in T.
     Each of the S = sum_T 2^|T| signed terms reaches the sum with relative
     error below (k + 3m + 24) 2^-53 (product, transform, pairwise sum), so
     the unclamped sum is within (k + 3m + 24) S 2^-53 of the exact value."""
-    k, live = len(dists), dists.max(axis=0) > 0.0
-    core = live & (reject & live).any(axis=1)
-    if not core.any():
+    k = len(dists)
+
+    def check(m):
+        if m * m > budget:
+            raise BudgetError(f"the conflict table of a {m}-outcome core exceeds the "
+                              f"budget {budget}; use Monte-Carlo mode")
+
+    m, pos, src, dst = _conflict_core(dists.max(axis=0) > 0.0, edges, size, check)
+    if not m:
         return 1.0
+    conflict = np.zeros((m, m), dtype=bool)
+    conflict[src, dst] = True
+    core = pos < m
     p, wild = dists[:, core].T, dists[:, ~core].sum(axis=1)
-    drop = _independent_sets(reject[np.ix_(core, core)], k, budget)
+    drop = _independent_sets(conflict, k, budget)
     member = drop >= 0
     mass = member @ p
     mass += wild
@@ -248,55 +244,13 @@ def _consistency_exact(dists: np.ndarray, reject: np.ndarray, budget: int) -> fl
     return min(1.0, max(0.0, float(mass.sum())))
 
 
-def _core_table(dists: np.ndarray, last: np.ndarray, edges, size: int):
-    """The conflict core of the outcomes a draw can land on, packed into
-    ``uint64`` words for :func:`_consistency_monte_carlo`.
-
-    Returns (pos, word, bit, conflict), or None for an empty core.
-    ``pos`` maps an outcome to its core index j < m, or to m off the core;
-    core outcome j owns ``bit[j]`` of word ``word[j]``, and ``conflict[j]``
-    sets the bits of the core outcomes it conflicts with.  Row m (off the
-    core) is all zero.  The table is built from the edge list, not from
-    the consistency table, so it is not held to n <= 10; its
-    (m + 1) * ceil(m / 64) * 8 bytes are checked against MC_TABLE_BYTES
-    before allocating."""
-    d = 3 * size
-    drawn = (dists > 0.0).any(axis=0)
-    drawn[last] = True                   # a register with no mass lands on its last
-    drawn = drawn.reshape(size, 3)
-    ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    same_color = drawn[ends[:, 0]] & drawn[ends[:, 1]]       # edge with one color
-    core = drawn & (drawn.sum(axis=1, keepdims=True) > 1)    # vertex with two colors
-    np.logical_or.at(core, ends[:, 0], same_color)
-    np.logical_or.at(core, ends[:, 1], same_color)
-    m = int(core.sum())
-    if not m:
-        return None
-    words = -(-m // 64)
-    need = (m + 1) * words * 8
+def _check_mc_table(m: int):
+    """Refuse a core whose packed Monte-Carlo table, (m + 1) rows of
+    ceil(m / 64) words, would take more than MC_TABLE_BYTES."""
+    need = (m + 1) * -(-m // 64) * 8
     if need > MC_TABLE_BYTES:
         raise CapacityError(f"the Monte-Carlo conflict table of a {m}-outcome core needs "
                             f"{need} bytes, above the cap of {MC_TABLE_BYTES} (2^24)")
-    pos = np.full(d, m, dtype=np.intp)
-    pos[np.flatnonzero(core)] = np.arange(m)
-    pos2 = pos.reshape(size, 3)
-    src, dst = [], []
-    for c1, c2 in itertools.permutations(range(3), 2):
-        v = np.flatnonzero(core[:, c1] & core[:, c2])
-        src.append(pos2[v, c1])
-        dst.append(pos2[v, c2])
-    for c in range(3):
-        e = ends[same_color[:, c]]
-        a, b = pos2[e[:, 0], c], pos2[e[:, 1], c]
-        src += [a, b]
-        dst += [b, a]
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    conflict = np.zeros((m + 1, words), dtype=np.uint64)
-    np.bitwise_or.at(conflict, (src, dst >> 6), np.uint64(1) << (dst & 63).astype(np.uint64))
-    j = np.arange(m + 1)
-    word, bit = j >> 6, np.uint64(1) << (j & 63).astype(np.uint64)
-    word[m], bit[m] = 0, 0
-    return pos, word, bit, conflict
 
 
 def _consistency_monte_carlo(dists: np.ndarray, edges, size: int,
@@ -304,10 +258,14 @@ def _consistency_monte_carlo(dists: np.ndarray, edges, size: int,
     """Sample outcome tuples register by register, in batches of at most
     50,000 rows and 2^24 / (3 * size) rows, and count the rejected ones.
 
-    Each row keeps the core outcomes it has seen as packed bits
-    (:func:`_core_table`).  A draw rejects its row when the row has seen an
-    outcome the draw conflicts with; a rejected row stays rejected, so it
-    is counted and dropped at that register.  When a batch has no live row
+    The core is built over the outcomes a draw can land on
+    (:func:`_conflict_core`).  Core outcome j owns bit j % 64 of word
+    j // 64, and its ``uint64`` conflict row sets the bits of the core
+    outcomes it conflicts with; off-core outcomes read row m, all zero.
+    Each row of a batch keeps the core outcomes it has seen as packed bits.
+    A draw rejects its row when the row has seen an outcome the draw
+    conflicts with; a rejected row stays rejected, so it is counted and
+    dropped at that register.  When a batch has no live row
     left, its remaining registers are skipped and the generator is advanced
     past the uniforms they would have consumed, so each register still
     takes one ``random(b)`` per batch and the estimate equals the full
@@ -323,10 +281,16 @@ def _consistency_monte_carlo(dists: np.ndarray, edges, size: int,
     halfwidth = math.sqrt(math.log(2.0 / (1.0 - MC_CONFIDENCE)) / (2.0 * samples))
     k, d = dists.shape
     last = d - 1 - np.argmax(dists[:, ::-1] > 0.0, axis=1)
-    table = _core_table(dists, last, edges, size)
-    if table is None:
+    drawn = (dists > 0.0).any(axis=0)
+    drawn[last] = True                   # a register with no mass lands on its last
+    m, pos, src, dst = _conflict_core(drawn, edges, size, _check_mc_table)
+    if not m:
         return 1.0, halfwidth
-    pos, word, bit, conflict = table
+    conflict = np.zeros((m + 1, -(-m // 64)), dtype=np.uint64)
+    np.bitwise_or.at(conflict, (src, dst >> 6), np.uint64(1) << (dst & 63).astype(np.uint64))
+    j = np.arange(m + 1)
+    word, bit = j >> 6, np.uint64(1) << (j & 63).astype(np.uint64)
+    word[m], bit[m] = 0, 0
     batch = min(50_000, 2 ** 24 // (3 * size))
     cdfs = np.empty((k, d + 1))
     np.cumsum(dists, axis=1, out=cdfs[:, :d])
@@ -375,20 +339,19 @@ def consistency_accept(c: SuccinctCircuit, proofs, mode: str = "exact",
     ``proofs`` is a list of k proofs or their ``(k, 2^n, 3)`` batch from
     :func:`uvlab.provers.stack_proofs`.  Exact mode returns a float;
     Monte-Carlo mode returns (estimate, halfwidth) and requires both a
-    sample count and a seed.
+    sample count and a seed.  Both read the conflict core of the expanded
+    edge list.
     """
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown consistency mode {mode!r}")
     if mode == "mc" and (samples is None or samples < 1 or seed is None):
         raise ValueError("Monte-Carlo mode requires a positive number of samples and a seed")
-    # the table is capped, so an oversized instance fails before the stack
-    reject = ~consistency_accept_table(c) if mode == "exact" else None
     batch = proofs if isinstance(proofs, np.ndarray) else stack_proofs(proofs, c.n)
     dists = np.abs(batch).reshape(len(batch), -1) ** 2
+    edges = expand(c).edges
     if mode == "exact":
-        return _consistency_exact(dists, reject, enumeration_budget())
-    return _consistency_monte_carlo(dists, sorted(expand(c).edges),
-                                    2 ** c.n, samples, seed)
+        return _consistency_exact(dists, edges, 2 ** c.n, enumeration_budget())
+    return _consistency_monte_carlo(dists, edges, 2 ** c.n, samples, seed)
 
 
 def acceptance(c: SuccinctCircuit, proofs, mode: str = "exact",
@@ -399,13 +362,9 @@ def acceptance(c: SuccinctCircuit, proofs, mode: str = "exact",
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown acceptance mode {mode!r}")
     k = len(proofs)
-    exact = mode == "exact"
-    if exact:
-        check_table_size(c.n)    # past the table's cap, fail before the stack
     batch = stack_proofs(proofs, c.n)
-    if exact:
-        p_cons = consistency_accept(c, batch, "exact")
-        mc = {}
+    if mode == "exact":
+        p_cons, mc = consistency_accept(c, batch, "exact"), {}
     else:
         p_cons, hw = consistency_accept(c, batch, "mc", samples=samples, seed=seed)
         mc = {"samples": samples, "seed": seed, "ci_halfwidth": hw / 2.0}
@@ -413,4 +372,4 @@ def acceptance(c: SuccinctCircuit, proofs, mode: str = "exact",
     thr = z_threshold(k)
     p_unif, ztail = _probability(accept_mass[thr:]), _probability(z_pmf[:thr])
     return BellReport(p_cons, p_unif, (p_cons + p_unif) / 2.0,
-                      "exact" if exact else "montecarlo", k, z_tail=ztail, **mc)
+                      "exact" if mode == "exact" else "montecarlo", k, z_tail=ztail, **mc)

@@ -12,11 +12,12 @@ and runs one of three tests chosen uniformly at random:
   gives 1.
 
 ``acceptance_exact`` computes all three branch probabilities exactly; the
-consistency term enumerates the full (3 * 2^n)^2 outcome grid through the
-conflict table both verifiers share, which caps the instance size at
-n <= 10.  ``run_sampled`` draws the accepting count of many independent
-verifier runs at once from those exact probabilities: a multinomial split
-of the runs over the three tests, then one binomial per test.
+consistency term is a sum over the vertices (:func:`same_vertex_pass`)
+and the expanded edge list, O(2^n + |E|), so it needs no outcome table
+and no cap of its own.  ``run_sampled`` draws the accepting count of many
+independent verifier runs at once from those exact probabilities: a
+multinomial split of the runs over the three tests, then one binomial per
+test.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .provers import stack_proofs, uniformity_weights
-from .sgraph import SuccinctCircuit, expand
+from .sgraph import SuccinctCircuit, edge_array, expand
 from .states import PureState, swap_test
 from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
 
@@ -57,24 +58,18 @@ def soundness_bound(n: int) -> float:
     return 1.0 / (3.0 * 1e10 * 4.0 ** n)
 
 
-def check_table_size(n: int):
-    """Raise :class:`CapacityError` when the conflict table of an n-bit
-    instance is above MAX_CONSISTENCY_N; call before allocating."""
-    if n > MAX_CONSISTENCY_N:
-        raise CapacityError(
-            f"consistency grid needs n <= {MAX_CONSISTENCY_N}, got n={n}")
-
-
 @lru_cache(maxsize=64)
 def consistency_accept_table(c: SuccinctCircuit) -> np.ndarray:
     """Boolean table accept[(v1, c1), (v2, c2)] over flattened vertex-color
     outcomes (index v * 3 + color): a pair rejects when it shows one vertex
-    with two colors, or an edge with one color.
+    with two colors, or an edge with one color.  Only the acceptance
+    operator of :mod:`uvlab.optimize` reads it.
 
     Raises :class:`CapacityError` above MAX_CONSISTENCY_N before allocating.
     Cached per circuit (read-only array; do not mutate).
     """
-    check_table_size(c.n)
+    if c.n > MAX_CONSISTENCY_N:
+        raise CapacityError(f"the conflict table needs n <= {MAX_CONSISTENCY_N}, got n={c.n}")
     size = 2 ** c.n
     adj = np.zeros((size, size), dtype=bool)
     for u, v in expand(c).edges:
@@ -87,15 +82,23 @@ def consistency_accept_table(c: SuccinctCircuit) -> np.ndarray:
     return table
 
 
+def same_vertex_pass(p: np.ndarray, q: np.ndarray) -> float:
+    """1 - sum_v (P_v Q_v - sum_c p_vc q_vc) for two (2^n, 3) outcome
+    distributions: the chance that the two measurements do not show one
+    vertex with two colors."""
+    return 1.0 - float((p.sum(axis=1) * q.sum(axis=1) - (p * q).sum(axis=1)).sum())
+
+
 def acceptance_exact(c: SuccinctCircuit, r1: PureState, r2: PureState) -> VerdictReport:
     """Exact acceptance probabilities of the three tests and their mixture,
     each clamped to [0, 1] against rounding (a Haar state paired with itself
-    can give a swap test a few ulps above 1)."""
-    accept = consistency_accept_table(c)
+    can give a swap test a few ulps above 1).  Consistency is
+    same_vertex_pass(p, q) - sum_{uv in E} sum_c (p_uc q_vc + p_vc q_uc)."""
     batch = stack_proofs([r1, r2], c.n)
     p_eq = swap_test(r1, r2, mode="closed_form")
-    p, q = np.abs(batch).reshape(2, -1) ** 2
-    p_cons = float(p @ accept @ q)
+    p, q = np.abs(batch) ** 2
+    u, v = edge_array(expand(c).edges).T
+    p_cons = same_vertex_pass(p, q) - float((p[u] * q[v] + p[v] * q[u]).sum())
     p_unif = 1.0 - float(uniformity_weights(batch[:1])[0, 2])
     probs = [min(1.0, max(0.0, x)) for x in (p_eq, p_cons, p_unif)]
     return VerdictReport(*probs, min(1.0, sum(probs) / 3.0))
@@ -121,4 +124,4 @@ def report_dict(c: SuccinctCircuit, report: VerdictReport, *, instance: str,
 
 
 __all__ = ["VerdictReport", "acceptance_exact", "run_sampled", "soundness_bound",
-           "consistency_accept_table", "report_dict"]
+           "consistency_accept_table", "same_vertex_pass", "report_dict"]

@@ -39,6 +39,7 @@ cap, 100,000 to 240,000 for the bundled instances.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -294,9 +295,11 @@ def _bit_planes(labels: np.ndarray, n: int) -> list[int]:
 
 def expand(c: SuccinctCircuit) -> ExplicitGraph:
     """Evaluate the circuit on every pair u < v < m, one pass over the gates
-    per block of pairs (module docstring), and return the explicit graph."""
-    if 2 ** c.n > MAX_EXPAND_VERTICES:
-        raise CapacityError(f"2^{c.n} vertices exceeds expand cap {MAX_EXPAND_VERTICES}")
+    per block of pairs (module docstring), and return the explicit graph.
+    Only the m vertices are walked, so m, not 2^n, is held to
+    MAX_EXPAND_VERTICES."""
+    if c.m > MAX_EXPAND_VERTICES:
+        raise CapacityError(f"m={c.m} vertices exceeds expand cap {MAX_EXPAND_VERTICES}")
     wires = 2 * c.n + len(c.gates)
     block = 8 * EXPAND_BLOCK_BYTES // (wires + 256)   # >= 669 pairs at MAX_GATES
     rows = np.arange(c.m, dtype=np.int64)
@@ -314,6 +317,14 @@ def expand(c: SuccinctCircuit) -> ExplicitGraph:
         hit = np.flatnonzero(np.unpackbits(bits, count=len(flat), bitorder="little"))
         edges += zip(u[hit].tolist(), v[hit].tolist())
     return ExplicitGraph(c.m, frozenset(edges))
+
+
+def edge_array(edges) -> np.ndarray:
+    """An edge collection of (u, v) pairs as an (|E|, 2) index array, in
+    iteration order."""
+    flat = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp,
+                       count=2 * len(edges))
+    return flat.reshape(-1, 2)
 
 
 class _Builder:

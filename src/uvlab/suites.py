@@ -194,17 +194,11 @@ def _hypothesis_pairs(trials, seed, uniformity=False):
     for _ in range(trials):
         psi, phi = (_perturbed_honest(c.n, ext, rng, 2e-7, 2e-7) for _ in range(2))
         report = qma2.acceptance_exact(c, psi, phi)
-        if (report.p_equality >= hypo and _same_vertex_pass(psi, phi) >= hypo
+        same_vertex = qma2.same_vertex_pass(states.computational_distribution(psi),
+                                            states.computational_distribution(phi))
+        if (report.p_equality >= hypo and same_vertex >= hypo
                 and (not uniformity or report.p_uniformity >= hypo)):
             yield c, psi
-
-
-def _same_vertex_pass(psi, phi) -> float:
-    """1 - sum_v (P_v Q_v - sum_c p_vc q_vc): the chance that the two
-    proofs do not show one vertex with two colors."""
-    p = states.computational_distribution(psi)
-    q = states.computational_distribution(phi)
-    return 1.0 - float((p.sum(axis=1) * q.sum(axis=1) - (p * q).sum(axis=1)).sum())
 
 
 def check_well_defined_color(trials=120, seed=17) -> CheckResult:

@@ -246,7 +246,7 @@ class TestConsistency:
             dists /= dists.sum(axis=1, keepdims=True)
             live = np.flatnonzero(dists.max(axis=0) > 0)
             core = any(reject[a, b] for a in live for b in live)
-            got = bellqma._consistency_exact(dists, reject, 10 ** 7)
+            got = bellqma._consistency_exact(dists, expand(k4).edges, 4, 10 ** 7)
             if not core:
                 empty += 1
                 assert got == 1.0
@@ -257,13 +257,13 @@ class TestConsistency:
     @pytest.mark.parametrize("name, max_k", [("k4_n2", 6), ("k4_n3", 5)])
     def test_matches_grid_reference(self, name, max_k):
         c = corpus.load(name)
-        reject = ~consistency_accept_table(c)
+        reject, edges = ~consistency_accept_table(c), expand(c).edges
         cheat = near_coloring_proof(c, Coloring((0, 1, 2, 0)))
         for k in range(2, max_k + 1):
             for proofs in [[cheat] * k] + [
                     random_product_proofs(proof_shape(c.n), k, s) for s in (1, 2, 3)]:
                 dists = outcome_dists(c, proofs)
-                got = bellqma._consistency_exact(dists, reject, 10 ** 7)
+                got = bellqma._consistency_exact(dists, edges, 2 ** c.n, 10 ** 7)
                 assert abs(got - grid_reference(dists, reject)) < 1e-12
                 assert got == mobius_reference(dists, reject, 10 ** 7)
 
@@ -275,8 +275,34 @@ class TestConsistency:
         dists = outcome_dists(c, random_product_proofs(proof_shape(5), 3, 4))
         dists[:, 90:] = 0.0
         dists /= dists.sum(axis=1, keepdims=True)
-        got = bellqma._consistency_exact(dists, reject, 10 ** 7)
+        got = bellqma._consistency_exact(dists, expand(c).edges, 2 ** 5, 10 ** 7)
         assert abs(got - grid_reference(dists, reject)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_conflict_core_matches_dense_table(self, data):
+        # random graphs at n <= 5 and random drawn masks: the core's pairs
+        # are the dense table's rejecting pairs among the drawn outcomes,
+        # each once, and the core is the drawn outcomes that have one
+        n = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(1, min(2 ** n, 12)))
+        pairs = list(itertools.combinations(range(m), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        c = encode_explicit(ExplicitGraph(m, frozenset(edges)), n)
+        d = 3 * 2 ** n
+        drawn = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+        sized = []
+        size, pos, src, dst = bellqma._conflict_core(drawn, expand(c).edges, 2 ** n,
+                                                     sized.append)
+        reject = ~consistency_accept_table(c)
+        live = np.flatnonzero(drawn)
+        want = {(a, b) for a in live for b in live if reject[a, b]}
+        core = np.flatnonzero(pos < size)
+        assert sized == [size] and np.array_equal(pos[core], np.arange(size))
+        assert np.all(pos[pos >= size] == size)
+        assert set(core.tolist()) == {a for a, _ in want}
+        got = list(zip(core[src].tolist(), core[dst].tolist()))
+        assert len(got) == len(want) and set(got) == want
 
     def test_budget_error_directs_to_mc(self):
         # full support at n = 4 has about 1.2e9 independent sets
@@ -284,6 +310,20 @@ class TestConsistency:
         proofs = random_product_proofs(proof_shape(4), bellqma.default_k(4), seed=2)
         with pytest.raises(BudgetError, match="Monte-Carlo"):
             bellqma.consistency_accept(c, proofs, "exact")
+
+    def test_budget_counts_the_core_table(self):
+        # full-support random proofs at n = 12 make a 12,288-outcome core;
+        # its m x m table (151 MB) is refused before it is allocated
+        c = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 12)
+        proofs = random_product_proofs(proof_shape(12), 2, seed=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="12288-outcome core"):
+                bellqma.consistency_accept(c, proofs, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_budget_caps_table_growth(self, monkeypatch):
         # a budget one set short of all sets of k4_n3 at k = 5: the table
@@ -475,8 +515,12 @@ class TestCapacity:
         assert 1 - 2.0 ** (-len(proofs) / 40) <= rep.p_total <= 1.0
 
     def test_exact_above_cap_raises(self):
+        # n = 11 runs exactly; at n = 12 the default k = 1440 meets the
+        # proof-batch cap
         c, proofs = self.edge_instance(11)
-        with pytest.raises(CapacityError):
+        assert bellqma.acceptance(c, proofs, mode="exact").p_consistency == 1.0
+        c, proofs = self.edge_instance(12)
+        with pytest.raises(CapacityError, match="k=1440 proofs at n=12"):
             bellqma.acceptance(c, proofs, mode="exact")
 
     def test_mc_presence_table_is_bounded(self):
@@ -520,6 +564,20 @@ class TestChernoff:
 
 
 class TestSoundnessAcrossWidths:
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_k4_near_cheat_at_every_width(self, n):
+        # K4 at width n, near cheat at k = 120 n: the exact core has the
+        # bad edge's two outcomes at every n, so p_cons is the closed form
+        # 2 q^k - (2q - 1)^k, and the rejection meets the floor with no slack
+        c = encode_explicit(ExplicitGraph(4, frozenset(itertools.combinations(range(4), 2))), n)
+        k = bellqma.default_k(n)
+        cheat = near_coloring_proof(c, Coloring((0, 1, 2, 0)))
+        rep = bellqma.acceptance(c, [cheat] * k, mode="exact")
+        q = 1 - 2.0 ** (-n)
+        want = 2 * q ** k - (2 * q - 1) ** k
+        assert abs(rep.p_consistency - want) <= 1e-12 * want
+        assert 1 - rep.p_total >= bellqma.soundness_bound(n)
+
     def test_every_no_instance_rejects_at_floor(self):
         # rejection floor 4^-n / 12000 at k = 120 n, for each bundled
         # non-3-colorable instance; the cheat exactly at every n, random

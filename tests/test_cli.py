@@ -166,12 +166,29 @@ class TestErrorsAndFormats:
         assert run_cli(["run", "--instance", "/nope.sgc", "--protocol", "oracle"]) == 2
 
     def test_capacity_exit_3(self, tmp_path):
+        # qma2 runs at n = 11; m = 2^16 + 1 vertices meet the expand cap
         from uvlab.sgraph import encode_explicit, format_sgc
+        wide = tmp_path / "wide.sgc"
+        wide.write_text(format_sgc(encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 11)))
+        assert run_cli(["run", "--instance", str(wide),
+                        "--protocol", "qma2", "--strategy", "honest"]) == 0
         big = tmp_path / "big.sgc"
-        circuit = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 11)
-        big.write_text(format_sgc(circuit))
+        big.write_text("SGC 1\nn 17\nm 65537\nw0 = CONST0\nout pair w0\nout edge w0\n")
         assert run_cli(["run", "--instance", str(big),
                         "--protocol", "qma2", "--strategy", "honest"]) == 3
+
+    def test_bellqma_near_past_n10_exit_0(self, tmp_path, capsys):
+        # K4 at n = 11 with the default k = 1320, exact consistency
+        from uvlab.sgraph import encode_explicit, format_sgc
+        k4 = tmp_path / "k4_n11.sgc"
+        k4.write_text(format_sgc(encode_explicit(
+            ExplicitGraph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)})), 11)))
+        assert run_cli(["run", "--instance", str(k4), "--protocol", "bellqma",
+                        "--strategy", "near"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        q, k = 1 - 2.0 ** -11, 1320
+        assert report["k"] == k
+        assert abs(report["p_cons"] - (2 * q ** k - (2 * q - 1) ** k)) < 1e-12
 
     def test_proof_batch_cap_exit_3(self, tmp_path, capsys):
         from uvlab.sgraph import encode_explicit, format_sgc
@@ -208,7 +225,7 @@ class TestErrorsAndFormats:
         (None, ["--protocol", "oracle"], "0", cli.EXIT_INSTANCE, "UVLAB_BUDGET"),
         (None, ["--protocol", "bellqma"], "-3", cli.EXIT_INSTANCE, "UVLAB_BUDGET"),
         (None, ["--protocol", "bellqma", "--k", "3"], "1000", cli.EXIT_OK, ""),
-        (11, ["--protocol", "bellqma"], None, cli.EXIT_CAPACITY, "n <= 10"),
+        (12, ["--protocol", "bellqma"], None, cli.EXIT_CAPACITY, "k=1440 proofs at n=12"),
         ("k4_n2", ["--protocol", "bellqma", "--strategy", "near"], None, cli.EXIT_OK, ""),
         ("k4_n4", ["--protocol", "bellqma", "--strategy", "random", "--seed", "1"],
          None, cli.EXIT_CAPACITY, "use Monte-Carlo mode"),

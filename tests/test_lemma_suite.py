@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uvlab import provers, states, suites
+from uvlab import provers, qma2, states, suites
 
 
 @pytest.mark.parametrize("check", suites.LEMMA_CHECKS,
@@ -25,4 +25,4 @@ def test_same_vertex_pass_matches_pairwise_sum():
         q = states.computational_distribution(phi)
         reject = sum(p[v, a] * q[v, b] for v in range(8)
                      for a in range(3) for b in range(3) if a != b)
-        assert abs(suites._same_vertex_pass(psi, phi) - (1.0 - reject)) < 1e-12
+        assert abs(qma2.same_vertex_pass(p, q) - (1.0 - reject)) < 1e-12

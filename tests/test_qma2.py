@@ -10,7 +10,7 @@ from uvlab.provers import (haar_state, honest_proof, near_coloring_proof,
                            proof_shape)
 from uvlab.qma2 import (VerdictReport, acceptance_exact, consistency_accept_table,
                         report_dict, run_sampled, soundness_bound)
-from uvlab.sgraph import Coloring, ExplicitGraph, encode_explicit, expand
+from uvlab.sgraph import Coloring, ExplicitGraph, encode_explicit, expand, parse_sgc
 from uvlab.states import basis_state
 
 
@@ -178,6 +178,16 @@ class TestSoundness:
         assert abs(r.p_total - (1 - (2 / 3) * 4.0 ** (-3))) < 1e-12
         assert r.p_total <= 1 - soundness_bound(3)
 
+    @pytest.mark.parametrize("n", range(2, 19))
+    def test_k4_near_cheat_at_every_width(self, n):
+        # K4 at width n: only the bad edge's two orderings reject, so
+        # p_total = 1 - 2 / (3 4^n)
+        c = encode_explicit(ExplicitGraph(4, frozenset(itertools.combinations(range(4), 2))), n)
+        cheat = near_coloring_proof(c, Coloring((0, 1, 2, 0)))
+        r = acceptance_exact(c, cheat, cheat)
+        assert abs(r.p_total - (1 - 2 / (3 * 4.0 ** n))) <= 1e-15
+        assert 1 - r.p_total >= soundness_bound(n)
+
 
 class TestErrorsAndReports:
     def test_shape_mismatch(self, k3, k3_coloring):
@@ -187,9 +197,13 @@ class TestErrorsAndReports:
             acceptance_exact(k3, h, wrong)
 
     def test_capacity_above_n8(self):
+        # n = 11 runs; m = 2^16 + 1 vertices meet the expand cap
         c = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 11)
         h = honest_proof(c, Coloring((0, 1)))
-        with pytest.raises(CapacityError):
+        assert acceptance_exact(c, h, h).p_consistency == 1.0
+        c = parse_sgc("SGC 1\nn 17\nm 65537\nw0 = CONST0\nout pair w0\nout edge w0\n")
+        h = honest_proof(c, Coloring((0, 1)))
+        with pytest.raises(CapacityError, match="m=65537"):
             acceptance_exact(c, h, h)
 
     def test_report_dict_fields(self, k3, k3_coloring):

@@ -242,9 +242,11 @@ class TestExpandEncode:
             encode_explicit(K4, 1)
 
     def test_expand_capacity(self):
-        text = "SGC 1\nn 17\nm 2\nw0 = CONST0\nout pair w0\nout edge w0\n"
+        # expand walks the m vertices, so m is capped, whatever n
+        text = "SGC 1\nn 17\nm {}\nw0 = CONST0\nout pair w0\nout edge w0\n"
+        assert expand(parse_sgc(text.format(4))).m == 4
         with pytest.raises(CapacityError):
-            expand(parse_sgc(text))
+            expand(parse_sgc(text.format(2 ** 16 + 1)))
 
     def test_matches_row_reference_on_bundled_instances(self):
         for name in corpus.available():
