@@ -31,9 +31,9 @@ from .gadgets import (GadgetProgram, ZHZHZ, cascade_acceptance,
 from .optimize import (AcceptanceOperator, SeesawResult,
                        build_acceptance_operator, lopcg_norm,
                        seesaw, spectral_norm)
-from .provers import (ProofDecomposition, ProverStrategy, decompose,
-                      honest_proof, near_coloring_proof, proof_shape,
-                      random_product_proofs, reconstruct)
+from .provers import (ProofBatch, ProofDecomposition, ProverStrategy,
+                      decompose, honest_proof, near_coloring_proof,
+                      proof_shape, random_product_proofs)
 from .qma2 import VerdictReport, acceptance_exact, run_sampled, soundness_bound
 from .sgraph import (Coloring, ExplicitGraph, SuccinctCircuit,
                      brute_force_3color, encode_explicit, eval_pair, expand,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, CapacityError
-from .provers import stack_proofs, uniformity_weights
+from .provers import ProofBatch, stack_proofs, uniformity_weights
 from .sgraph import SuccinctCircuit, edge_array, expand
 from .states import PureState
 from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
@@ -211,15 +211,19 @@ def _conflict_core(drawn: np.ndarray, edges, size: int, check) -> tuple:
     return m, pos, np.concatenate(src), np.concatenate(dst)
 
 
-def _consistency_exact(dists: np.ndarray, edges, size: int, budget: int) -> float:
+def _consistency_exact(dists: np.ndarray, counts: np.ndarray, edges, size: int,
+                       budget: int) -> float:
     """Exact consistency acceptance: the Moebius sum over the independent
-    sets of the conflict core of the support (README).  The core's m x m
-    conflict table counts against the budget.  Row T of ``drop`` holds,
-    per core outcome j in T, the row of T without j, and -1 for j not in T.
+    sets of the conflict core of the support (README).  Row r of ``dists``
+    is the outcome distribution of ``counts[r]`` consecutive registers; only
+    the core columns and the wildcard masses are repeated to the k
+    registers.  The core's m x m conflict table counts
+    against the budget.  Row T of ``drop`` holds, per core outcome j in T,
+    the row of T without j, and -1 for j not in T.
     Each of the S = sum_T 2^|T| signed terms reaches the sum with relative
     error below (k + 3m + 24) 2^-53 (product, transform, pairwise sum), so
     the unclamped sum is within (k + 3m + 24) S 2^-53 of the exact value."""
-    k = len(dists)
+    k = int(counts.sum())
 
     def check(m):
         if m * m > budget:
@@ -232,7 +236,14 @@ def _consistency_exact(dists: np.ndarray, edges, size: int, budget: int) -> floa
     conflict = np.zeros((m, m), dtype=bool)
     conflict[src, dst] = True
     core = pos < m
-    p, wild = dists[:, core].T, dists[:, ~core].sum(axis=1)
+    # p is C-ordered (m, k), as the product's bits depend on its layout, and
+    # each wildcard mass is summed left to right, the order numpy takes for
+    # the rows of a slice of two or more registers (one row it sums
+    # pairwise): neither depends on how many proofs are distinct
+    p = np.repeat(dists[:, core].T, counts, axis=1)
+    rest = dists[:, ~core]
+    wild = np.repeat(np.cumsum(rest, axis=1)[:, -1] if rest.size else np.zeros(len(rest)),
+                     counts)
     drop = _independent_sets(conflict, k, budget)
     member = drop >= 0
     mass = member @ p
@@ -253,10 +264,12 @@ def _check_mc_table(m: int):
                             f"{need} bytes, above the cap of {MC_TABLE_BYTES} (2^24)")
 
 
-def _consistency_monte_carlo(dists: np.ndarray, edges, size: int,
+def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size: int,
                              samples: int, seed: int) -> tuple[float, float]:
     """Sample outcome tuples register by register, in batches of at most
     50,000 rows and 2^24 / (3 * size) rows, and count the rejected ones.
+    Row r of ``dists`` is the outcome distribution of ``counts[r]``
+    consecutive registers.
 
     The core is built over the outcomes a draw can land on
     (:func:`_conflict_core`).  Core outcome j owns bit j % 64 of word
@@ -273,13 +286,16 @@ def _consistency_monte_carlo(dists: np.ndarray, edges, size: int,
     without drawing.
 
     A draw is ``searchsorted(cdf, u, side="right")``, read from a guide
-    table of GUIDE_BINS bins built the first time a register is drawn: the
-    search starts at the bin's first outcome and steps forward while
-    ``u >= cdf[out]``.  GUIDE_BINS is a power of two, so ``u * GUIDE_BINS``
-    and the bin edges are exact.  A draw is clipped to its register's last
-    outcome of nonzero probability."""
+    table of GUIDE_BINS bins, one per distinct distribution, built the
+    first time one of its registers is drawn: the search starts at the
+    bin's first outcome and steps forward while ``u >= cdf[out]``.
+    GUIDE_BINS is a power of two, so ``u * GUIDE_BINS`` and the bin edges
+    are exact.  A draw is clipped to its register's last outcome of
+    nonzero probability."""
     halfwidth = math.sqrt(math.log(2.0 / (1.0 - MC_CONFIDENCE)) / (2.0 * samples))
-    k, d = dists.shape
+    g, d = dists.shape
+    owner = np.repeat(np.arange(g), counts).tolist()
+    k = len(owner)
     last = d - 1 - np.argmax(dists[:, ::-1] > 0.0, axis=1)
     drawn = (dists > 0.0).any(axis=0)
     drawn[last] = True                   # a register with no mass lands on its last
@@ -292,11 +308,11 @@ def _consistency_monte_carlo(dists: np.ndarray, edges, size: int,
     word, bit = j >> 6, np.uint64(1) << (j & 63).astype(np.uint64)
     word[m], bit[m] = 0, 0
     batch = min(50_000, 2 ** 24 // (3 * size))
-    cdfs = np.empty((k, d + 1))
+    cdfs = np.empty((g, d + 1))
     np.cumsum(dists, axis=1, out=cdfs[:, :d])
     cdfs[:, d] = np.inf                       # stepping stops past the last outcome
     bin_starts = np.arange(GUIDE_BINS) / GUIDE_BINS
-    guides = [None] * k
+    guides = [None] * g
     rng = np.random.default_rng(seed)
     rejected = 0
     done = 0
@@ -304,18 +320,18 @@ def _consistency_monte_carlo(dists: np.ndarray, edges, size: int,
         b = min(batch, samples - done)
         seen = np.zeros((b, conflict.shape[1]), dtype=np.uint64)
         live = np.arange(b)
-        for i in range(k):
+        for i, r in enumerate(owner):
             u = rng.random(b)
             if len(live) < b:
                 u = u[live]
-            if guides[i] is None:
-                guides[i] = np.searchsorted(cdfs[i], bin_starts, side="right")
-            out = guides[i][(u * GUIDE_BINS).astype(np.intp)]
-            step = np.flatnonzero(u >= cdfs[i, out])
+            if guides[r] is None:
+                guides[r] = np.searchsorted(cdfs[r], bin_starts, side="right")
+            out = guides[r][(u * GUIDE_BINS).astype(np.intp)]
+            step = np.flatnonzero(u >= cdfs[r, out])
             while step.size:
                 out[step] += 1
-                step = step[u[step] >= cdfs[i, out[step]]]
-            np.minimum(out, last[i], out=out)
+                step = step[u[step] >= cdfs[r, out[step]]]
+            np.minimum(out, last[r], out=out)
             j = pos[out]
             flat = seen.reshape(-1)       # a flat index per row: 2-D fancy |= is slower
             at = np.arange(0, flat.size, seen.shape[1]) + word[j]
@@ -336,8 +352,9 @@ def consistency_accept(c: SuccinctCircuit, proofs, mode: str = "exact",
                        samples: int | None = None, seed: int | None = None):
     """Consistency-test acceptance probability over all register pairs.
 
-    ``proofs`` is a list of k proofs or their ``(k, 2^n, 3)`` batch from
-    :func:`uvlab.provers.stack_proofs`.  Exact mode returns a float;
+    ``proofs`` is a list of k proofs or their
+    :class:`~uvlab.provers.ProofBatch`; each distinct proof's outcome
+    distribution is computed once.  Exact mode returns a float;
     Monte-Carlo mode returns (estimate, halfwidth) and requires both a
     sample count and a seed.  Both read the conflict core of the expanded
     edge list.
@@ -346,18 +363,18 @@ def consistency_accept(c: SuccinctCircuit, proofs, mode: str = "exact",
         raise ValueError(f"unknown consistency mode {mode!r}")
     if mode == "mc" and (samples is None or samples < 1 or seed is None):
         raise ValueError("Monte-Carlo mode requires a positive number of samples and a seed")
-    batch = proofs if isinstance(proofs, np.ndarray) else stack_proofs(proofs, c.n)
-    dists = np.abs(batch).reshape(len(batch), -1) ** 2
+    batch = proofs if isinstance(proofs, ProofBatch) else stack_proofs(proofs, c.n)
+    dists = np.abs(batch.amps).reshape(len(batch.amps), -1) ** 2
     edges = expand(c).edges
     if mode == "exact":
-        return _consistency_exact(dists, edges, 2 ** c.n, enumeration_budget())
-    return _consistency_monte_carlo(dists, edges, 2 ** c.n, samples, seed)
+        return _consistency_exact(dists, batch.counts, edges, 2 ** c.n, enumeration_budget())
+    return _consistency_monte_carlo(dists, batch.counts, edges, 2 ** c.n, samples, seed)
 
 
 def acceptance(c: SuccinctCircuit, proofs, mode: str = "exact",
                samples: int | None = None, seed: int | None = None) -> BellReport:
     """Half-half mixture of the consistency and uniformity tests, both read
-    from one stacked proof batch.  Only Monte-Carlo reports carry samples,
+    from one proof batch.  Only Monte-Carlo reports carry samples,
     seed and a half-width."""
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown acceptance mode {mode!r}")

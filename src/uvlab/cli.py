@@ -15,6 +15,7 @@ errors (a file that cannot be read or written included), 3 capacity errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -175,7 +176,9 @@ def cmd_suite(args) -> int:
     return EXIT_OK if summary["passed"] else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``uvlab`` argument parser, built once per process."""
     ap = argparse.ArgumentParser(prog="uvlab",
                                  description="verification lab for unentangled-proof "
                                              "protocols on succinct 3-coloring instances")

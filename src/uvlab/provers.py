@@ -10,8 +10,9 @@ honest proof for a coloring c is
 with vertices outside the graph padded by color 0.  Any node (x) color state
 factors row-wise as amplitudes alpha_i on nodes and conditional unit rows
 beta_{i,j} on colors; that view drives all the soundness lemmas.  Both
-verifiers read k proofs as one ``(k, 2^n, 3)`` array (:func:`stack_proofs`)
-and take their uniformity weights from :func:`uniformity_weights`.
+verifiers read k proofs as one :class:`ProofBatch` (:func:`stack_proofs`),
+the distinct proofs with their multiplicities, and take their uniformity
+weights from :func:`uniformity_weights`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .sgraph import Coloring, SuccinctCircuit, expand
 from .states import ZERO_BRANCH_TOL, PureState, RegisterShape
 from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
 
-MAX_BATCH_AMPLITUDES = 2 ** 24     # k * 3 * 2^n complex128s: 256 MiB
+MAX_BATCH_AMPLITUDES = 2 ** 24     # distinct proofs * 3 * 2^n complex128s: 256 MiB
 
 
 def proof_shape(n: int) -> RegisterShape:
@@ -60,58 +61,96 @@ def decompose(state: PureState) -> ProofDecomposition:
     return ProofDecomposition(alpha.astype(np.complex128), beta)
 
 
-def reconstruct(d: ProofDecomposition, labels=("node", "color")) -> PureState:
-    """Inverse of :func:`decompose` up to the zero-row convention."""
-    t = d.alpha[:, None] * d.beta
-    shape = RegisterShape.of(t.shape, labels)
-    return PureState(shape, t.reshape(-1))
-
-
-def _check_batch_size(k: int, nodes: int):
-    """Raise :class:`CapacityError` when k proofs of ``nodes`` x 3
-    amplitudes exceed MAX_BATCH_AMPLITUDES; call before allocating."""
-    if k * 3 * nodes > MAX_BATCH_AMPLITUDES:
+def _check_batch_size(distinct: int, nodes: int, k: int):
+    """Raise :class:`CapacityError` when ``distinct`` proofs of ``nodes`` x 3
+    amplitudes, read by k registers, exceed MAX_BATCH_AMPLITUDES; call
+    before allocating."""
+    if distinct * 3 * nodes > MAX_BATCH_AMPLITUDES:
         raise CapacityError(
-            f"k={k} proofs at n={nodes.bit_length() - 1} need {k * 3 * nodes} "
-            f"amplitudes, above the proof-batch cap of {MAX_BATCH_AMPLITUDES} (2^24)")
+            f"k={k} proofs at n={nodes.bit_length() - 1} need {distinct * 3 * nodes} "
+            f"distinct amplitudes, above the proof-batch cap of {MAX_BATCH_AMPLITUDES} (2^24)")
 
 
-def stack_proofs(proofs, n: int | None = None) -> np.ndarray:
-    """Stack k node (x) color proofs with 2^n nodes each into one
-    ``(k, 2^n, 3)`` amplitude array; n defaults to the first proof's.
-    Raises :class:`ShapeMismatchError` for a proof with other dims and
-    :class:`CapacityError` above MAX_BATCH_AMPLITUDES."""
+@dataclass(frozen=True, eq=False)
+class ProofBatch:
+    """k proof registers as their g distinct ``(2^n, 3)`` amplitude tables,
+    ``amps`` of shape ``(g, 2^n, 3)``, and ``counts``: distinct proof r
+    fills the next ``counts[r]`` registers, in register order.  It reads as
+    a sequence of k :class:`PureState` objects; per-register arrays come
+    from :meth:`per_register`."""
+
+    amps: np.ndarray
+    counts: np.ndarray
+
+    @staticmethod
+    def repeated(proof: PureState, k: int) -> "ProofBatch":
+        """One proof in all k registers, stored once."""
+        return ProofBatch(proof.tensor_view()[None], np.array([k]))
+
+    def __len__(self) -> int:
+        return int(self.counts.sum())
+
+    def per_register(self, rows: np.ndarray) -> np.ndarray:
+        """Repeat per-distinct-proof rows (axis 0) into register order;
+        ``per_register(amps)`` is the ``(k, 2^n, 3)`` stack."""
+        return np.repeat(rows, self.counts, axis=0)
+
+    def _state(self, r: int) -> PureState:
+        return PureState(proof_shape(self.amps.shape[1].bit_length() - 1), self.amps[r])
+
+    def __getitem__(self, i: int) -> PureState:
+        return self._state(self.per_register(np.arange(len(self.counts)))[i])
+
+    def __iter__(self):
+        for r, count in enumerate(self.counts):
+            yield from [self._state(r)] * int(count)
+
+
+def stack_proofs(proofs, n: int | None = None) -> ProofBatch:
+    """k node (x) color proofs with 2^n nodes each as one :class:`ProofBatch`;
+    n defaults to the first proof's.  A run of one object repeated, as in
+    ``[h] * k``, is stored once; a batch passes through.  Raises
+    :class:`ShapeMismatchError` for a proof with other dims and
+    :class:`CapacityError` when the distinct proofs exceed
+    MAX_BATCH_AMPLITUDES."""
+    if isinstance(proofs, ProofBatch):
+        if n is not None and proofs.amps.shape[1] != 2 ** n:
+            raise ShapeMismatchError(f"batch has {proofs.amps.shape[1]} nodes, expected {2 ** n}")
+        return proofs
     want = (2 ** n if n is not None else proofs[0].shape.dims[0], 3)
-    _check_batch_size(len(proofs), want[0])
-    batch = np.empty((len(proofs),) + want, dtype=np.complex128)
-    for i, p in enumerate(proofs):
-        if p.shape.dims != want:
-            raise ShapeMismatchError(f"proof {i} has dims {p.shape.dims}, expected {want}")
-        batch[i] = p.tensor_view()
-    return batch
+    starts = [i for i, p in enumerate(proofs) if i == 0 or p is not proofs[i - 1]]
+    _check_batch_size(len(starts), want[0], len(proofs))
+    amps = np.empty((len(starts),) + want, dtype=np.complex128)
+    for r, i in enumerate(starts):
+        if proofs[i].shape.dims != want:
+            raise ShapeMismatchError(
+                f"proof {i} has dims {proofs[i].shape.dims}, expected {want}")
+        amps[r] = proofs[i].tensor_view()
+    return ProofBatch(amps, np.diff(starts + [len(proofs)]))
 
 
-def _color_overlap(batch: np.ndarray) -> np.ndarray:
-    """xi = t . u_3: each register's color projected onto u_3, shape (k, 2^n)."""
-    return batch @ np.full(3, 1.0 / math.sqrt(3))
+def _color_overlap(amps: np.ndarray) -> np.ndarray:
+    """xi = t . u_3: each proof's color projected onto u_3, shape (g, 2^n)."""
+    return amps @ np.full(3, 1.0 / math.sqrt(3))
 
 
-def uniformity_weights(batch: np.ndarray) -> np.ndarray:
+def uniformity_weights(batch: ProofBatch) -> np.ndarray:
     """(k, 3) weights (a, b, c) = (Pr[x=1], Pr[x=0, y=0], Pr[x=0, y=1]) of
-    the color (x) then node (y) uniformity measurement on a proof batch.
+    the color (x) then node (y) uniformity measurement on each register of
+    a proof batch, computed once per distinct proof.
 
     Closed form with xi = t . u_3: Pr[x=0] = ||xi||^2, b = |sum xi|^2 / 2^n,
     c = ||xi||^2 - b, a = 1 - ||xi||^2, clamped at 0 against rounding.  As in
     :func:`uniformity_measure`, a color-0 branch below ZERO_BRANCH_TOL has no
     post state, so its register gets b = c = 0 exactly.
     """
-    xi = _color_overlap(batch)
+    xi = _color_overlap(batch.amps)
     p0 = np.sum(np.abs(xi) ** 2, axis=1)
     b = np.abs(xi.sum(axis=1)) ** 2 / xi.shape[1]
     c = np.maximum(p0 - b, 0.0)
     dark = p0 < ZERO_BRANCH_TOL
     b[dark] = c[dark] = 0.0
-    return np.stack([np.maximum(1.0 - p0, 0.0), b, c], axis=1)
+    return batch.per_register(np.stack([np.maximum(1.0 - p0, 0.0), b, c], axis=1))
 
 
 def color_branch_node_amplitudes(state: PureState) -> tuple[float, np.ndarray]:
@@ -121,17 +160,17 @@ def color_branch_node_amplitudes(state: PureState) -> tuple[float, np.ndarray]:
     batch = stack_proofs([state])
     _, b, c = uniformity_weights(batch)[0]
     if b + c == 0.0:
-        return 0.0, np.zeros(batch.shape[1], dtype=np.complex128)
-    return float(b + c), _color_overlap(batch)[0] / math.sqrt(b + c)
+        return 0.0, np.zeros(batch.amps.shape[1], dtype=np.complex128)
+    return float(b + c), _color_overlap(batch.amps)[0] / math.sqrt(b + c)
 
 
 def honest_proof(c: SuccinctCircuit, col: Coloring) -> PureState:
     """Honest proof state for a coloring, color-0 padding included."""
     n = c.n
-    ext = col.extended(n)
+    shape = proof_shape(n)                 # checks the dimension cap before allocating
     t = np.zeros((2 ** n, 3), dtype=np.complex128)
-    t[np.arange(2 ** n), ext] = 1.0 / math.sqrt(2 ** n)
-    return PureState(proof_shape(n), t.reshape(-1))
+    t[np.arange(2 ** n), col.extended(n)] = 1.0 / math.sqrt(2 ** n)
+    return PureState(shape, t.reshape(-1))
 
 
 def near_coloring_proof(c: SuccinctCircuit, col: Coloring, violations: int = 1) -> PureState:
@@ -147,18 +186,30 @@ def near_coloring_proof(c: SuccinctCircuit, col: Coloring, violations: int = 1) 
     return honest_proof(c, col)
 
 
+def _haar_rows(k: int, total: int, rng: np.random.Generator) -> np.ndarray:
+    """k normalized complex-Gaussian rows of length ``total`` from one
+    draw.  Row i takes ``total`` real parts, then ``total`` imaginary parts,
+    from the stream, and is divided by its norm, summed as
+    ``np.linalg.norm`` sums a complex vector: re . re + im . im."""
+    x = rng.standard_normal((k, 2, total))
+    z = x[:, 0] + 1j * x[:, 1]
+    z /= np.array([math.sqrt(re @ re + im @ im) for re, im in zip(z.real, z.imag)])[:, None]
+    return z
+
+
 def haar_state(shape: RegisterShape, rng: np.random.Generator) -> PureState:
     """Haar-random state on the full space of the shape, via a normalized
     complex-Gaussian vector."""
-    z = rng.standard_normal(shape.total) + 1j * rng.standard_normal(shape.total)
-    return PureState(shape, z / np.linalg.norm(z))
+    return PureState(shape, _haar_rows(1, shape.total, rng)[0])
 
 
-def random_product_proofs(shape: RegisterShape, k: int, seed: int) -> list[PureState]:
+def random_product_proofs(shape: RegisterShape, k: int, seed: int) -> ProofBatch:
     """k independent Haar-random proofs, one per proof register; the joint
-    input is their product.  Reproducible from the 64-bit seed."""
-    rng = np.random.default_rng(seed)
-    return [haar_state(shape, rng) for _ in range(k)]
+    input is their product.  Reproducible from the 64-bit seed, and drawn
+    in one call that gives the same proofs as k :func:`haar_state` calls."""
+    _check_batch_size(k, shape.dims[0], k)
+    z = _haar_rows(k, shape.total, np.random.default_rng(seed))
+    return ProofBatch(z.reshape((k,) + shape.dims), np.ones(k, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -167,8 +218,9 @@ class ProverStrategy:
 
     kind: ``honest`` (needs a valid coloring), ``near_coloring`` (needs a
     flawed coloring plus its violation count), or ``random`` (needs a
-    seed).  :meth:`states` checks the k-proof batch against
-    MAX_BATCH_AMPLITUDES before building any proof.
+    seed).  :meth:`states` returns a :class:`ProofBatch`: one honest or
+    near proof of multiplicity k, or k distinct random ones, checked
+    against MAX_BATCH_AMPLITUDES before any is drawn.
     """
 
     kind: str
@@ -176,18 +228,18 @@ class ProverStrategy:
     violations: int = 1
     seed: int | None = None
 
-    def states(self, c: SuccinctCircuit, k: int) -> list[PureState]:
-        _check_batch_size(k, 2 ** c.n)
-        if self.kind == "honest":
-            if self.coloring is None or not self.coloring.is_valid_for(expand(c)):
-                raise ValueError("honest strategy requires a valid coloring")
-            return [honest_proof(c, self.coloring)] * k
-        if self.kind == "near_coloring":
-            if self.coloring is None:
-                raise ValueError("near_coloring strategy requires a coloring")
-            return [near_coloring_proof(c, self.coloring, self.violations)] * k
+    def states(self, c: SuccinctCircuit, k: int) -> ProofBatch:
         if self.kind == "random":
             if self.seed is None:
                 raise ValueError("random strategy requires a seed")
             return random_product_proofs(proof_shape(c.n), k, self.seed)
+        if self.kind == "honest":
+            if self.coloring is None or not self.coloring.is_valid_for(expand(c)):
+                raise ValueError("honest strategy requires a valid coloring")
+            return ProofBatch.repeated(honest_proof(c, self.coloring), k)
+        if self.kind == "near_coloring":
+            if self.coloring is None:
+                raise ValueError("near_coloring strategy requires a coloring")
+            return ProofBatch.repeated(
+                near_coloring_proof(c, self.coloring, self.violations), k)
         raise ValueError(f"unknown strategy kind {self.kind!r}")

@@ -96,10 +96,10 @@ def acceptance_exact(c: SuccinctCircuit, r1: PureState, r2: PureState) -> Verdic
     same_vertex_pass(p, q) - sum_{uv in E} sum_c (p_uc q_vc + p_vc q_uc)."""
     batch = stack_proofs([r1, r2], c.n)
     p_eq = swap_test(r1, r2, mode="closed_form")
-    p, q = np.abs(batch) ** 2
+    p, q = batch.per_register(np.abs(batch.amps) ** 2)
     u, v = edge_array(expand(c).edges).T
     p_cons = same_vertex_pass(p, q) - float((p[u] * q[v] + p[v] * q[u]).sum())
-    p_unif = 1.0 - float(uniformity_weights(batch[:1])[0, 2])
+    p_unif = 1.0 - float(uniformity_weights(batch)[0, 2])
     probs = [min(1.0, max(0.0, x)) for x in (p_eq, p_cons, p_unif)]
     return VerdictReport(*probs, min(1.0, sum(probs) / 3.0))
 

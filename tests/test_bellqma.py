@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from uvlab import bellqma, corpus
 from uvlab.errors import BudgetError, CapacityError
-from uvlab.provers import (haar_state, honest_proof, near_coloring_proof,
+from uvlab.provers import (ProverStrategy, haar_state, honest_proof, near_coloring_proof,
                            proof_shape, random_product_proofs, stack_proofs)
 from uvlab.qma2 import acceptance_exact, consistency_accept_table
 from uvlab.sgraph import Coloring, ExplicitGraph, encode_explicit, expand
@@ -108,8 +108,14 @@ def mc_reference(dists, edges, size, samples, seed):
     return p_accept, halfwidth
 
 
+def ones(dists):
+    """One register per row of ``dists``."""
+    return np.ones(len(dists), dtype=np.intp)
+
+
 def outcome_dists(c, proofs):
-    return np.abs(stack_proofs(proofs, c.n)).reshape(len(proofs), -1) ** 2
+    batch = stack_proofs(proofs, c.n)
+    return np.abs(batch.per_register(batch.amps)).reshape(len(proofs), -1) ** 2
 
 
 class TestUniformityDP:
@@ -246,7 +252,7 @@ class TestConsistency:
             dists /= dists.sum(axis=1, keepdims=True)
             live = np.flatnonzero(dists.max(axis=0) > 0)
             core = any(reject[a, b] for a in live for b in live)
-            got = bellqma._consistency_exact(dists, expand(k4).edges, 4, 10 ** 7)
+            got = bellqma._consistency_exact(dists, ones(dists), expand(k4).edges, 4, 10 ** 7)
             if not core:
                 empty += 1
                 assert got == 1.0
@@ -263,7 +269,7 @@ class TestConsistency:
             for proofs in [[cheat] * k] + [
                     random_product_proofs(proof_shape(c.n), k, s) for s in (1, 2, 3)]:
                 dists = outcome_dists(c, proofs)
-                got = bellqma._consistency_exact(dists, edges, 2 ** c.n, 10 ** 7)
+                got = bellqma._consistency_exact(dists, ones(dists), edges, 2 ** c.n, 10 ** 7)
                 assert abs(got - grid_reference(dists, reject)) < 1e-12
                 assert got == mobius_reference(dists, reject, 10 ** 7)
 
@@ -275,7 +281,7 @@ class TestConsistency:
         dists = outcome_dists(c, random_product_proofs(proof_shape(5), 3, 4))
         dists[:, 90:] = 0.0
         dists /= dists.sum(axis=1, keepdims=True)
-        got = bellqma._consistency_exact(dists, expand(c).edges, 2 ** 5, 10 ** 7)
+        got = bellqma._consistency_exact(dists, ones(dists), expand(c).edges, 2 ** 5, 10 ** 7)
         assert abs(got - grid_reference(dists, reject)) < 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -380,7 +386,8 @@ class TestConsistency:
                 if (samples == 120_001 and k == bellqma.default_k(c.n)
                         and (c.n > 2 or strategy == "random")):
                     continue       # the reference alone takes 1.5-4 s there
-                got = bellqma._consistency_monte_carlo(dists, edges, 2 ** c.n, samples, 9)
+                got = bellqma._consistency_monte_carlo(dists, ones(dists), edges, 2 ** c.n,
+                                                       samples, 9)
                 assert got == mc_reference(dists, edges, 2 ** c.n, samples, 9)
                 if samples == 120_001 and k in (3, 5, 7):
                     assert 0.0 < got[0] < 1.0
@@ -395,7 +402,7 @@ class TestConsistency:
         dists[1, [1, 3]] = 1 - 1e-5, 1e-5
         dists[2, [6, 7]] = 0.5
         dists[3, 6] = 1.0
-        got = bellqma._consistency_monte_carlo(dists, [], 4, 10 ** 6, 1)
+        got = bellqma._consistency_monte_carlo(dists, ones(dists), [], 4, 10 ** 6, 1)
         assert 0.0 < got[0] < 1e-5
         assert got == mc_reference(dists, [], 4, 10 ** 6, 1)
 
@@ -406,7 +413,7 @@ class TestConsistency:
         dists = np.zeros((2, 12))
         dists[0, 0] = 0.5
         dists[1, 9] = 1.0
-        assert bellqma._consistency_monte_carlo(dists, [], 4, 20_000, 3)[0] == 1.0
+        assert bellqma._consistency_monte_carlo(dists, ones(dists), [], 4, 20_000, 3)[0] == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -432,7 +439,7 @@ class TestConsistency:
         edges = sorted(data.draw(st.sets(st.sampled_from(pairs))))
         samples = data.draw(st.sampled_from([1, 2, 999, 50_001]))
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
-        got = bellqma._consistency_monte_carlo(dists, edges, size, samples, seed)
+        got = bellqma._consistency_monte_carlo(dists, ones(dists), edges, size, samples, seed)
         assert got == mc_reference(dists, edges, size, samples, seed)
 
     def test_mc_honest_is_exactly_one(self, k3, k3_coloring):
@@ -447,7 +454,7 @@ class TestConsistency:
         # (vertex 3, color 2) and meets register 1's (3, 0)
         dists = np.zeros((2, 12))
         dists[1, 9] = 1.0
-        got = bellqma._consistency_monte_carlo(dists, [], 4, 1000, 2)
+        got = bellqma._consistency_monte_carlo(dists, ones(dists), [], 4, 1000, 2)
         assert got[0] == 0.0
         assert got == mc_reference(dists, [], 4, 1000, 2)
 
@@ -484,6 +491,39 @@ class TestAcceptance:
         with pytest.raises(ValueError, match="mode"):
             bellqma.acceptance(k4, proofs, mode="Exact", samples=100, seed=1)
 
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("name, kind", [
+        ("k3_n2", "honest"), ("k3_n3", "honest"), ("k4_n2", "near_coloring"),
+        ("k4_n3", "near_coloring"), ("k4_n2", "random"), ("k4_n3", "random")])
+    def test_batch_matches_explicit_proofs(self, name, kind, mode):
+        # the strategy's batch (one proof of multiplicity k, or k random
+        # proofs from one draw) gives the report of k separate PureStates,
+        # bit for bit: k copies of the proof, or k haar_state draws
+        c = corpus.load(name)
+        k = bellqma.default_k(c.n)
+        if kind == "random":
+            batch = ProverStrategy("random", seed=5).states(c, k)
+            rng = np.random.default_rng(5)
+            explicit = [haar_state(proof_shape(c.n), rng) for _ in range(k)]
+        else:
+            coloring = corpus.witness_coloring(name) if kind == "honest" else Coloring((0, 1, 2, 0))
+            batch = ProverStrategy(kind, coloring=coloring).states(c, k)
+            assert list(batch.counts) == [k]
+            explicit = [PureState(batch[0].shape, batch[0].amps) for _ in range(k)]
+        assert len(stack_proofs(explicit).counts) == k
+        got = bellqma.acceptance(c, batch, mode, samples=5000, seed=3)
+        want = bellqma.acceptance(c, explicit, mode, samples=5000, seed=3)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("n", [5, 7, 11])
+    def test_repeated_proof_matches_copies_at_odd_widths(self, n):
+        # at odd n each outcome probability is an inexact square, so the
+        # wildcard mass of 3 * 2^n - 2 outcomes depends on its summation order
+        c = encode_explicit(ExplicitGraph(4, frozenset(itertools.combinations(range(4), 2))), n)
+        cheat = near_coloring_proof(c, Coloring((0, 1, 2, 0)))
+        copies = [PureState(cheat.shape, cheat.amps) for _ in range(7)]
+        assert repr(bellqma.acceptance(c, [cheat] * 7)) == repr(bellqma.acceptance(c, copies))
+
     def test_mc_report_fields(self, k4):
         cheat = near_coloring_proof(k4, Coloring((0, 1, 2, 0)))
         rep = bellqma.acceptance(k4, [cheat] * 20, mode="mc", samples=5000, seed=11)
@@ -515,13 +555,13 @@ class TestCapacity:
         assert 1 - 2.0 ** (-len(proofs) / 40) <= rep.p_total <= 1.0
 
     def test_exact_above_cap_raises(self):
-        # n = 11 runs exactly; at n = 12 the default k = 1440 meets the
-        # proof-batch cap
-        c, proofs = self.edge_instance(11)
-        assert bellqma.acceptance(c, proofs, mode="exact").p_consistency == 1.0
+        # the honest proof is stored once, so n = 12 runs exactly at the
+        # default k = 1440; 1440 distinct random proofs meet the proof-batch
+        # cap there, before any is drawn
         c, proofs = self.edge_instance(12)
+        assert bellqma.acceptance(c, proofs, mode="exact").p_consistency == 1.0
         with pytest.raises(CapacityError, match="k=1440 proofs at n=12"):
-            bellqma.acceptance(c, proofs, mode="exact")
+            random_product_proofs(proof_shape(12), bellqma.default_k(12), seed=1)
 
     def test_mc_presence_table_is_bounded(self):
         # 50,000 rows of 3 * 2^10 presence bits would take 154 MB at once;
@@ -542,13 +582,19 @@ class TestCapacity:
 
     def test_mc_core_table_cap_raises_before_allocating(self):
         # full support at n = 12: a 12,288-outcome core whose packed table
-        # would take 12,289 * 192 * 8 bytes (18.9 MB), above 2^24
+        # would take 12,289 * 192 * 8 bytes (18.9 MB), above 2^24.  The
+        # 8,192 edges of a circulant graph add 6 pairs each to the 6
+        # same-vertex pairs per vertex: 122,880 ordered pairs, whose two
+        # index arrays alone take 1.9 MB, so the cap must be checked before
+        # the pairs are listed
+        edges = [(u, (u + step) % 4096) for step in (1, 2) for u in range(4096)]
+        edges = [(min(e), max(e)) for e in edges]
         dists = outcome_dists(encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 12),
                               random_product_proofs(proof_shape(12), 2, seed=1))
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="12288-outcome core"):
-                bellqma._consistency_monte_carlo(dists, [(0, 1)], 2 ** 12, 1000, 1)
+                bellqma._consistency_monte_carlo(dists, ones(dists), edges, 2 ** 12, 1000, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -564,7 +610,7 @@ class TestChernoff:
 
 
 class TestSoundnessAcrossWidths:
-    @pytest.mark.parametrize("n", range(2, 12))
+    @pytest.mark.parametrize("n", range(2, 21))
     def test_k4_near_cheat_at_every_width(self, n):
         # K4 at width n, near cheat at k = 120 n: the exact core has the
         # bad edge's two outcomes at every n, so p_cons is the closed form

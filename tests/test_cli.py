@@ -178,17 +178,20 @@ class TestErrorsAndFormats:
                         "--protocol", "qma2", "--strategy", "honest"]) == 3
 
     def test_bellqma_near_past_n10_exit_0(self, tmp_path, capsys):
-        # K4 at n = 11 with the default k = 1320, exact consistency
+        # K4 at n = 11 and 12 with the default k = 120 n, exact consistency;
+        # the near cheat is one proof of multiplicity k, so the proof-batch
+        # cap that random proofs meet at n = 12 does not apply
         from uvlab.sgraph import encode_explicit, format_sgc
-        k4 = tmp_path / "k4_n11.sgc"
-        k4.write_text(format_sgc(encode_explicit(
-            ExplicitGraph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)})), 11)))
-        assert run_cli(["run", "--instance", str(k4), "--protocol", "bellqma",
-                        "--strategy", "near"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        q, k = 1 - 2.0 ** -11, 1320
-        assert report["k"] == k
-        assert abs(report["p_cons"] - (2 * q ** k - (2 * q - 1) ** k)) < 1e-12
+        for n in (11, 12):
+            k4 = tmp_path / f"k4_n{n}.sgc"
+            k4.write_text(format_sgc(encode_explicit(
+                ExplicitGraph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)})), n)))
+            assert run_cli(["run", "--instance", str(k4), "--protocol", "bellqma",
+                            "--strategy", "near"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            q, k = 1 - 2.0 ** -n, 120 * n
+            assert report["k"] == k
+            assert abs(report["p_cons"] - (2 * q ** k - (2 * q - 1) ** k)) < 1e-12
 
     def test_proof_batch_cap_exit_3(self, tmp_path, capsys):
         from uvlab.sgraph import encode_explicit, format_sgc
@@ -225,7 +228,8 @@ class TestErrorsAndFormats:
         (None, ["--protocol", "oracle"], "0", cli.EXIT_INSTANCE, "UVLAB_BUDGET"),
         (None, ["--protocol", "bellqma"], "-3", cli.EXIT_INSTANCE, "UVLAB_BUDGET"),
         (None, ["--protocol", "bellqma", "--k", "3"], "1000", cli.EXIT_OK, ""),
-        (12, ["--protocol", "bellqma"], None, cli.EXIT_CAPACITY, "k=1440 proofs at n=12"),
+        (12, ["--protocol", "bellqma", "--strategy", "random", "--seed", "1"],
+         None, cli.EXIT_CAPACITY, "k=1440 proofs at n=12"),
         ("k4_n2", ["--protocol", "bellqma", "--strategy", "near"], None, cli.EXIT_OK, ""),
         ("k4_n4", ["--protocol", "bellqma", "--strategy", "random", "--seed", "1"],
          None, cli.EXIT_CAPACITY, "use Monte-Carlo mode"),
@@ -236,6 +240,7 @@ class TestErrorsAndFormats:
          "Is a directory"),
         ("suite", ["lemmas", "--out", "{tmp}/missing/s.json"], None, cli.EXIT_INSTANCE,
          "does not exist"),
+        (12, ["--protocol", "bellqma"], None, cli.EXIT_OK, ""),
     ])
     def test_exit_codes(self, width, argv, budget, code, message, tmp_path,
                         monkeypatch, capsys):

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uvlab.bellqma import default_k
-from uvlab.errors import CapacityError
-from uvlab.provers import (MAX_BATCH_AMPLITUDES, ProverStrategy,
+from uvlab.errors import CapacityError, ShapeMismatchError
+from uvlab.provers import (MAX_BATCH_AMPLITUDES, ProofBatch, ProverStrategy,
                            color_branch_node_amplitudes, decompose, haar_state,
                            honest_proof, near_coloring_proof, proof_shape,
-                           random_product_proofs, reconstruct, stack_proofs,
-                           uniformity_weights)
+                           random_product_proofs, stack_proofs, uniformity_weights)
 from uvlab.sgraph import Coloring, ExplicitGraph, encode_explicit
 from uvlab.states import PureState, basis_state, uniformity_measure
 
@@ -77,8 +76,8 @@ class TestDecomposition:
     def test_random_round_trip(self, rng):
         for _ in range(50):
             s = haar_state(proof_shape(2), rng)
-            again = reconstruct(decompose(s))
-            assert np.linalg.norm(again.amps - s.amps) < 1e-9
+            d = decompose(s)
+            assert np.linalg.norm(d.alpha[:, None] * d.beta - s.tensor_view()) < 1e-9
 
     def test_color_branch_amplitudes_satisfy_marginal_bound(self, rng):
         for _ in range(50):
@@ -104,6 +103,23 @@ class TestRandomProofs:
         norms = [s.norm() for s in random_product_proofs(proof_shape(1), 100, seed=9)]
         assert abs(np.mean(norms) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 240), (3, 360), (8, 5), (12, 2)])
+    def test_one_draw_matches_separate_draws(self, n, k):
+        # the single draw consumes the stream as k separate normalized
+        # complex-Gaussian vectors do, and gives their bits
+        rng = np.random.default_rng(11)
+        want = []
+        for _ in range(k):
+            z = rng.standard_normal(3 * 2 ** n) + 1j * rng.standard_normal(3 * 2 ** n)
+            want.append(z / np.linalg.norm(z))
+        batch = random_product_proofs(proof_shape(n), k, seed=11)
+        assert batch.amps.shape == (k, 2 ** n, 3) and list(batch.counts) == [1] * k
+        got = batch.per_register(batch.amps).reshape(k, -1)
+        assert got.tobytes() == np.array(want).tobytes()
+        rng = np.random.default_rng(11)
+        last = [haar_state(proof_shape(n), rng) for _ in range(k)][-1]
+        assert got[-1].tobytes() == last.amps.tobytes()
+
 
 class TestStrategies:
     def test_honest_requires_valid_coloring(self, k4):
@@ -114,30 +130,74 @@ class TestStrategies:
         strat = ProverStrategy("random", seed=3)
         assert len(strat.states(k3, 4)) == 4
 
+    def test_honest_is_one_proof_of_multiplicity_k(self, k3, k3_coloring):
+        batch = ProverStrategy("honest", coloring=k3_coloring).states(k3, 5)
+        h = honest_proof(k3, k3_coloring)
+        assert batch.amps.shape == (1, 4, 3) and list(batch.counts) == [5]
+        assert len(batch) == 5 and all(np.array_equal(s.amps, h.amps) for s in batch)
+        assert np.array_equal(batch[-1].amps, h.amps)
+        with pytest.raises(IndexError):
+            batch[5]
+
     def test_unknown_kind(self, k3):
         with pytest.raises(ValueError, match="unknown strategy"):
             ProverStrategy("devious").states(k3, 2)
 
 
+class TestProofBatch:
+    def test_runs_of_one_object_are_stored_once(self, k3, k3_coloring, rng):
+        h = honest_proof(k3, k3_coloring)
+        r = haar_state(proof_shape(2), rng)
+        copy = PureState(h.shape, h.amps)
+        batch = stack_proofs([h, h, r, h, copy, copy, copy])
+        assert list(batch.counts) == [2, 1, 1, 3] and len(batch) == 7
+        want = [h.amps, h.amps, r.amps, h.amps, h.amps, h.amps, h.amps]
+        assert np.array_equal(batch.per_register(batch.amps).reshape(7, -1), want)
+        assert [s.amps.tobytes() for s in batch] == [a.tobytes() for a in want]
+        assert np.array_equal(batch[2].amps, r.amps)
+
+    def test_batch_passes_through(self, k3, k3_coloring):
+        batch = ProofBatch.repeated(honest_proof(k3, k3_coloring), 3)
+        assert stack_proofs(batch, 2) is batch
+        with pytest.raises(ShapeMismatchError):
+            stack_proofs(batch, 3)
+
+    def test_weights_once_per_distinct_proof(self, k3, k3_coloring, rng):
+        h, r = honest_proof(k3, k3_coloring), haar_state(proof_shape(2), rng)
+        weights = uniformity_weights(stack_proofs([h] * 3 + [r] * 2))
+        want = uniformity_weights(stack_proofs([h, r]))
+        assert np.array_equal(weights, want[[0, 0, 0, 1, 1]])
+
+
 class TestBatchCap:
-    # 342 proofs at n = 14 need 342 * 3 * 2^14 > 2^24 amplitudes
+    # 342 distinct proofs at n = 14 need 342 * 3 * 2^14 > 2^24 amplitudes
     edge_n14 = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 14)
 
     def test_default_k_fits_through_n11(self):
+        # for random proofs, which are k distinct ones
         assert default_k(11) * 3 * 2 ** 11 <= MAX_BATCH_AMPLITUDES
         assert default_k(12) * 3 * 2 ** 12 > MAX_BATCH_AMPLITUDES
 
     @pytest.mark.parametrize("strategy", [ProverStrategy("random", seed=1),
                                           ProverStrategy("honest", coloring=Coloring((0, 1)))])
     def test_strategy_checks_before_building(self, strategy):
-        with pytest.raises(CapacityError, match="k=342 proofs at n=14"):
-            strategy.states(self.edge_n14, 342)
+        # the cap counts distinct amplitudes: 342 random proofs meet it, one
+        # honest proof of multiplicity 342 does not
+        if strategy.kind == "random":
+            with pytest.raises(CapacityError, match="k=342 proofs at n=14"):
+                strategy.states(self.edge_n14, 342)
+        else:
+            batch = strategy.states(self.edge_n14, 342)
+            assert len(batch) == 342 and batch.amps.shape == (1, 2 ** 14, 3)
         assert len(strategy.states(self.edge_n14, 2)) == 2
 
     def test_stack_checks_before_allocating(self):
+        # two objects alternating: 342 runs, so 342 distinct tables
         h = honest_proof(self.edge_n14, Coloring((0, 1)))
+        other = honest_proof(self.edge_n14, Coloring((1, 0)))
+        assert list(stack_proofs([h] * 342, 14).counts) == [342]
         with pytest.raises(CapacityError, match=str(MAX_BATCH_AMPLITUDES)):
-            stack_proofs([h] * 342, 14)
+            stack_proofs([h, other] * 171, 14)
 
 
 def measured_weights(state):

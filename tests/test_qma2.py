@@ -178,7 +178,7 @@ class TestSoundness:
         assert abs(r.p_total - (1 - (2 / 3) * 4.0 ** (-3))) < 1e-12
         assert r.p_total <= 1 - soundness_bound(3)
 
-    @pytest.mark.parametrize("n", range(2, 19))
+    @pytest.mark.parametrize("n", range(2, 21))
     def test_k4_near_cheat_at_every_width(self, n):
         # K4 at width n: only the bad edge's two orderings reject, so
         # p_total = 1 - 2 / (3 4^n)
