@@ -40,6 +40,6 @@ from .sgraph import (Coloring, ExplicitGraph, SuccinctCircuit,
                      parse_sgc)
 from .states import (MeasurementBranch, PureState, RegisterShape, apply_gate,
                      computational_measure, pure_trace_distance, swap_test,
-                     tensor, uniform_state, uniformity_measure)
+                     tensor, uniformity_measure)
 
 __version__ = "0.1.0"

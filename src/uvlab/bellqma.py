@@ -25,7 +25,7 @@ from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/trac
 DEFAULT_BUDGET = 10 ** 7
 MC_CONFIDENCE = 0.99
 Z_PRIME_THRESHOLD = 1.0 / 12.0
-MC_TABLE_BYTES = 2 ** 24     # the Monte-Carlo conflict table's cap
+MC_TABLE_BYTES = 2 ** 24     # cap on the Monte-Carlo conflict table and a batch's packed rows
 GUIDE_BINS = 2 ** 10        # inverse-CDF guide table bins per register
 
 
@@ -111,7 +111,7 @@ def _uniformity_dps(weights: np.ndarray) -> np.ndarray:
     return _count_dp(weights[:, 0], np.stack([weights[:, 1], weights[:, 1] + weights[:, 2]]))
 
 
-def uniformity_accept_exact(proofs, k_threshold: int | None = None) -> float:
+def uniformity_accept_exact(proofs) -> float:
     """Exact uniformity acceptance via a Poisson-binomial-style DP.
 
     Register i contributes a_i when left out of Z, b_i when in Z with a
@@ -120,7 +120,7 @@ def uniformity_accept_exact(proofs, k_threshold: int | None = None) -> float:
     to [0, 1]: each of the k steps rounds, so the unclamped sum is within
     about k * 2^-52 of the exact value for the computed weights.
     """
-    thr = z_threshold(len(proofs)) if k_threshold is None else k_threshold
+    thr = z_threshold(len(proofs))
     return _probability(_uniformity_dps(uniformity_weights(stack_proofs(proofs)))[0, thr:])
 
 
@@ -267,8 +267,9 @@ def _check_mc_table(m: int):
 def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size: int,
                              samples: int, seed: int) -> tuple[float, float]:
     """Sample outcome tuples register by register, in batches of at most
-    50,000 rows and 2^24 / (3 * size) rows, and count the rejected ones.
-    Row r of ``dists`` is the outcome distribution of ``counts[r]``
+    50,000 rows, and count the rejected ones.  A batch's packed rows, the
+    seen bits and the conflict rows of a draw, take at most MC_TABLE_BYTES
+    each.  Row r of ``dists`` is the outcome distribution of ``counts[r]``
     consecutive registers.
 
     The core is built over the outcomes a draw can land on
@@ -307,7 +308,7 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
     j = np.arange(m + 1)
     word, bit = j >> 6, np.uint64(1) << (j & 63).astype(np.uint64)
     word[m], bit[m] = 0, 0
-    batch = min(50_000, 2 ** 24 // (3 * size))
+    batch = min(50_000, MC_TABLE_BYTES // (8 * conflict.shape[1]))
     cdfs = np.empty((g, d + 1))
     np.cumsum(dists, axis=1, out=cdfs[:, :d])
     cdfs[:, d] = np.inf                       # stepping stops past the last outcome

@@ -87,8 +87,9 @@ def _check_mc(args):
 def _run_qma2(args, c, name) -> dict:
     proofs, bad = _proofs_for(c, args.strategy, 2, args.seed)
     report = qma2.acceptance_exact(c, proofs[0], proofs[1])
-    out = qma2.report_dict(c, report, instance=name, strategy=args.strategy,
-                           seed=args.seed)
+    out = {"instance": name, "n": c.n, "strategy": args.strategy, "seed": args.seed,
+           "paper_soundness_floor": qma2.soundness_bound(c.n)}
+    out.update(report.to_dict())
     if bad is not None:
         out["declared_violations"] = bad
     if args.mode == "mc":
@@ -154,9 +155,7 @@ def cmd_run(args) -> int:
     _check_out(args.out)
     c, name = _load_instance(args.instance)
     runner = {"qma2": _run_qma2, "bellqma": _run_bellqma, "oracle": _run_oracle,
-              "seesaw": _run_seesaw, "gadget": _run_gadget}.get(args.protocol)
-    if runner is None:
-        raise ParseError(f"unknown protocol {args.protocol!r}")
+              "seesaw": _run_seesaw, "gadget": _run_gadget}[args.protocol]
     report = runner(args, c, name)
     _emit(report, args.out, args.csv)
     return EXIT_OK

@@ -112,16 +112,3 @@ def run_sampled(report: VerdictReport, samples: int, rng: np.random.Generator) -
     picks = rng.multinomial(samples, [1 / 3] * 3)
     probs = [report.p_equality, report.p_consistency, report.p_uniformity]
     return int(rng.binomial(picks, probs).sum())
-
-
-def report_dict(c: SuccinctCircuit, report: VerdictReport, *, instance: str,
-                strategy: str, seed: int | None = None) -> dict:
-    """Assemble the serializable run report, published floor included."""
-    out = {"instance": instance, "n": c.n, "strategy": strategy, "seed": seed,
-           "paper_soundness_floor": soundness_bound(c.n)}
-    out.update(report.to_dict())
-    return out
-
-
-__all__ = ["VerdictReport", "acceptance_exact", "run_sampled", "soundness_bound",
-           "consistency_accept_table", "same_vertex_pass", "report_dict"]

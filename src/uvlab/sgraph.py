@@ -40,7 +40,6 @@ cap, 100,000 to 240,000 for the bundled instances.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,6 +56,7 @@ MAX_EXPAND_VERTICES = 1 << 16
 MAX_BRUTE_FORCE_VERTICES = 20
 MAX_LABEL_BITS = 20      # one proof, 3 * 2^n amplitudes, fits states.MAX_TOTAL_DIM
 EXPAND_BLOCK_BYTES = 1 << 23     # live wire bits plus pair labels of one expand block
+MAX_EDGES = 1 << 21              # edges expand holds; the complete graph at n = 11 fits
 
 #: operand count of each gate op
 ARITY = {"AND": 2, "OR": 2, "NOT": 1, "CONST0": 0, "CONST1": 0}
@@ -136,13 +136,6 @@ class Coloring:
 
     def is_valid_for(self, g: ExplicitGraph) -> bool:
         return not self.monochromatic_edges(g)
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.colors))
-
-    @staticmethod
-    def from_json(text: str) -> "Coloring":
-        return Coloring(tuple(int(c) for c in json.loads(text)))
 
 
 _GATE_RE = re.compile(r"^w(\d+)\s*=\s*(AND|OR|NOT|CONST0|CONST1)\s*(.*)$")
@@ -297,7 +290,8 @@ def expand(c: SuccinctCircuit) -> ExplicitGraph:
     """Evaluate the circuit on every pair u < v < m, one pass over the gates
     per block of pairs (module docstring), and return the explicit graph.
     Only the m vertices are walked, so m, not 2^n, is held to
-    MAX_EXPAND_VERTICES."""
+    MAX_EXPAND_VERTICES, and a block that would take the edge count past
+    MAX_EDGES raises before its edges are stored."""
     if c.m > MAX_EXPAND_VERTICES:
         raise CapacityError(f"m={c.m} vertices exceeds expand cap {MAX_EXPAND_VERTICES}")
     wires = 2 * c.n + len(c.gates)
@@ -315,6 +309,8 @@ def expand(c: SuccinctCircuit) -> ExplicitGraph:
         bits = np.frombuffer((pair & edge).to_bytes((len(flat) + 7) // 8, "little"),
                              dtype=np.uint8)
         hit = np.flatnonzero(np.unpackbits(bits, count=len(flat), bitorder="little"))
+        if len(edges) + hit.size > MAX_EDGES:
+            raise CapacityError(f"the graph has more than {MAX_EDGES} edges, the expand cap")
         edges += zip(u[hit].tolist(), v[hit].tolist())
     return ExplicitGraph(c.m, frozenset(edges))
 
@@ -367,60 +363,48 @@ def encode_explicit(g: ExplicitGraph, n: int) -> SuccinctCircuit:
     return SuccinctCircuit(n, g.m, tuple(b.gates), out_pair, out_edge)
 
 
-def _neighbor_lists(g: ExplicitGraph) -> list[list[int]]:
-    nbr = [[] for _ in range(g.m)]
+def _least_violations(g: ExplicitGraph, bound: int) -> tuple[tuple[int, ...] | None, int]:
+    """Branch and bound over the colorings in product order (vertex 0 most
+    significant, colors 0, 1, 2): the first coloring with the fewest
+    monochromatic edges among those with fewer than ``bound``, and its
+    count; (None, bound) when there is none.  A branch is cut once its
+    count reaches the best so far, and the search stops at a valid
+    coloring, as none can do better."""
+    if g.m > MAX_BRUTE_FORCE_VERTICES:
+        raise CapacityError(f"m={g.m} exceeds brute-force cap {MAX_BRUTE_FORCE_VERTICES}")
+    earlier = [[] for _ in range(g.m)]      # the neighbors colored before each vertex
     for u, v in g.edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
-    return nbr
+        earlier[v].append(u)
+    colors = [0] * g.m
+    best = [bound, None]
+
+    def place(v: int, bad: int):
+        if v == g.m:
+            best[:] = bad, tuple(colors)
+            return
+        for c in range(3):
+            now = bad + sum(1 for w in earlier[v] if colors[w] == c)
+            if now < best[0]:
+                colors[v] = c
+                place(v + 1, now)
+                if not best[0]:
+                    return
+
+    place(0, 0)
+    return best[1], best[0]
 
 
 def brute_force_3color(g: ExplicitGraph) -> Coloring | None:
-    """Backtracking search; returns a valid 3-coloring iff one exists.
+    """The first valid 3-coloring in product order, or None when there is none.
 
     Independent oracle for the protocol tests: no quantum machinery involved.
     """
-    if g.m > MAX_BRUTE_FORCE_VERTICES:
-        raise CapacityError(f"m={g.m} exceeds brute-force cap {MAX_BRUTE_FORCE_VERTICES}")
-    nbr = _neighbor_lists(g)
-    colors = [-1] * g.m
-
-    def place(v: int) -> bool:
-        if v == g.m:
-            return True
-        for c in range(3):
-            if all(colors[w] != c for w in nbr[v] if colors[w] >= 0):
-                colors[v] = c
-                if place(v + 1):
-                    return True
-                colors[v] = -1
-        return False
-
-    if place(0):
-        return Coloring(tuple(colors))
-    return None
+    colors, _ = _least_violations(g, 1)
+    return None if colors is None else Coloring(colors)
 
 
 def min_violation_coloring(g: ExplicitGraph) -> tuple[Coloring, int]:
-    """Coloring minimizing the number of monochromatic edges (branch and
-    bound).  Returns (coloring, violation count); count 0 iff 3-colorable."""
-    if g.m > MAX_BRUTE_FORCE_VERTICES:
-        raise CapacityError(f"m={g.m} exceeds brute-force cap {MAX_BRUTE_FORCE_VERTICES}")
-    nbr = _neighbor_lists(g)
-    colors = [-1] * g.m
-    best = [len(g.edges) + 1, None]
-
-    def place(v: int, bad: int):
-        if bad >= best[0]:
-            return
-        if v == g.m:
-            best[0], best[1] = bad, tuple(colors)
-            return
-        for c in range(3):
-            extra = sum(1 for w in nbr[v] if colors[w] == c)
-            colors[v] = c
-            place(v + 1, bad + extra)
-            colors[v] = -1
-
-    place(0, 0)
-    return Coloring(best[1]), best[0]
+    """The first coloring in product order with the fewest monochromatic
+    edges, and that count; count 0 iff 3-colorable."""
+    colors, bad = _least_violations(g, len(g.edges) + 1)
+    return Coloring(colors), bad

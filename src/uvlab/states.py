@@ -13,7 +13,8 @@ threads.  Measurements return explicit branches; a branch with probability
 (numerically) zero carries ``post_state=None`` rather than a silently
 denormalized vector.
 
-Gate conventions (matrices in the computational basis):
+Gate conventions (matrices in the computational basis; SWAP and CSWAP
+are applied as permutations of register axes, without a matrix):
 
     H        = [[1, 1], [1, -1]] / sqrt(2)
     CNOT     = |00><00| + |01><01| + |11><10| + |10><11|   (control first)
@@ -175,14 +176,6 @@ def qubit(amp0, amp1, label="q") -> PureState:
                      np.array([amp0, amp1], dtype=np.complex128))
 
 
-def uniform_state(m: int, label="r0") -> PureState:
-    """Uniform superposition over m basis states, one register of dim m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    amps = np.full(m, 1.0 / math.sqrt(m), dtype=np.complex128)
-    return PureState(RegisterShape.of((m,), (label,)), amps)
-
-
 def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product; dims concatenate, clashing labels get primes."""
     return PureState(a.shape.concat(b.shape), np.kron(a.amps, b.amps))
@@ -195,8 +188,9 @@ def inner(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def gate_matrix(gate: str, angle: float | None = None, dim: int | None = None) -> np.ndarray:
-    """Dense matrix of a named gate.  SWAP/CSWAP need the register dim."""
+def gate_matrix(gate: str, angle: float | None = None) -> np.ndarray:
+    """Dense matrix of H, CNOT, Rx or Rz.  SWAP and CSWAP have none:
+    :func:`apply_gate` permutes register axes for them."""
     if gate == "H":
         return np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
     if gate == "CNOT":
@@ -208,19 +202,7 @@ def gate_matrix(gate: str, angle: float | None = None, dim: int | None = None) -
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
     if gate == "Rz":
         return np.diag([1.0, np.exp(1j * angle)]).astype(np.complex128)
-    if gate == "SWAP":
-        m = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-        for i in range(dim):
-            for j in range(dim):
-                m[j * dim + i, i * dim + j] = 1.0
-        return m
-    if gate == "CSWAP":
-        d2 = dim * dim
-        m = np.zeros((2 * d2, 2 * d2), dtype=np.complex128)
-        m[:d2, :d2] = np.eye(d2)
-        m[d2:, d2:] = gate_matrix("SWAP", dim=dim)
-        return m
-    raise AddressError(f"unknown gate {gate!r}; expected one of {GATE_NAMES}")
+    raise AddressError(f"unknown gate {gate!r}; gate matrices exist for H, CNOT, Rx, Rz")
 
 
 def _moveaxes_apply(amps, dims, targets, transform):
@@ -348,23 +330,6 @@ def computational_measure(state: PureState, targets) -> list[MeasurementBranch]:
             outcome = outcome[0]
         branches.append(_branch(outcome, float(p), state.shape, raw.reshape(-1)))
     return branches
-
-
-def computational_distribution(state: PureState, targets=None) -> np.ndarray:
-    """Outcome probabilities of a standard-basis measurement, as an array
-    shaped like the target register dims (all registers when None)."""
-    t = state.tensor_view()
-    probs = np.abs(t) ** 2
-    if targets is None:
-        return probs
-    if isinstance(targets, (str, int)):
-        targets = (targets,)
-    idx = [state.shape.index_of(tg) for tg in targets]
-    other = tuple(k for k in range(len(t.shape)) if k not in idx)
-    if other:
-        probs = probs.sum(axis=other)
-    order = sorted(idx)
-    return probs.transpose([order.index(i) for i in idx])
 
 
 def swap_test(a: PureState, b: PureState, mode: str = "closed_form"):

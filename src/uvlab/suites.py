@@ -194,8 +194,8 @@ def _hypothesis_pairs(trials, seed, uniformity=False):
     for _ in range(trials):
         psi, phi = (_perturbed_honest(c.n, ext, rng, 2e-7, 2e-7) for _ in range(2))
         report = qma2.acceptance_exact(c, psi, phi)
-        same_vertex = qma2.same_vertex_pass(states.computational_distribution(psi),
-                                            states.computational_distribution(phi))
+        same_vertex = qma2.same_vertex_pass(np.abs(psi.tensor_view()) ** 2,
+                                            np.abs(phi.tensor_view()) ** 2)
         if (report.p_equality >= hypo and same_vertex >= hypo
                 and (not uniformity or report.p_uniformity >= hypo)):
             yield c, psi

@@ -76,14 +76,15 @@ def mobius_reference(dists, reject, budget):
     return min(1.0, max(0.0, float(mass.sum())))
 
 
-def mc_reference(dists, edges, size, samples, seed):
-    """Monte-Carlo consistency drawing every register of every sample: one
-    ``random(b)`` per register and batch, one vertex/edge predicate per
-    batch, and a draw past a register's CDF clipped to its last outcome of
-    nonzero probability.  The early-stopping sampler must return the same
-    pair."""
+def mc_reference(dists, edges, size, samples, seed, batch):
+    """Monte-Carlo consistency drawing every register of every sample in
+    batches of ``batch`` rows: one ``random(b)`` per register and batch,
+    one vertex/edge predicate per batch, and a draw past a register's CDF
+    clipped to its last outcome of nonzero probability.  The early-stopping
+    sampler must return the same pair.  Its batch is
+    min(50,000, MC_TABLE_BYTES // (8 * words)) rows for a core of ``words``
+    packed words a row."""
     k, d = dists.shape
-    batch = min(50_000, 2 ** 24 // (3 * size))
     cdfs = np.cumsum(dists, axis=1)
     last = d - 1 - np.argmax(dists[:, ::-1] > 0.0, axis=1)
     rng = np.random.default_rng(seed)
@@ -388,7 +389,7 @@ class TestConsistency:
                     continue       # the reference alone takes 1.5-4 s there
                 got = bellqma._consistency_monte_carlo(dists, ones(dists), edges, 2 ** c.n,
                                                        samples, 9)
-                assert got == mc_reference(dists, edges, 2 ** c.n, samples, 9)
+                assert got == mc_reference(dists, edges, 2 ** c.n, samples, 9, 50_000)
                 if samples == 120_001 and k in (3, 5, 7):
                     assert 0.0 < got[0] < 1.0
 
@@ -404,7 +405,32 @@ class TestConsistency:
         dists[3, 6] = 1.0
         got = bellqma._consistency_monte_carlo(dists, ones(dists), [], 4, 10 ** 6, 1)
         assert 0.0 < got[0] < 1e-5
-        assert got == mc_reference(dists, [], 4, 10 ** 6, 1)
+        assert got == mc_reference(dists, [], 4, 10 ** 6, 1, 50_000)
+
+    def test_mc_batch_follows_packed_row_width(self, monkeypatch):
+        # the near cheat's core is 2 outcomes, one word a row, so 5,000
+        # samples at n = 12 are one batch; a batch sized for 3 * 2^12
+        # presence flags a row would be four, of at most 1,365 rows
+        k4 = ExplicitGraph(4, frozenset(itertools.combinations(range(4), 2)))
+        c = encode_explicit(k4, 12)
+        proofs = [near_coloring_proof(c, Coloring((0, 1, 2, 0)))] * 3
+        sizes, default_rng = [], np.random.default_rng
+
+        class Recorder:
+            def __init__(self, seed):
+                self.gen = default_rng(seed)
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+            def random(self, size):
+                sizes.append(size)
+                return self.gen.random(size)
+
+        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        p, hw = bellqma.consistency_accept(c, proofs, "mc", samples=5_000, seed=1)
+        assert sizes == [5_000] * 3
+        assert abs(p - bellqma.consistency_accept(c, proofs, "exact")) <= hw
 
     def test_mc_draws_stay_in_support(self):
         # register 0 has all its mass, 0.5, on outcome (vertex 0, color 0);
@@ -440,7 +466,7 @@ class TestConsistency:
         samples = data.draw(st.sampled_from([1, 2, 999, 50_001]))
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         got = bellqma._consistency_monte_carlo(dists, ones(dists), edges, size, samples, seed)
-        assert got == mc_reference(dists, edges, size, samples, seed)
+        assert got == mc_reference(dists, edges, size, samples, seed, 50_000)
 
     def test_mc_honest_is_exactly_one(self, k3, k3_coloring):
         # an empty conflict core never rejects, so no draw is made
@@ -456,7 +482,7 @@ class TestConsistency:
         dists[1, 9] = 1.0
         got = bellqma._consistency_monte_carlo(dists, ones(dists), [], 4, 1000, 2)
         assert got[0] == 0.0
-        assert got == mc_reference(dists, [], 4, 1000, 2)
+        assert got == mc_reference(dists, [], 4, 1000, 2, 50_000)
 
     def test_mc_agrees_with_exact(self, k4):
         proofs = random_product_proofs(proof_shape(2), 4, seed=6)
@@ -578,7 +604,8 @@ class TestCapacity:
         assert p == 1.0
         assert peak < 64 * 2 ** 20
         assert 0.0 < got[0] < 1.0
-        assert got == mc_reference(outcome_dists(c, rand), [(0, 1)], 2 ** 10, 50_000, 1)
+        batch = bellqma.MC_TABLE_BYTES // (8 * 48)      # 43,690 rows
+        assert got == mc_reference(outcome_dists(c, rand), [(0, 1)], 2 ** 10, 50_000, 1, batch)
 
     def test_mc_core_table_cap_raises_before_allocating(self):
         # full support at n = 12: a 12,288-outcome core whose packed table

@@ -273,6 +273,24 @@ class TestErrorsAndFormats:
         assert lines[0] == "key,value"
         assert any(line.startswith("colorable,") for line in lines)
 
+    QMA2_KEYS = {"instance", "n", "strategy", "seed", "paper_soundness_floor",
+                 "p_eq", "p_cons", "p_unif", "p_total"}
+    BELL_KEYS = {"instance", "n", "strategy", "paper_soundness_floor",
+                 "paper_completeness_floor", "p_cons", "p_unif", "p_total", "mode",
+                 "k", "samples", "seed", "ci_halfwidth", "z_tail"}
+    MC = ["--strategy", "near", "--mode", "mc", "--samples", "10", "--seed", "1"]
+
+    @pytest.mark.parametrize("name, argv, keys", [
+        ("k3_n2", ["qma2"], QMA2_KEYS),
+        ("k4_n2", ["qma2", *MC], QMA2_KEYS | {"declared_violations", "sampled_acceptance",
+                                              "samples"}),
+        ("k3_n2", ["bellqma"], BELL_KEYS),
+        ("k4_n2", ["bellqma", *MC], BELL_KEYS | {"declared_violations"}),
+    ])
+    def test_report_keys(self, name, argv, keys, capsys):
+        assert run_cli(["run", "--instance", instance_path(name), "--protocol", *argv]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == keys
+
 
 class TestSuiteSummarySchema:
     def test_check_result_dict(self):

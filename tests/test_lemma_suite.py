@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uvlab import provers, qma2, states, suites
+from uvlab import provers, qma2, suites
 
 
 @pytest.mark.parametrize("check", suites.LEMMA_CHECKS,
@@ -21,8 +21,8 @@ def test_same_vertex_pass_matches_pairwise_sum():
     shape = provers.proof_shape(3)
     for _ in range(20):
         psi, phi = (provers.haar_state(shape, rng) for _ in range(2))
-        p = states.computational_distribution(psi)
-        q = states.computational_distribution(phi)
+        p = np.abs(psi.tensor_view()) ** 2
+        q = np.abs(phi.tensor_view()) ** 2
         reject = sum(p[v, a] * q[v, b] for v in range(8)
                      for a in range(3) for b in range(3) if a != b)
         assert abs(qma2.same_vertex_pass(p, q) - (1.0 - reject)) < 1e-12

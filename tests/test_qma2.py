@@ -9,7 +9,7 @@ from uvlab.errors import CapacityError, ShapeMismatchError
 from uvlab.provers import (haar_state, honest_proof, near_coloring_proof,
                            proof_shape)
 from uvlab.qma2 import (VerdictReport, acceptance_exact, consistency_accept_table,
-                        report_dict, run_sampled, soundness_bound)
+                        run_sampled, soundness_bound)
 from uvlab.sgraph import Coloring, ExplicitGraph, encode_explicit, expand, parse_sgc
 from uvlab.states import basis_state
 
@@ -205,12 +205,3 @@ class TestErrorsAndReports:
         h = honest_proof(c, Coloring((0, 1)))
         with pytest.raises(CapacityError, match="m=65537"):
             acceptance_exact(c, h, h)
-
-    def test_report_dict_fields(self, k3, k3_coloring):
-        h = honest_proof(k3, k3_coloring)
-        r = acceptance_exact(k3, h, h)
-        d = report_dict(k3, r, instance="k3_n2", strategy="honest", seed=1)
-        assert set(d) == {"instance", "n", "strategy", "seed",
-                          "paper_soundness_floor", "p_eq", "p_cons",
-                          "p_unif", "p_total"}
-        assert d["p_total"] == r.p_total

@@ -55,6 +55,13 @@ def circuits(draw):
     return SuccinctCircuit(n, m, tuple(gates), draw(output), draw(output))
 
 
+@st.composite
+def small_graphs(draw):
+    """Graphs on at most 7 vertices, each pair an edge or not."""
+    m = draw(st.integers(0, 7))
+    return graph(m, [e for e in itertools.combinations(range(m), 2) if draw(st.booleans())])
+
+
 K3 = graph(3, [(0, 1), (0, 2), (1, 2)])
 K4 = graph(4, list(itertools.combinations(range(4), 2)))
 C5 = graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -283,6 +290,18 @@ class TestExpandEncode:
         assert g.edges == {(u, v) for u in range(1, m, 2) for v in range(u + 1, m)}
         assert peak < EXPAND_BLOCK_BYTES + 4 * 2 ** 20
 
+    @pytest.mark.parametrize("block_bytes", [EXPAND_BLOCK_BYTES, 200])
+    def test_edge_cap(self, block_bytes):
+        # K5 has 10 edges: a cap of 10 holds them, a cap of 9 raises, in one
+        # block or in blocks of 4 pairs
+        c = encode_explicit(graph(5, itertools.combinations(range(5), 2)), 3)
+        with mock.patch.object(sgraph, "EXPAND_BLOCK_BYTES", block_bytes):
+            with mock.patch.object(sgraph, "MAX_EDGES", 10):
+                assert len(expand(c).edges) == 10
+            with mock.patch.object(sgraph, "MAX_EDGES", 9):
+                with pytest.raises(CapacityError, match="more than 9 edges"):
+                    expand(c)
+
 
 class TestOracle:
     def test_k3_any_bijection_works(self):
@@ -316,6 +335,19 @@ class TestOracle:
         assert bad == 1
         assert len(col.monochromatic_edges(K4)) == 1
 
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs())
+    def test_matches_exhaustive_product_order(self, g):
+        # every coloring in itertools.product order, vertex 0 most significant
+        counts = [(sum(cols[u] == cols[v] for u, v in g.edges), cols)
+                  for cols in itertools.product(range(3), repeat=g.m)]
+        valid = next((cols for bad, cols in counts if bad == 0), None)
+        fewest = min(bad for bad, _ in counts)
+        first = next(cols for bad, cols in counts if bad == fewest)
+        col = brute_force_3color(g)
+        assert (col.colors if col is not None else None) == valid
+        assert min_violation_coloring(g) == (Coloring(first), fewest)
+
     def test_manifest_matches_oracle(self):
         for name, entry in corpus.manifest().items():
             g = expand(corpus.load(name))
@@ -331,10 +363,6 @@ class TestColoring:
         col = Coloring((0, 1, 2))
         assert col.color(7) == 0
         assert list(col.extended(2)) == [0, 1, 2, 0]
-
-    def test_json_round_trip(self):
-        col = Coloring((2, 0, 1))
-        assert Coloring.from_json(col.to_json()) == col
 
     def test_color_range_checked(self):
         with pytest.raises(ValueError):

@@ -6,10 +6,13 @@ import pytest
 from uvlab import provers
 from uvlab.errors import AddressError, CapacityError, ShapeMismatchError
 from uvlab.states import (MeasurementBranch, PureState, RegisterShape,
-                          apply_gate, basis_state, computational_distribution,
-                          computational_measure, gate_matrix, inner,
-                          pure_trace_distance, qubit, swap_test, tensor,
-                          uniform_state, uniformity_measure)
+                          apply_gate, basis_state, computational_measure,
+                          gate_matrix, inner, pure_trace_distance, qubit,
+                          swap_test, tensor, uniformity_measure)
+
+
+def uniform_state(m, label="r0"):
+    return PureState(RegisterShape.of((m,), (label,)), np.full(m, 1 / math.sqrt(m)))
 
 
 def haar(dims, rng):
@@ -179,7 +182,7 @@ class TestComputationalMeasure:
         s = haar((4, 3), rng)
         branches = computational_measure(s, 0)
         b = branches[0]
-        dist = computational_distribution(b.post_state, 0)
+        dist = (np.abs(b.post_state.tensor_view()) ** 2).sum(axis=1)
         assert abs(dist[b.outcome] - 1.0) < 1e-9
 
 
