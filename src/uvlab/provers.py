@@ -108,8 +108,9 @@ class ProofBatch:
 
 def stack_proofs(proofs, n: int | None = None) -> ProofBatch:
     """k node (x) color proofs with 2^n nodes each as one :class:`ProofBatch`;
-    n defaults to the first proof's.  A run of one object repeated, as in
-    ``[h] * k``, is stored once; a batch passes through.  Raises
+    n defaults to the first proof's.  A run of equal proofs, one object
+    repeated as in ``[h] * k`` or equal copies, is stored once; a batch
+    passes through.  Raises
     :class:`ShapeMismatchError` for a proof with other dims and
     :class:`CapacityError` when the distinct proofs exceed
     MAX_BATCH_AMPLITUDES."""
@@ -118,7 +119,8 @@ def stack_proofs(proofs, n: int | None = None) -> ProofBatch:
             raise ShapeMismatchError(f"batch has {proofs.amps.shape[1]} nodes, expected {2 ** n}")
         return proofs
     want = (2 ** n if n is not None else proofs[0].shape.dims[0], 3)
-    starts = [i for i, p in enumerate(proofs) if i == 0 or p is not proofs[i - 1]]
+    starts = [i for i, p in enumerate(proofs) if i == 0 or not (
+        p is proofs[i - 1] or np.array_equal(p.tensor_view(), proofs[i - 1].tensor_view()))]
     _check_batch_size(len(starts), want[0], len(proofs))
     amps = np.empty((len(starts),) + want, dtype=np.complex128)
     for r, i in enumerate(starts):

@@ -79,30 +79,34 @@ def mobius_reference(dists, reject, budget):
 def mc_reference(dists, edges, size, samples, seed, batch):
     """Monte-Carlo consistency drawing every register of every sample in
     batches of ``batch`` rows: one ``random(b)`` per register and batch,
-    one vertex/edge predicate per batch, and a draw past a register's CDF
-    clipped to its last outcome of nonzero probability.  The early-stopping
-    sampler must return the same pair.  Its batch is
+    and a draw past a register's CDF clipped to its last outcome of nonzero
+    probability.  The batch's outcomes are kept, and the vertex/edge
+    predicate is evaluated on slices of rows whose presence flags take at
+    most 4 MiB.  The early-stopping sampler must return the same pair when
+    each register is drawn on its own.  Its batch is
     min(50,000, MC_TABLE_BYTES // (8 * words)) rows for a core of ``words``
     packed words a row."""
     k, d = dists.shape
     cdfs = np.cumsum(dists, axis=1)
     last = d - 1 - np.argmax(dists[:, ::-1] > 0.0, axis=1)
     rng = np.random.default_rng(seed)
+    step = max(1, 2 ** 22 // (3 * size))
     rejected = 0
     done = 0
     while done < samples:
         b = min(batch, samples - done)
-        pres = np.zeros((b, size, 3), dtype=bool)
-        rows = np.arange(b)
+        out = np.empty((k, b), dtype=np.min_scalar_type(d))
         for i in range(k):
-            out = np.searchsorted(cdfs[i], rng.random(b), side="right")
-            np.minimum(out, last[i], out=out)
-            pres[rows, out // 3, out % 3] = True
-        ncolors = pres.sum(axis=2, dtype=np.uint8)
-        bad = (ncolors >= 2).any(axis=1)
-        for u, v in edges:
-            bad |= (pres[:, u, :] & pres[:, v, :]).any(axis=1)
-        rejected += int(bad.sum())
+            out[i] = np.minimum(np.searchsorted(cdfs[i], rng.random(b), side="right"), last[i])
+        for lo in range(0, b, step):
+            part = out[:, lo:lo + step].T
+            pres = np.zeros((len(part), 3, size), dtype=bool)     # [row, color, vertex]
+            pres[np.arange(len(part))[:, None], part % 3, part // 3] = True
+            colors = pres[:, 0].astype(np.uint8) + pres[:, 1] + pres[:, 2]
+            bad = (colors >= 2).any(axis=1)
+            for u, v in edges:
+                bad |= (pres[:, :, u] & pres[:, :, v]).any(axis=1)
+            rejected += int(bad.sum())
         done += b
     p_accept = 1.0 - rejected / samples
     halfwidth = math.sqrt(math.log(2.0 / (1.0 - bellqma.MC_CONFIDENCE)) / (2.0 * samples))
@@ -409,8 +413,9 @@ class TestConsistency:
 
     def test_mc_batch_follows_packed_row_width(self, monkeypatch):
         # the near cheat's core is 2 outcomes, one word a row, so 5,000
-        # samples at n = 12 are one batch; a batch sized for 3 * 2^12
-        # presence flags a row would be four, of at most 1,365 rows
+        # samples at n = 12 are one batch, and its run of 3 registers one
+        # draw; a batch sized for 3 * 2^12 presence flags a row would be
+        # four, of at most 1,365 rows
         k4 = ExplicitGraph(4, frozenset(itertools.combinations(range(4), 2)))
         c = encode_explicit(k4, 12)
         proofs = [near_coloring_proof(c, Coloring((0, 1, 2, 0)))] * 3
@@ -429,8 +434,74 @@ class TestConsistency:
 
         monkeypatch.setattr(np.random, "default_rng", Recorder)
         p, hw = bellqma.consistency_accept(c, proofs, "mc", samples=5_000, seed=1)
-        assert sizes == [5_000] * 3
+        assert sizes == [5_000]
         assert abs(p - bellqma.consistency_accept(c, proofs, "exact")) <= hw
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_run_law_matches_enumeration(self, data):
+        # the pattern law of a run of c registers is the sum over all d^c
+        # outcome tuples, with mass below 1 and massless rows clipped to
+        # the last outcome as a register's draw clips them
+        d, c = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        dist = np.zeros(d)
+        support = data.draw(st.lists(st.integers(0, d - 1), max_size=d, unique=True))
+        if support:
+            weights = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(support),
+                                                  max_size=len(support))))
+            dist[support] = weights / weights.sum() * data.draw(st.sampled_from([1.0, 0.999, 0.5]))
+        last = d - 1 - int(np.argmax(dist[::-1] > 0.0))
+        lands = dist > 0.0
+        lands[last] = True
+        core = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+        cols = np.flatnonzero(lands & core)
+        law = np.diff(bellqma._run_law(dist, last, cols, c), prepend=0.0)
+        mass = dist.copy()
+        mass[last] += 1.0 - dist.sum()
+        flag = dict(zip(cols.tolist(), (1 << j for j in range(len(cols)))))
+        want = np.zeros(2 ** len(cols))
+        for tup in itertools.product(range(d), repeat=c):
+            pattern = 0
+            for o in tup:
+                pattern |= flag.get(o, 0)
+            want[pattern] += np.prod(mass[list(tup)])
+        assert np.max(np.abs(law - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_mc_run_draw_matches_exact_near_cheat(self, n):
+        # one run of k copies of the near cheat, drawn once per sample
+        c = encode_explicit(ExplicitGraph(4, frozenset(itertools.combinations(range(4), 2))), n)
+        cheat = near_coloring_proof(c, Coloring((0, 1, 2, 0)))
+        for k in (2, 3, 5, 8, 16, 40):
+            exact = bellqma.consistency_accept(c, [cheat] * k, "exact")
+            est, hw = bellqma.consistency_accept(c, [cheat] * k, "mc", samples=20_000, seed=n + k)
+            assert abs(est - exact) <= hw, (k, est, exact)
+
+    def test_mc_mixed_runs_match_exact(self, k4):
+        # single registers and runs in one batch, against the exact Moebius
+        # sum: the near cheat's outcomes with a tenth of the mass on a few
+        # random others, so each run's core stays under the cap
+        rng = np.random.default_rng(8)
+        edges = expand(k4).edges
+        cheat = np.zeros(12)
+        cheat[[0, 4, 8, 9]] = 0.25              # coloring (0, 1, 2, 0)
+        for counts in ([1, 3, 2], [4, 1, 1, 2], [2, 2]):
+            noise = rng.random((len(counts), 12)) * (rng.random((len(counts), 12)) < 0.3)
+            dists = 0.9 * cheat + 0.1 * noise / noise.sum(axis=1, keepdims=True)
+            assert np.count_nonzero(dists, axis=1).max() <= bellqma.RUN_CORE_CAP
+            counts = np.array(counts)
+            exact = bellqma._consistency_exact(dists, counts, edges, 4, 10 ** 7)
+            est, hw = bellqma._consistency_monte_carlo(dists, counts, edges, 4, 40_000, 5)
+            assert 0.0 < exact < 1.0 and abs(est - exact) <= hw
+
+    def test_mc_run_past_core_cap_draws_each_register(self, k4):
+        # a full-support proof has 12 core outcomes on K4 at n = 2, past
+        # RUN_CORE_CAP, so its run of 5 registers keeps the register draws
+        dists = outcome_dists(k4, random_product_proofs(proof_shape(2), 1, seed=3))
+        edges = sorted(expand(k4).edges)
+        assert np.count_nonzero(dists) == 12 > bellqma.RUN_CORE_CAP
+        got = bellqma._consistency_monte_carlo(dists, np.array([5]), edges, 4, 999, 2)
+        assert got == mc_reference(np.repeat(dists, 5, axis=0), edges, 4, 999, 2, 50_000)
 
     def test_mc_draws_stay_in_support(self):
         # register 0 has all its mass, 0.5, on outcome (vertex 0, color 0);
@@ -536,7 +607,8 @@ class TestAcceptance:
             batch = ProverStrategy(kind, coloring=coloring).states(c, k)
             assert list(batch.counts) == [k]
             explicit = [PureState(batch[0].shape, batch[0].amps) for _ in range(k)]
-        assert len(stack_proofs(explicit).counts) == k
+        # k equal copies collapse to one proof, as [h] * k does
+        assert len(stack_proofs(explicit).counts) == (k if kind == "random" else 1)
         got = bellqma.acceptance(c, batch, mode, samples=5000, seed=3)
         want = bellqma.acceptance(c, explicit, mode, samples=5000, seed=3)
         assert repr(got) == repr(want)
@@ -544,11 +616,15 @@ class TestAcceptance:
     @pytest.mark.parametrize("n", [5, 7, 11])
     def test_repeated_proof_matches_copies_at_odd_widths(self, n):
         # at odd n each outcome probability is an inexact square, so the
-        # wildcard mass of 3 * 2^n - 2 outcomes depends on its summation order
+        # wildcard mass of 3 * 2^n - 2 outcomes depends on its summation
+        # order: one row of count 7 must give the float of 7 register rows
         c = encode_explicit(ExplicitGraph(4, frozenset(itertools.combinations(range(4), 2))), n)
         cheat = near_coloring_proof(c, Coloring((0, 1, 2, 0)))
-        copies = [PureState(cheat.shape, cheat.amps) for _ in range(7)]
-        assert repr(bellqma.acceptance(c, [cheat] * 7)) == repr(bellqma.acceptance(c, copies))
+        dists, edges = outcome_dists(c, [cheat]), expand(c).edges
+        once = bellqma._consistency_exact(dists, np.array([7]), edges, 2 ** n, 10 ** 7)
+        copies = np.repeat(dists, 7, axis=0)
+        assert repr(once) == repr(bellqma._consistency_exact(copies, ones(copies), edges,
+                                                             2 ** n, 10 ** 7))
 
     def test_mc_report_fields(self, k4):
         cheat = near_coloring_proof(k4, Coloring((0, 1, 2, 0)))

@@ -148,9 +148,14 @@ class TestProofBatch:
     def test_runs_of_one_object_are_stored_once(self, k3, k3_coloring, rng):
         h = honest_proof(k3, k3_coloring)
         r = haar_state(proof_shape(2), rng)
+        # equal copies join a run of the same proof; a proof one ulp away
+        # starts its own run
         copy = PureState(h.shape, h.amps)
+        near = PureState(h.shape, h.amps * (1 + 2.0 ** -52))
+        assert not np.array_equal(near.amps, h.amps)
+        assert list(stack_proofs([h, copy, near, near, h]).counts) == [2, 2, 1]
         batch = stack_proofs([h, h, r, h, copy, copy, copy])
-        assert list(batch.counts) == [2, 1, 1, 3] and len(batch) == 7
+        assert list(batch.counts) == [2, 1, 4] and len(batch) == 7
         want = [h.amps, h.amps, r.amps, h.amps, h.amps, h.amps, h.amps]
         assert np.array_equal(batch.per_register(batch.amps).reshape(7, -1), want)
         assert [s.amps.tobytes() for s in batch] == [a.tobytes() for a in want]
