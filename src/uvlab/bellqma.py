@@ -25,7 +25,7 @@ from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/trac
 DEFAULT_BUDGET = 10 ** 7
 MC_CONFIDENCE = 0.99
 Z_PRIME_THRESHOLD = 1.0 / 12.0
-MC_TABLE_BYTES = 2 ** 24     # cap on the Monte-Carlo conflict table and a batch's packed rows
+MC_TABLE_BYTES = 2 ** 24     # cap on each Monte-Carlo table and a batch's packed rows
 GUIDE_BINS = 2 ** 10        # inverse-CDF guide table bins per register
 RUN_CORE_CAP = 10           # core outcomes past which a run of equal registers is drawn one by one
 
@@ -257,8 +257,8 @@ def _consistency_exact(dists: np.ndarray, counts: np.ndarray, edges, size: int,
 
 
 def _check_mc_table(m: int):
-    """Refuse a core whose packed Monte-Carlo table, (m + 1) rows of
-    ceil(m / 64) words, would take more than MC_TABLE_BYTES."""
+    """Refuse a core whose packed Monte-Carlo tables, marks and conflicts of
+    (m + 1) rows of ceil(m / 64) words, would take more than MC_TABLE_BYTES each."""
     need = (m + 1) * -(-m // 64) * 8
     if need > MC_TABLE_BYTES:
         raise CapacityError(f"the Monte-Carlo conflict table of a {m}-outcome core needs "
@@ -298,52 +298,51 @@ def _pattern_rows(rows: np.ndarray) -> np.ndarray:
 
 def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size: int,
                              samples: int, seed: int) -> tuple[float, float]:
-    """Sample outcome tuples register by register, in batches of at most
-    50,000 rows, and count the rejected ones.  A batch's packed rows, the
-    seen bits and the conflict rows of a draw, take at most MC_TABLE_BYTES
-    each.  Row r of ``dists`` is the outcome distribution of ``counts[r]``
-    consecutive registers.
+    """Sample outcome tuples in batches of at most 50,000 rows and count
+    the rejected ones.  Row r of ``dists`` is the outcome distribution of
+    ``counts[r]`` consecutive registers.  An empty core never rejects and
+    returns 1 without drawing.
 
     The core is built over the outcomes a draw can land on
-    (:func:`_conflict_core`).  Core outcome j owns bit j % 64 of word
-    j // 64, and its ``uint64`` conflict row sets the bits of the core
-    outcomes it conflicts with; off-core outcomes read row m, all zero.
-    Each row of a batch keeps the core outcomes it has seen as packed bits.
-    A draw rejects its row when the row has seen an outcome the draw
-    conflicts with; a rejected row stays rejected, so it is counted and
-    dropped at that register.  When a batch has no live row
-    left, its remaining draws are skipped and the generator is advanced
-    past the uniforms they would have consumed, so each draw still
-    takes one ``random(b)`` per batch and the estimate equals the full
-    draw's for the same seed.  An empty core never rejects and returns 1
-    without drawing.
+    (:func:`_conflict_core`).  Two packed ``uint64`` tables hold it: row j
+    of ``marks`` sets bit j % 64 of word j // 64 for core outcome j, row j
+    of ``conflict`` the bits of the outcomes j conflicts with, and row m of
+    both, read by off-core outcomes, is zero.  Each table, and a batch's
+    ``seen`` bits (one packed row per sample), takes at most MC_TABLE_BYTES.
 
-    A register's draw is ``searchsorted(cdf, u, side="right")``, read from
-    a guide table of GUIDE_BINS bins, one per distinct distribution, built
-    the first time one of its registers is drawn: the search starts at the
-    bin's first outcome and steps forward while ``u >= cdf[out]``.
-    GUIDE_BINS is a power of two, so ``u * GUIDE_BINS`` and the bin edges
-    are exact.  A draw is clipped to its register's last outcome of
-    nonzero probability.
+    Every step takes one ``random(b)`` per batch and yields, per live row,
+    an index ``at`` into a table pair ``(shown, conf)``: it ORs
+    ``shown[at]`` into the row's seen bits and rejects the row when they
+    meet ``conf[at]``.  A rejected row stays rejected, so it is counted and
+    dropped there; when a batch has no live row left, its remaining steps
+    are skipped and the generator is advanced past their uniforms, so the
+    estimate equals the full draw's for the same seed.
+
+    A register step reads ``(marks, conflict)`` at the core index of
+    ``searchsorted(cdf, u, side="right")``, clipped to the register's last
+    outcome of nonzero probability.  The search starts at u's bin of a
+    guide table of GUIDE_BINS bins, built per distinct distribution when
+    one of its registers is first drawn, and steps forward while
+    ``u >= cdf[out]``; GUIDE_BINS is a power of two, so ``u * GUIDE_BINS``
+    and the bin edges are exact.
 
     A run of c >= 2 registers of one distinct proof whose draws can land
-    on q <= RUN_CORE_CAP core outcomes is drawn once per sample: one
-    uniform picks the set of core outcomes the run shows from the
-    2^q-pattern CDF of :func:`_run_law`, the pattern's packed bits are
-    ORed into the row's seen bits, and the OR of its outcomes' conflict
-    rows is tested against them, which also catches a conflict inside the
-    pattern.  A run with q = 0 draws nothing; a run past the cap, and a
-    register of multiplicity 1, is drawn register by register, so a batch
-    of distinct proofs keeps the bits of drawing all k registers.  A run's
-    law and pattern rows are built when a batch reaches it, so only one
-    run's tables are held, at most 2 * 2^RUN_CORE_CAP * ceil(m / 64) * 8
-    bytes (3 MB at the largest m the table cap allows).  Each power
-    (w + p(T))^c is within relative (c q + 1) 2^-53 of its value for the
-    given masses, and the Moebius pass spreads an input error over at most
-    2^(q - |T|) patterns; with the rounding of the q difference passes and
-    of the CDF's sum, the drawn law is within (3^q (c q + 1) + 2 4^q) 2^-53
-    of the exact one in total variation, to first order: 5e-12 for the
-    near cheat's q = 2 run at k = 2400, and 2e-7 for a q = 10 run there."""
+    on q <= RUN_CORE_CAP core outcomes is one step: ``at`` is the pattern
+    S of core outcomes the run shows, searched in the 2^q-pattern CDF of
+    :func:`_run_law`, and row S of its table pair ORs the ``marks`` and
+    ``conflict`` rows of S, which also catches a conflict inside S.  A run
+    with q = 0 draws nothing; a run past the cap, and a register of
+    multiplicity 1, is drawn register by register, so a batch of distinct
+    proofs keeps the bits of drawing all k registers.  A run's law and
+    tables are built when a batch reaches it, so only one run's are held,
+    at most 2 * 2^RUN_CORE_CAP * ceil(m / 64) * 8 bytes (3 MB at the
+    largest m the table cap allows).  Each power (w + p(T))^c is within
+    relative (c q + 1) 2^-53 of its value for the given masses, and the
+    Moebius pass spreads an input error over at most 2^(q - |T|)
+    patterns; with the rounding of the q difference passes and of the
+    CDF's sum, the drawn law is within (3^q (c q + 1) + 2 4^q) 2^-53 of the
+    exact one in total variation, to first order: 5e-12 for the near
+    cheat's q = 2 run at k = 2400, and 2e-7 for a q = 10 run there."""
     halfwidth = math.sqrt(math.log(2.0 / (1.0 - MC_CONFIDENCE)) / (2.0 * samples))
     g, d = dists.shape
     last = d - 1 - np.argmax(dists[:, ::-1] > 0.0, axis=1)
@@ -354,9 +353,9 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
         return 1.0, halfwidth
     conflict = np.zeros((m + 1, -(-m // 64)), dtype=np.uint64)
     np.bitwise_or.at(conflict, (src, dst >> 6), np.uint64(1) << (dst & 63).astype(np.uint64))
-    j = np.arange(m + 1)
-    word, bit = j >> 6, np.uint64(1) << (j & 63).astype(np.uint64)
-    word[m], bit[m] = 0, 0
+    marks = np.zeros_like(conflict)
+    j = np.arange(m)
+    marks[j, j >> 6] = np.uint64(1) << (j & 63).astype(np.uint64)
     steps = []              # (row, None) draws one register, (row, cols) a run
     for r, c in enumerate(counts.tolist()):
         cols = np.flatnonzero(lands[r] & (pos < m)) if c > 1 else None
@@ -381,15 +380,7 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
             u = rng.random(b)
             if len(live) < b:
                 u = u[live]
-            if cols is not None:
-                core = pos[cols]
-                shown = np.zeros((len(cols), conflict.shape[1]), dtype=np.uint64)
-                shown[np.arange(len(cols)), word[core]] = bit[core]
-                pattern = np.searchsorted(_run_law(dists[r], last[r], cols, counts[r]), u,
-                                          side="right")
-                seen |= _pattern_rows(shown)[pattern]
-                bad = (seen & _pattern_rows(conflict[core])[pattern]).any(axis=1)
-            else:
+            if cols is None:
                 if guides[r] is None:
                     guides[r] = np.searchsorted(cdfs[r], bin_starts, side="right")
                 out = guides[r][(u * GUIDE_BINS).astype(np.intp)]
@@ -398,11 +389,13 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
                     out[step] += 1
                     step = step[u[step] >= cdfs[r, out[step]]]
                 np.minimum(out, last[r], out=out)
-                j = pos[out]
-                flat = seen.reshape(-1)       # a flat index per row: 2-D fancy |= is slower
-                at = np.arange(0, flat.size, seen.shape[1]) + word[j]
-                flat[at] = flat[at] | bit[j]
-                bad = (seen & np.take(conflict, j, axis=0)).any(axis=1)
+                at, shown, conf = pos[out], marks, conflict
+            else:
+                at = np.searchsorted(_run_law(dists[r], last[r], cols, counts[r]), u,
+                                     side="right")
+                shown, conf = _pattern_rows(marks[pos[cols]]), _pattern_rows(conflict[pos[cols]])
+            seen |= np.take(shown, at, axis=0)
+            bad = (seen & np.take(conf, at, axis=0)).any(axis=1)
             if bad.any():
                 rejected += int(bad.sum())
                 keep = ~bad

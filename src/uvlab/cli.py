@@ -101,7 +101,7 @@ def _run_qma2(args, c, name) -> dict:
 
 
 def _run_bellqma(args, c, name) -> dict:
-    k = args.k if args.k else bellqma.default_k(c.n)
+    k = bellqma.default_k(c.n) if args.k is None else args.k
     if k < 2:
         raise ParseError("bellqma needs k >= 2")
     proofs, bad = _proofs_for(c, args.strategy, k, args.seed)

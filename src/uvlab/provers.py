@@ -111,13 +111,15 @@ def stack_proofs(proofs, n: int | None = None) -> ProofBatch:
     n defaults to the first proof's.  A run of equal proofs, one object
     repeated as in ``[h] * k`` or equal copies, is stored once; a batch
     passes through.  Raises
-    :class:`ShapeMismatchError` for a proof with other dims and
+    :class:`ShapeMismatchError` for a proof with other dims,
     :class:`CapacityError` when the distinct proofs exceed
-    MAX_BATCH_AMPLITUDES."""
+    MAX_BATCH_AMPLITUDES, and ValueError when there are no proofs."""
     if isinstance(proofs, ProofBatch):
         if n is not None and proofs.amps.shape[1] != 2 ** n:
             raise ShapeMismatchError(f"batch has {proofs.amps.shape[1]} nodes, expected {2 ** n}")
         return proofs
+    if not len(proofs):
+        raise ValueError("no proofs to stack; a verifier reads at least one proof")
     want = (2 ** n if n is not None else proofs[0].shape.dims[0], 3)
     starts = [i for i, p in enumerate(proofs) if i == 0 or not (
         p is proofs[i - 1] or np.array_equal(p.tensor_view(), proofs[i - 1].tensor_view()))]

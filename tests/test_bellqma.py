@@ -494,6 +494,23 @@ class TestConsistency:
             est, hw = bellqma._consistency_monte_carlo(dists, counts, edges, 4, 40_000, 5)
             assert 0.0 < exact < 1.0 and abs(est - exact) <= hw
 
+    def test_mc_run_past_word_zero_matches_exact(self):
+        # K_30 at n = 5 makes all 90 outcomes of the 30 vertices a 2-word
+        # core; the run's proof s shows outcomes 75 and 85, both in word 1,
+        # between full-support registers drawn one by one
+        c = encode_explicit(ExplicitGraph(30, frozenset(
+            (u, v) for u in range(30) for v in range(u + 1, 30))), 5)
+        edges = expand(c).edges
+        s, u = np.zeros(96), np.zeros(96)
+        s[[75, 85]] = 0.5
+        u[:90] = 1.0 / 90
+        dists = np.stack([0.8 * s + 0.2 * u, s, 0.9 * s + 0.1 * u])
+        for counts, want in (([1, 3, 1], 0.819), ([2, 4, 1], 0.699), ([1, 2, 3], 0.707)):
+            counts = np.array(counts)
+            exact = bellqma._consistency_exact(dists, counts, edges, 32, 10 ** 7)
+            est, hw = bellqma._consistency_monte_carlo(dists, counts, edges, 32, 40_000, 5)
+            assert round(exact, 3) == want and abs(est - exact) <= hw, (counts, est, exact)
+
     def test_mc_run_past_core_cap_draws_each_register(self, k4):
         # a full-support proof has 12 core outcomes on K4 at n = 2, past
         # RUN_CORE_CAP, so its run of 5 registers keeps the register draws
@@ -625,6 +642,13 @@ class TestAcceptance:
         copies = np.repeat(dists, 7, axis=0)
         assert repr(once) == repr(bellqma._consistency_exact(copies, ones(copies), edges,
                                                              2 ** n, 10 ** 7))
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_no_proofs_rejected(self, k4, mode):
+        with pytest.raises(ValueError, match="no proofs"):
+            bellqma.acceptance(k4, [], mode, samples=100, seed=1)
+        with pytest.raises(ValueError, match="no proofs"):
+            bellqma.uniformity_accept_exact([])
 
     def test_mc_report_fields(self, k4):
         cheat = near_coloring_proof(k4, Coloring((0, 1, 2, 0)))

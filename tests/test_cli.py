@@ -241,6 +241,8 @@ class TestErrorsAndFormats:
         ("suite", ["lemmas", "--out", "{tmp}/missing/s.json"], None, cli.EXIT_INSTANCE,
          "does not exist"),
         (12, ["--protocol", "bellqma"], None, cli.EXIT_OK, ""),
+        (None, ["--protocol", "bellqma", "--k", "0"], None, cli.EXIT_INSTANCE,
+         "bellqma needs k >= 2"),
     ])
     def test_exit_codes(self, width, argv, budget, code, message, tmp_path,
                         monkeypatch, capsys):
