@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .sgraph import SuccinctCircuit, edge_array, expand
 from .states import PureState
 from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
 
-DEFAULT_BUDGET = 10 ** 7
+ENUMERATION_BUDGET = 10 ** 7     # entries exact consistency may allocate
 MC_CONFIDENCE = 0.99
 Z_PRIME_THRESHOLD = 1.0 / 12.0
 MC_TABLE_BYTES = 2 ** 24     # cap on each Monte-Carlo table and a batch's packed rows
@@ -46,14 +45,6 @@ def soundness_bound(n: int) -> float:
 def completeness_bound(k: int) -> float:
     """Acceptance floor 1 - 2^(-k/40) of k honest proofs."""
     return 1.0 - 2.0 ** (-k / 40.0)
-
-
-def enumeration_budget() -> int:
-    """The exact-enumeration budget: UVLAB_BUDGET when set, else 10^7."""
-    raw = os.environ.get("UVLAB_BUDGET", str(DEFAULT_BUDGET))
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"UVLAB_BUDGET must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -149,9 +140,8 @@ def _independent_sets(conflict: np.ndarray, k: int, budget: int) -> np.ndarray:
     full and capped at the N sets with N * (k + m) within the budget, so
     the budget is checked before each allocation."""
     m = len(conflict)
-    limit = budget // (k + m)
-    index = np.int32 if limit < 2 ** 31 else np.int64     # row numbers stay below limit
-    drop, free, rows = np.full((1, m), -1, dtype=index), np.ones((1, m), dtype=bool), 1
+    limit = budget // (k + m)     # below 2^31 at ENUMERATION_BUDGET: int32 row numbers fit
+    drop, free, rows = np.full((1, m), -1, dtype=np.int32), np.ones((1, m), dtype=bool), 1
     for j in range(m):
         sel = np.flatnonzero(free[:rows, j])
         size = rows + sel.size
@@ -161,7 +151,7 @@ def _independent_sets(conflict: np.ndarray, k: int, budget: int) -> np.ndarray:
         if size > len(drop):
             capacity = min(limit, max(size, 2 * len(drop)))
             drop, free = _with_rows(drop, rows, capacity), _with_rows(free, rows, capacity)
-        pos = np.full(rows + 1, -1, dtype=index)  # pos[-1] = -1 keeps absent outcomes absent
+        pos = np.full(rows + 1, -1, dtype=np.int32)  # pos[-1] = -1 keeps absent outcomes absent
         pos[sel] = np.arange(rows, size)
         grown = drop[rows:size]
         grown[:] = pos[drop[sel]]
@@ -426,7 +416,7 @@ def consistency_accept(c: SuccinctCircuit, proofs, mode: str = "exact",
     dists = np.abs(batch.amps).reshape(len(batch.amps), -1) ** 2
     edges = expand(c).edges
     if mode == "exact":
-        return _consistency_exact(dists, batch.counts, edges, 2 ** c.n, enumeration_budget())
+        return _consistency_exact(dists, batch.counts, edges, 2 ** c.n, ENUMERATION_BUDGET)
     return _consistency_monte_carlo(dists, batch.counts, edges, 2 ** c.n, samples, seed)
 
 

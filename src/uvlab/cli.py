@@ -9,7 +9,8 @@ Two subcommands:
   one pass/fail line per check plus a JSON summary.
 
 Exit codes: 0 success, 1 suite check failure, 2 instance/parse/config
-errors (a file that cannot be read or written included), 3 capacity errors.
+errors (a file that cannot be read or written, and a ``--samples`` or
+``--seed`` out of range, included), 3 capacity errors.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ def _proofs_for(c, strategy: str, k: int, seed: int | None):
 def _check_mc(args):
     if args.samples is None or args.seed is None:
         raise ParseError("--mode mc requires --samples and --seed")
-    if args.samples < 1:
-        raise ParseError(f"--samples must be a positive integer, got {args.samples}")
+    if not 1 <= args.samples <= 2 ** 63 - 1:     # numpy draws counts as int64
+        raise ParseError(f"--samples must be a positive integer at most 2^63 - 1, "
+                         f"got {args.samples}")
 
 
 def _run_qma2(args, c, name) -> dict:
@@ -152,6 +154,8 @@ def _run_gadget(args, c, name) -> dict:
 
 
 def cmd_run(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ParseError(f"--seed must be a non-negative integer, got {args.seed}")
     _check_out(args.out)
     c, name = _load_instance(args.instance)
     runner = {"qma2": _run_qma2, "bellqma": _run_bellqma, "oracle": _run_oracle,
@@ -207,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        bellqma.enumeration_budget()     # a malformed UVLAB_BUDGET fails on every path
         return args.fn(args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,6 +28,7 @@ from .states import ZERO_BRANCH_TOL, PureState, RegisterShape
 from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
 
 MAX_BATCH_AMPLITUDES = 2 ** 24     # distinct proofs * 3 * 2^n complex128s: 256 MiB
+MAX_PROOFS = 2 ** 14               # k; the O(k^2) uniformity DP: 2.5 s here, 57 s at 2^16 (2 CPUs)
 
 
 def proof_shape(n: int) -> RegisterShape:
@@ -62,9 +63,11 @@ def decompose(state: PureState) -> ProofDecomposition:
 
 
 def _check_batch_size(distinct: int, nodes: int, k: int):
-    """Raise :class:`CapacityError` when ``distinct`` proofs of ``nodes`` x 3
-    amplitudes, read by k registers, exceed MAX_BATCH_AMPLITUDES; call
-    before allocating."""
+    """Raise :class:`CapacityError` when k exceeds MAX_PROOFS, or when
+    ``distinct`` proofs of ``nodes`` x 3 amplitudes, read by k registers,
+    exceed MAX_BATCH_AMPLITUDES; call before allocating."""
+    if k > MAX_PROOFS:
+        raise CapacityError(f"k={k} proofs exceed the proof-count cap of {MAX_PROOFS} (2^14)")
     if distinct * 3 * nodes > MAX_BATCH_AMPLITUDES:
         raise CapacityError(
             f"k={k} proofs at n={nodes.bit_length() - 1} need {distinct * 3 * nodes} "
@@ -84,7 +87,9 @@ class ProofBatch:
 
     @staticmethod
     def repeated(proof: PureState, k: int) -> "ProofBatch":
-        """One proof in all k registers, stored once."""
+        """One proof in all k registers, stored once; checked against
+        MAX_PROOFS."""
+        _check_batch_size(1, proof.shape.dims[0], k)
         return ProofBatch(proof.tensor_view()[None], np.array([k]))
 
     def __len__(self) -> int:
@@ -112,8 +117,8 @@ def stack_proofs(proofs, n: int | None = None) -> ProofBatch:
     repeated as in ``[h] * k`` or equal copies, is stored once; a batch
     passes through.  Raises
     :class:`ShapeMismatchError` for a proof with other dims,
-    :class:`CapacityError` when the distinct proofs exceed
-    MAX_BATCH_AMPLITUDES, and ValueError when there are no proofs."""
+    :class:`CapacityError` when the proofs exceed MAX_PROOFS or the
+    distinct ones MAX_BATCH_AMPLITUDES, and ValueError when there are no proofs."""
     if isinstance(proofs, ProofBatch):
         if n is not None and proofs.amps.shape[1] != 2 ** n:
             raise ShapeMismatchError(f"batch has {proofs.amps.shape[1]} nodes, expected {2 ** n}")
@@ -224,7 +229,7 @@ class ProverStrategy:
     flawed coloring plus its violation count), or ``random`` (needs a
     seed).  :meth:`states` returns a :class:`ProofBatch`: one honest or
     near proof of multiplicity k, or k distinct random ones, checked
-    against MAX_BATCH_AMPLITUDES before any is drawn.
+    against MAX_PROOFS and MAX_BATCH_AMPLITUDES before any is drawn.
     """
 
     kind: str

@@ -349,7 +349,7 @@ class TestConsistency:
         core = live & (reject & live).any(axis=1)
         m = int(core.sum())
         sets = len(bellqma._independent_sets(reject[np.ix_(core, core)], k, 10 ** 7))
-        monkeypatch.setenv("UVLAB_BUDGET", str((sets - 1) * (k + m)))
+        monkeypatch.setattr(bellqma, "ENUMERATION_BUDGET", (sets - 1) * (k + m))
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError, match=f"^{sets} independent sets"):
@@ -359,14 +359,6 @@ class TestConsistency:
             tracemalloc.stop()
         assert (m, sets) == (24, 11236)
         assert peak < 2 * 5 * m * (sets - 1)
-
-    def test_env_var_overrides_budget(self, k4, monkeypatch):
-        proofs = random_product_proofs(proof_shape(2), 3, seed=2)
-        monkeypatch.setenv("UVLAB_BUDGET", "10")
-        with pytest.raises(BudgetError):
-            bellqma.consistency_accept(k4, proofs, "exact")
-        monkeypatch.delenv("UVLAB_BUDGET")
-        assert 0 <= bellqma.consistency_accept(k4, proofs, "exact") <= 1
 
     def test_mc_needs_samples_and_seed(self, k4):
         proofs = random_product_proofs(proof_shape(2), 3, seed=2)

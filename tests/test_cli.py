@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from uvlab import cli, corpus
+from uvlab.provers import MAX_PROOFS
 from uvlab.sgraph import Coloring, ExplicitGraph, expand
 
 
@@ -213,39 +214,61 @@ class TestErrorsAndFormats:
     # width None runs on k3_n2, a name runs that bundled instance, an integer
     # width runs on one edge at that n, "dir" passes a directory as the
     # instance and "suite" runs ``uvlab suite`` with argv instead; {tmp} in
-    # argv is the test's temporary directory.  Every row stays under 64 MB
-    @pytest.mark.parametrize("width, argv, budget, code, message", [
-        (None, ["--protocol", "oracle"], None, cli.EXIT_OK, ""),
-        (None, ["--protocol", "qma2", "--mode", "mc", "--samples", "-5", "--seed", "1"],
-         None, cli.EXIT_INSTANCE, "--samples must be a positive integer"),
-        (None, ["--protocol", "qma2", "--mode", "mc", "--samples", "0", "--seed", "1"],
-         None, cli.EXIT_INSTANCE, "--samples must be a positive integer"),
-        (None, ["--protocol", "bellqma", "--mode", "mc", "--samples", "-5", "--seed", "1"],
-         None, cli.EXIT_INSTANCE, "--samples must be a positive integer"),
-        (None, ["--protocol", "bellqma", "--mode", "mc", "--samples", "10"],
-         None, cli.EXIT_INSTANCE, "--seed"),
-        (None, ["--protocol", "oracle"], "abc", cli.EXIT_INSTANCE, "UVLAB_BUDGET"),
-        (None, ["--protocol", "oracle"], "0", cli.EXIT_INSTANCE, "UVLAB_BUDGET"),
-        (None, ["--protocol", "bellqma"], "-3", cli.EXIT_INSTANCE, "UVLAB_BUDGET"),
-        (None, ["--protocol", "bellqma", "--k", "3"], "1000", cli.EXIT_OK, ""),
-        (12, ["--protocol", "bellqma", "--strategy", "random", "--seed", "1"],
-         None, cli.EXIT_CAPACITY, "k=1440 proofs at n=12"),
-        ("k4_n2", ["--protocol", "bellqma", "--strategy", "near"], None, cli.EXIT_OK, ""),
-        ("k4_n4", ["--protocol", "bellqma", "--strategy", "random", "--seed", "1"],
-         None, cli.EXIT_CAPACITY, "use Monte-Carlo mode"),
-        ("dir", ["--protocol", "oracle"], None, cli.EXIT_INSTANCE, "Is a directory"),
-        (None, ["--protocol", "oracle", "--out", "{tmp}/missing/r.json"],
-         None, cli.EXIT_INSTANCE, "does not exist"),
-        (None, ["--protocol", "oracle", "--out", "{tmp}"], None, cli.EXIT_INSTANCE,
-         "Is a directory"),
-        ("suite", ["lemmas", "--out", "{tmp}/missing/s.json"], None, cli.EXIT_INSTANCE,
-         "does not exist"),
-        (12, ["--protocol", "bellqma"], None, cli.EXIT_OK, ""),
-        (None, ["--protocol", "bellqma", "--k", "0"], None, cli.EXIT_INSTANCE,
-         "bellqma needs k >= 2"),
+    # argv is the test's temporary directory.  Every row stays under 64 MB.
+    # Row ids are spelled out, so a row keeps its name when others go.
+    @pytest.mark.parametrize("width, argv, code, message", [
+        pytest.param(None, ["--protocol", "oracle"], cli.EXIT_OK, "",
+                     id="None-argv0-None-0-"),
+        pytest.param(None, ["--protocol", "qma2", "--mode", "mc", "--samples", "-5",
+                            "--seed", "1"],
+                     cli.EXIT_INSTANCE, "--samples must be a positive integer",
+                     id="None-argv1-None-2---samples must be a positive integer"),
+        pytest.param(None, ["--protocol", "qma2", "--mode", "mc", "--samples", "0",
+                            "--seed", "1"],
+                     cli.EXIT_INSTANCE, "--samples must be a positive integer",
+                     id="None-argv2-None-2---samples must be a positive integer"),
+        pytest.param(None, ["--protocol", "bellqma", "--mode", "mc", "--samples", "-5",
+                            "--seed", "1"],
+                     cli.EXIT_INSTANCE, "--samples must be a positive integer",
+                     id="None-argv3-None-2---samples must be a positive integer"),
+        pytest.param(None, ["--protocol", "bellqma", "--mode", "mc", "--samples", "10"],
+                     cli.EXIT_INSTANCE, "--seed", id="None-argv4-None-2---seed"),
+        pytest.param(12, ["--protocol", "bellqma", "--strategy", "random", "--seed", "1"],
+                     cli.EXIT_CAPACITY, "k=1440 proofs at n=12",
+                     id="12-argv9-None-3-k=1440 proofs at n=12"),
+        pytest.param("k4_n2", ["--protocol", "bellqma", "--strategy", "near"],
+                     cli.EXIT_OK, "", id="k4_n2-argv10-None-0-"),
+        pytest.param("k4_n4", ["--protocol", "bellqma", "--strategy", "random", "--seed", "1"],
+                     cli.EXIT_CAPACITY, "use Monte-Carlo mode",
+                     id="k4_n4-argv11-None-3-use Monte-Carlo mode"),
+        pytest.param("dir", ["--protocol", "oracle"], cli.EXIT_INSTANCE, "Is a directory",
+                     id="dir-argv12-None-2-Is a directory"),
+        pytest.param(None, ["--protocol", "oracle", "--out", "{tmp}/missing/r.json"],
+                     cli.EXIT_INSTANCE, "does not exist",
+                     id="None-argv13-None-2-does not exist"),
+        pytest.param(None, ["--protocol", "oracle", "--out", "{tmp}"],
+                     cli.EXIT_INSTANCE, "Is a directory",
+                     id="None-argv14-None-2-Is a directory"),
+        pytest.param("suite", ["lemmas", "--out", "{tmp}/missing/s.json"],
+                     cli.EXIT_INSTANCE, "does not exist",
+                     id="suite-argv15-None-2-does not exist"),
+        pytest.param(12, ["--protocol", "bellqma"], cli.EXIT_OK, "", id="12-argv16-None-0-"),
+        pytest.param(None, ["--protocol", "bellqma", "--k", "0"],
+                     cli.EXIT_INSTANCE, "bellqma needs k >= 2",
+                     id="None-argv17-None-2-bellqma needs k >= 2"),
+        pytest.param(None, ["--protocol", "bellqma", "--strategy", "honest",
+                            "--k", str(MAX_PROOFS + 1)],
+                     cli.EXIT_CAPACITY, f"k={MAX_PROOFS + 1} proofs exceed the proof-count cap",
+                     id="k-past-proof-cap"),
+        pytest.param(None, ["--protocol", "qma2", "--mode", "mc", "--samples", str(2 ** 63),
+                            "--seed", "1"],
+                     cli.EXIT_INSTANCE, "--samples must be a positive integer at most 2^63 - 1",
+                     id="samples-past-int64"),
+        pytest.param(None, ["--protocol", "qma2", "--strategy", "random", "--seed", "-1"],
+                     cli.EXIT_INSTANCE, "--seed must be a non-negative integer",
+                     id="negative-seed"),
     ])
-    def test_exit_codes(self, width, argv, budget, code, message, tmp_path,
-                        monkeypatch, capsys):
+    def test_exit_codes(self, width, argv, code, message, tmp_path, capsys):
         from uvlab.sgraph import encode_explicit, format_sgc
         path = instance_path(width if isinstance(width, str) else "k3_n2")
         if isinstance(width, int):
@@ -256,8 +279,6 @@ class TestErrorsAndFormats:
             path = tmp_path
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         command = ["suite"] if width == "suite" else ["run", "--instance", str(path)]
-        if budget is not None:
-            monkeypatch.setenv("UVLAB_BUDGET", budget)
         tracemalloc.start()
         try:
             assert run_cli([*command, *argv]) == code

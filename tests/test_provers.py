@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from uvlab.bellqma import default_k
 from uvlab.errors import CapacityError, ShapeMismatchError
-from uvlab.provers import (MAX_BATCH_AMPLITUDES, ProofBatch, ProverStrategy,
+from uvlab.provers import (MAX_BATCH_AMPLITUDES, MAX_PROOFS, ProofBatch, ProverStrategy,
                            color_branch_node_amplitudes, decompose, haar_state,
                            honest_proof, near_coloring_proof, proof_shape,
                            random_product_proofs, stack_proofs, uniformity_weights)
@@ -203,6 +204,25 @@ class TestBatchCap:
         assert list(stack_proofs([h] * 342, 14).counts) == [342]
         with pytest.raises(CapacityError, match=str(MAX_BATCH_AMPLITUDES)):
             stack_proofs([h, other] * 171, 14)
+
+    @pytest.mark.parametrize("build", [
+        lambda h, c, col, k: ProofBatch.repeated(h, k),
+        lambda h, c, col, k: ProverStrategy("honest", coloring=col).states(c, k),
+        lambda h, c, col, k: ProverStrategy("random", seed=1).states(c, k),
+    ], ids=["repeated", "honest", "random"])
+    def test_proof_count_cap(self, build, k3, k3_coloring):
+        # k = MAX_PROOFS + 1 is refused before any per-register array: the
+        # peak stays below one float per register; MAX_PROOFS builds
+        h = honest_proof(k3, k3_coloring)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"k={MAX_PROOFS + 1} proofs exceed"):
+                build(h, k3, k3_coloring, MAX_PROOFS + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * MAX_PROOFS
+        assert len(build(h, k3, k3_coloring, MAX_PROOFS)) == MAX_PROOFS
 
 
 def measured_weights(state):
