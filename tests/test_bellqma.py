@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from uvlab import bellqma, corpus
 from uvlab.errors import BudgetError, CapacityError
-from uvlab.provers import (ProverStrategy, haar_state, honest_proof, near_coloring_proof,
-                           proof_shape, random_product_proofs, stack_proofs)
+from uvlab.provers import (MAX_PROOFS, ProofBatch, ProverStrategy, haar_state, honest_proof,
+                           near_coloring_proof, proof_shape, random_product_proofs,
+                           stack_proofs)
 from uvlab.qma2 import acceptance_exact, consistency_accept_table
 from uvlab.sgraph import Coloring, ExplicitGraph, encode_explicit, expand
 from uvlab.states import PureState, basis_state
@@ -18,6 +20,31 @@ from uvlab.states import PureState, basis_state
 
 def binom_tail_at_least(k, p, thr):
     return sum(math.comb(k, z) * p ** z * (1 - p) ** (k - z) for z in range(thr, k + 1))
+
+
+def loop_dps(w):
+    """The k-step Poisson-binomial loop over the (k, 3) weights: row 0
+    counts b, row 1 counts b + c; the reference for the block DP."""
+    rows = []
+    for counted in (w[:, 1], w[:, 1] + w[:, 2]):
+        f = np.zeros(len(w) + 1)
+        f[0] = 1.0
+        for a, b in zip(w[:, 0], counted):
+            f[1:] = f[1:] * a + f[:-1] * b
+            f[0] *= a
+        rows.append(f)
+    return np.stack(rows)
+
+
+def assert_dp_close(got, want):
+    """Entries of at least 2^-1022 within k * 2^-52 relative, subnormal
+    ones within 2^-1022 absolute."""
+    k = want.shape[1] - 1
+    assert got.shape == want.shape
+    normal = want >= 2.0 ** -1022
+    gap = np.abs(got - want)
+    assert np.all(gap[normal] <= k * 2.0 ** -52 * want[normal])
+    assert np.all(gap[~normal] <= 2.0 ** -1022)
 
 
 def dark_state(n=2):
@@ -171,16 +198,42 @@ class TestUniformityDP:
         assert abs(mean - k / 3) < 1e-9
 
     def test_two_row_pass_matches_single_dps(self, rng):
-        # each row of the one pass carries the bits of its own DP
+        # each row of the block pass agrees with its own k-step loop DP
         w = rng.random((50, 3)) * [1.0, 0.5, 0.5]
-        dps = bellqma._uniformity_dps(w)
-        for row, counted in enumerate((w[:, 1], w[:, 1] + w[:, 2])):
-            f = np.zeros(51)
-            f[0] = 1.0
-            for a, b in zip(w[:, 0], counted):
-                f[1:] = f[1:] * a + f[:-1] * b
-                f[0] *= a
-            assert np.array_equal(f, dps[row])
+        assert_dp_close(bellqma._uniformity_dps(w), loop_dps(w))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_block_dp_matches_loop_dp(self, data):
+        # block edges (k = B^2, B^2 + 1, prime k), dark rows (b = c = 0),
+        # rows with a = 0, and weights small enough to reach subnormals
+        k = data.draw(st.one_of(st.integers(1, 600), st.sampled_from(
+            [1, 2, 3, 4, 5, 7, 16, 17, 97, 225, 226, 239, 241, 359, 576, 577, 599])))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        w = rng.random((k, 3))
+        w[:, 1:] *= data.draw(st.sampled_from([1.0, 1e-3, 1e-30, 1e-150]))
+        w /= w.sum(axis=1, keepdims=True)
+        w[rng.random(k) < data.draw(st.floats(0, 1)), 1:] = 0.0
+        w[rng.random(k) < data.draw(st.floats(0, 0.5)), 0] = 0.0
+        assert_dp_close(bellqma._uniformity_dps(w), loop_dps(w))
+
+    def test_honest_tail_at_large_k_is_exact_binomial(self, k3, k3_coloring):
+        # k = 2400 (n = 20's default k): Pr[|Z| < 400] for |Z| ~ Bin(k, 1/3)
+        # is about 5.7e-76, normal, so the relative bound is a real check
+        k = 2400
+        rep = bellqma.acceptance(k3, ProofBatch.repeated(honest_proof(k3, k3_coloring), k))
+        tail = Fraction(sum(math.comb(k, z) * 2 ** (k - z)
+                            for z in range(bellqma.z_threshold(k))), 3 ** k)
+        bound = Fraction(k, 2 ** 52)
+        assert 0 < rep.z_tail < 1e-70
+        assert abs(Fraction(rep.z_tail) - tail) <= bound * tail
+        assert abs(Fraction(rep.p_uniformity) - (1 - tail)) <= bound * (1 - tail)
+
+    def test_honest_at_proof_cap_is_a_probability(self, k3, k3_coloring):
+        rep = bellqma.acceptance(
+            k3, ProofBatch.repeated(honest_proof(k3, k3_coloring), MAX_PROOFS))
+        assert rep.k == MAX_PROOFS
+        assert 0.0 < rep.p_uniformity <= 1.0 and rep.z_tail >= 0.0
 
     def test_acceptance_stacks_proofs_once(self, k3, k3_coloring, monkeypatch):
         calls = []
