@@ -17,12 +17,17 @@ eigenvector steps never decrease the value.
 
 A is never built: it is applied in closed form from the consistency table,
 O(d^2) per product for proof dimension d = 3 * 2^n; the spectral norm is a
-locally optimal Rayleigh-Ritz iteration (LOPCG) of about 60 such products,
-and the partial contractions are d x d.
+locally optimal Rayleigh-Ritz iteration (LOPCG) of about 60 such products.
+The seesaw never forms the d x d partial contractions either: fixing R2,
+the one for R1 is block diagonal (2^n blocks of 3 x 3) plus rank 2, and
+fixing R1, the one for R2 is diagonal plus rank 1.  So a half-step is one
+batched 3 x 3 eigh and a 2 x 2 (or scalar) secular equation, O(d) after
+the O(d^2) consistency sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,13 +39,18 @@ from .qma2 import consistency_accept_table
 from .sgraph import SuccinctCircuit
 from .states import PureState
 
-# per-step cost caps n: a product takes O(d^2) time and memory, a seesaw step
-# O(d^3) time; at n = 6 the norm takes about 0.3 s, a seesaw restart 13 s
+# the d^2-entry joint vectors cap n: a product takes O(d^2) time and memory, a
+# seesaw half-step O(d^2) for the consistency sum plus O(d) for the rest; at
+# n = 6 the norm takes about 0.3 s, a 500-iteration seesaw restart 0.3 s
 MAX_OPERATOR_N = 6
 HERMITIAN_TOL = 1e-10
+# LOPCG's stop: a residual ||A v - theta v|| below it puts theta within it of
+# an eigenvalue of A, so it is the error bound reported beside lambda_max
+LOPCG_RESIDUAL_TOL = 1e-13
 CONVERGENCE_TOL = 1e-12
 DEFAULT_RESTARTS = 50
 DEFAULT_ITERS = 500
+EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -57,9 +67,8 @@ class AcceptanceOperator:
         return self.accept.shape[0]
 
     @cached_property
-    def _reject_r1(self) -> np.ndarray:
-        size = self.proof_dim // 3
-        return np.kron(np.eye(size) - 1.0 / size, np.full((3, 3), 1.0 / 3.0))
+    def _accept(self) -> np.ndarray:
+        return self.accept.astype(np.float64)
 
     def __matmul__(self, v) -> np.ndarray:
         d = self.proof_dim
@@ -71,18 +80,73 @@ class AcceptanceOperator:
                + joint - np.repeat(by_node, 3, axis=0)) / 3.0
         return out.reshape(np.shape(v))
 
-    def contract_r2(self, y: np.ndarray) -> np.ndarray:
-        """M1 on R1 with x^† M1 x = <x (x) y|A|x (x) y> for unit y."""
-        eye = np.eye(self.proof_dim)
-        return (0.5 * (eye + np.outer(y, y.conj())) + np.diag(self.accept @ np.abs(y) ** 2)
-                + eye - self._reject_r1) / 3.0
+    def best_r1(self, y: np.ndarray) -> tuple[np.ndarray, float]:
+        """Top eigenpair of M1, x^† M1 x = <x (x) y|A|x (x) y> for unit y:
+        3 M1 = 1.5 I + blockdiag_v(diag(D_v) - J/3) + w w^† + y y^†/2, with
+        D = accept @ |y|^2 and w = 1/sqrt(d).  One batched eigh of the 2^n
+        3 x 3 blocks, then the rank-2 secular equation in their basis."""
+        d = self.proof_dim
+        lam, q = np.linalg.eigh((self._accept @ np.abs(y) ** 2).reshape(-1, 3, 1) * np.eye(3)
+                                - 1.0 / 3.0)
+        t, v = _top_eigpair(lam.reshape(d), (q.sum(axis=1) / math.sqrt(d)).reshape(d),
+                            ((q * y.reshape(-1, 3, 1)).sum(axis=1) * math.sqrt(0.5)).reshape(d))
+        return (q @ v.reshape(-1, 3, 1)).reshape(d), (1.5 + t) / 3.0
 
-    def contract_r1(self, x: np.ndarray) -> np.ndarray:
-        """M2 on R2 with y^† M2 y = <x (x) y|A|x (x) y> for unit x."""
-        eye = np.eye(self.proof_dim)
-        unif = 1.0 - float(np.real(np.vdot(x, self._reject_r1 @ x)))
-        return (0.5 * (eye + np.outer(x, x.conj())) + np.diag(np.abs(x) ** 2 @ self.accept)
-                + unif * eye) / 3.0
+    def best_r2(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """Top eigenpair of M2, y^† M2 y = <x (x) y|A|x (x) y> for unit x:
+        3 M2 = (1.5 - x^† R x) I + diag(|x|^2 @ accept) + x x^†/2, a rank-1
+        secular equation; x^† R x comes from the per-node color sums."""
+        by_node = x.reshape(-1, 3).sum(axis=1)
+        reject = (np.vdot(by_node, by_node).real - abs(by_node.sum()) ** 2 / by_node.size) / 3.0
+        t, y = _top_eigpair(np.abs(x) ** 2 @ self._accept, math.sqrt(0.5) * x, np.zeros_like(x))
+        return y, (1.5 - reject + t) / 3.0
+
+
+def _top_eigpair(lam: np.ndarray, z0: np.ndarray, z1: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenpair (t, unit v) of diag(lam) + Z Z^†, Z = [z0 z1], by the
+    secular equation: t is the largest root of mu(t) = 1 for mu the top
+    eigenvalue of G(t) = Z^† (t - lam)^-1 Z, and v = (t - lam)^-1 Z u for u
+    its eigenvector.  Coordinates with coupling at rounding level are
+    deflated, as in LAPACK's divide and conquer.  Above the poles 1/mu is
+    concave and increasing, so Newton on 1/mu = 1 climbs to the root from
+    a lower bound; a bracket up to the total weight catches rounding."""
+    pairs = np.array([z0.conj() * z0, z1.conj() * z1, z0.conj() * z1])
+    weight = (pairs[0] + pairs[1]).real
+    live = weight > (8 * EPS) ** 2 * max(np.abs(lam).max() ** 2, weight.max())
+    v, deflated = np.zeros(len(lam), dtype=np.complex128), not live.all()
+    if deflated:                                       # j: the top deflated pole
+        j = np.flatnonzero(~live)[lam[~live].argmax()]
+        pole, lam, z0, z1, pairs = lam[j], lam[live], z0[live], z1[live], pairs[:, live]
+    top = lam.argmax()
+    delta = lam[top] - lam                             # t - lam = delta + tau
+    # lower bounds: the top pole plus its weight, the Rayleigh quotients of z0, z1
+    (a, c, b), (sa, sc, _) = pairs.sum(axis=1).tolist(), (pairs @ delta).tolist()
+    lo = tau = max((pairs[0, top] + pairs[1, top]).real,
+                   *(nk.real + (abs(b) ** 2 - sk.real) / nk.real
+                     for nk, sk in ((a, sa), (c, sc)) if nk.real > 0))
+    hi = a.real + c.real
+    for _ in range(200):
+        r = 1.0 / (delta + tau)
+        a, c, b = (pairs @ r).tolist()
+        da, dc, db = (pairs @ (r * r)).tolist()
+        a, c, half = a.real, c.real, (a.real - c.real) / 2
+        h = math.hypot(half, abs(b))
+        mu = (a + c) / 2 + h
+        dmu = -(da.real + dc.real) / 2 - (half * (da.real - dc.real) / 2
+                                          + (b.conjugate() * db).real) / (h or 1.0)
+        lo, hi = (tau, hi) if mu > 1.0 else (lo, tau)
+        step = mu * (mu - 1.0) / -dmu
+        if min(abs(step), hi - lo) <= 2 * EPS * tau:
+            break
+        tau = tau + step if lo < tau + step < hi else (lo + hi) / 2
+    else:
+        raise RuntimeError("secular Newton iteration did not converge in 200 steps")
+    if deflated and pole > lam[top] + tau:             # a deflated pole is on top
+        v[j] = 1.0
+        return float(pole), v
+    u0, u1 = (mu - c, b.conjugate()) if a >= c else (b, mu - a)
+    v[live] = r * (u0 * z0 + u1 * z1)
+    return float(lam[top] + tau), v / math.sqrt(np.vdot(v, v).real)
 
 
 @dataclass(frozen=True)
@@ -119,7 +183,8 @@ def lopcg_norm(op, iters: int = 10 ** 4, seed: int = 0) -> float:
     residual A v - theta v, the last update), orthonormalized by QR with
     dependent columns dropped, for one product with a (dim, <= 3) block.
     Vectors stay real unless A is complex.  Stops once ||A v - theta v|| <
-    1e-13 for the Rayleigh quotient theta; raises if ``iters`` steps fall short."""
+    LOPCG_RESIDUAL_TOL for the Rayleigh quotient theta, so theta is within
+    that of an eigenvalue of A; raises if ``iters`` steps fall short."""
     n = op.proof_dim ** 2 if isinstance(op, AcceptanceOperator) else len(op)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
@@ -128,7 +193,7 @@ def lopcg_norm(op, iters: int = 10 ** 4, seed: int = 0) -> float:
     for _ in range(iters):
         theta = float(np.real(np.vdot(v, w)))
         r = w - theta * v
-        if np.linalg.norm(r) < 1e-13:
+        if np.linalg.norm(r) < LOPCG_RESIDUAL_TOL:
             return theta
         basis = np.column_stack([v, r, p])
         q, tri = np.linalg.qr(basis)
@@ -136,7 +201,7 @@ def lopcg_norm(op, iters: int = 10 ** 4, seed: int = 0) -> float:
         aq = op @ q
         c = np.linalg.eigh(q.conj().T @ aq)[1][:, -1]
         v, w, p = q @ c, aq @ c, q[:, 1:] @ c[1:]      # q[:, 0] is +-v
-    raise RuntimeError(f"LOPCG did not reach residual 1e-13 in {iters} steps")
+    raise RuntimeError(f"LOPCG did not reach residual {LOPCG_RESIDUAL_TOL} in {iters} steps")
 
 
 def product_value(op, r1: PureState | np.ndarray, r2: PureState | np.ndarray) -> float:
@@ -147,20 +212,17 @@ def product_value(op, r1: PureState | np.ndarray, r2: PureState | np.ndarray) ->
     return float(np.real(np.vdot(joint, op @ joint)))
 
 
-def _top_eigvec(m: np.ndarray) -> tuple[np.ndarray, float]:
-    vals, vecs = np.linalg.eigh(m)
-    return vecs[:, -1], float(vals[-1])
-
-
 def seesaw(op: AcceptanceOperator, restarts: int = DEFAULT_RESTARTS,
            iters: int = DEFAULT_ITERS, seed: int = 0,
            init_states: tuple | None = None) -> SeesawResult:
     """Alternating eigenvector maximization over the two proof registers.
 
     Haar-random restarts plus an optional caller-supplied initialization
-    (e.g. an honest proof pair).  The per-iteration value trace is
-    monotone; the best pair over all restarts is returned.  Deterministic
-    for a fixed seed.
+    (e.g. an honest proof pair), normalized first; one of the wrong length
+    or without a finite nonzero norm raises ValueError.  Each half-step is
+    a structured top-eigenvector solve (``best_r1``, ``best_r2``).  The
+    per-iteration value trace is monotone; the best pair over all restarts
+    is returned.  Deterministic for a fixed seed.
     """
     if restarts < 0 or (restarts == 0 and init_states is None):
         raise ValueError(f"restarts = {restarts}: need restarts >= 1, or 0 with init_states")
@@ -172,19 +234,23 @@ def seesaw(op: AcceptanceOperator, restarts: int = DEFAULT_RESTARTS,
         trace = []
         val = product_value(op, x, y)
         for it in range(iters):
-            x, _ = _top_eigvec(op.contract_r2(y))
-            y, new = _top_eigvec(op.contract_r1(x))
+            x, _ = op.best_r1(y)
+            y, new = op.best_r2(x)
             trace.append(new)
             if abs(new - val) < CONVERGENCE_TOL:
                 return x, y, new, it + 1, trace
             val = new
         return x, y, val, iters, trace
 
-    starts = []
-    if init_states is not None:
-        s1, s2 = init_states
-        starts.append((np.array(s1.amps if isinstance(s1, PureState) else s1),
-                       np.array(s2.amps if isinstance(s2, PureState) else s2)))
+    def unit(s):
+        v = np.array(s.amps if isinstance(s, PureState) else s, dtype=np.complex128).reshape(-1)
+        norm = np.linalg.norm(v)
+        if v.size != d or not 0 < norm < np.inf:
+            raise ValueError(f"a seesaw start needs d = 3 * 2^n = {d} amplitudes and a finite "
+                             f"nonzero norm, got {v.size} amplitudes of norm {norm}")
+        return v / norm
+
+    starts = [tuple(map(unit, init_states))] if init_states is not None else []
     for _ in range(restarts):
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         y = rng.standard_normal(d) + 1j * rng.standard_normal(d)

@@ -147,6 +147,8 @@ class TestSeesawGadgetProtocols:
         report = json.loads(capsys.readouterr().out)
         assert {"lambda_max", "seesaw_best", "restarts", "seed"} <= set(report)
         assert report["seesaw_best"] <= report["lambda_max"] + 1e-9
+        assert report["lambda_max_error_bound"] == 1e-13
+        assert abs(report["lambda_max"] - 1.0) <= report["lambda_max_error_bound"]
 
     def test_gadget_report(self, capsys):
         code = run_cli(["run", "--instance", instance_path("k3_n2"),

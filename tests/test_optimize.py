@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from uvlab import corpus
+from uvlab import corpus, optimize
 from uvlab.errors import CapacityError
 from uvlab.optimize import (build_acceptance_operator, lopcg_norm,
                             product_value, seesaw, spectral_norm)
 from uvlab.provers import haar_state, honest_proof, near_coloring_proof, proof_shape
 from uvlab.qma2 import acceptance_exact, consistency_accept_table, soundness_bound
-from uvlab.sgraph import Coloring, encode_explicit, ExplicitGraph
+from uvlab.sgraph import Coloring, encode_explicit, expand, ExplicitGraph
 
 
 def dense_reference(c):
@@ -167,6 +167,22 @@ class TestSeesaw:
         res = seesaw(k4_op, restarts=4, seed=13)
         assert abs(product_value(k4_op, *res.states) - res.value) < 1e-9
 
+    def test_start_of_wrong_length_rejected(self, k4_op):
+        with pytest.raises(ValueError, match=r"d = 3 \* 2\^n = 12 amplitudes.*got 11 amplitudes"):
+            seesaw(k4_op, restarts=0, init_states=(np.ones(11), np.ones(12)))
+
+    @pytest.mark.parametrize("bad", [np.zeros(12), np.full(12, np.nan)])
+    def test_start_without_finite_nonzero_norm_rejected(self, k4_op, bad):
+        with pytest.raises(ValueError, match="finite nonzero norm, got 12 amplitudes of norm"):
+            seesaw(k4_op, restarts=0, init_states=(np.ones(12), bad))
+
+    def test_start_is_normalized(self, k4_module, k4_op):
+        cheat = near_coloring_proof(k4_module, Coloring((0, 1, 2, 0))).amps
+        unit = seesaw(k4_op, restarts=0, init_states=(cheat, cheat))
+        scaled = seesaw(k4_op, restarts=0, init_states=(3.0 * cheat, 0.5j * cheat))
+        assert scaled.trace == unit.trace and scaled.iterations == unit.iterations
+        assert unit.value >= 1 - 1 / 24       # never below the cheat's own value
+
 
 K4 = ExplicitGraph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
 SMALL = [name for name in corpus.available() if corpus.manifest()[name]["n"] <= 3]
@@ -191,17 +207,54 @@ class TestStructuredForm:
 
     @pytest.mark.parametrize("name", ["k4_n2", "c5_n3"])
     def test_partial_contractions_match_dense(self, name, rng):
+        """The half-steps return the top eigenpair of the partial
+        contractions M1 (R2 fixed to p) and M2 (R1 fixed to p) of the dense
+        operator.  The fixed proofs: Haar states; a near-coloring proof,
+        whose exact zeros give deflated coordinates; a computational-basis
+        state; and the honest proof."""
         c = corpus.load(name)
         op = build_acceptance_operator(c, instance=name)
         d = op.proof_dim
         a4 = dense_reference(c).reshape(d, d, d, d)
-        for _ in range(3):
-            x = haar_state(proof_shape(c.n), rng).amps
-            y = haar_state(proof_shape(c.n), rng).amps
-            m1 = np.einsum("acbd,c,d->ab", a4, np.conj(y), y)
-            m2 = np.einsum("acbd,a,b->cd", a4, np.conj(x), x)
-            assert np.abs(op.contract_r2(y) - m1).max() < 1e-12
-            assert np.abs(op.contract_r1(x) - m2).max() < 1e-12
+        g = expand(c)
+        base = corpus.witness_coloring(name) or Coloring((0, 1, 2, 0))   # K4: the near cheat
+        colors = list(base.colors)
+        u, v = min(g.edges)
+        colors[u] = colors[v]
+        flawed = Coloring(tuple(colors))
+        near = near_coloring_proof(c, flawed, len(flawed.monochromatic_edges(g)))
+        proofs = [haar_state(proof_shape(c.n), rng).amps for _ in range(3)]
+        proofs += [near.amps, np.eye(d)[d // 2 + 1], honest_proof(c, base).amps]
+        for p in proofs:
+            m1 = np.einsum("acbd,c,d->ab", a4, np.conj(p), p)
+            m2 = np.einsum("acbd,a,b->cd", a4, np.conj(p), p)
+            for m, (vec, value) in ((m1, op.best_r1(p)), (m2, op.best_r2(p))):
+                top = np.linalg.eigvalsh(m)[-1]
+                assert abs(value - top) < 1e-12
+                assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+                assert abs(np.vdot(vec, m @ vec).real - top) < 1e-12
+
+    def test_secular_solver_matches_eigvalsh(self):
+        """The top eigenpair of diag(lam) + Z Z^† for Z of rank 2 or 1, with
+        repeated poles and uncoupled coordinates; in every fifth case an
+        uncoupled pole lies above the root, so it is the eigenvector."""
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            d = int(rng.integers(2, 30))
+            lam = np.round(rng.standard_normal(d), 1)
+            z = 0.3 * (rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2)))
+            z[1:][rng.random(d - 1) < 0.4] = 0
+            z[:, 1] *= trial % 3 != 0
+            if trial % 5 == 0:
+                lam[-1], z[-1] = 100.0, 0
+            m = np.diag(lam) + z @ z.conj().T
+            top = np.linalg.eigvalsh(m)[-1]
+            t, v = optimize._top_eigpair(lam, z[:, 0], z[:, 1])
+            assert abs(t - top) < 1e-12 * max(1.0, abs(top))
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-14
+            assert abs(np.vdot(v, m @ v).real - top) < 1e-12 * max(1.0, abs(top))
+            if trial % 5 == 0:
+                assert t == 100.0 and v[-1] == 1.0
 
     @pytest.mark.parametrize("name", SMALL)
     def test_lopcg_converges_in_100_steps(self, name):
@@ -213,16 +266,18 @@ class TestStructuredForm:
         with pytest.raises(RuntimeError, match="did not reach"):
             lopcg_norm(k4_op, iters=5)
 
-    def test_k4_past_the_old_cap(self, rng):
-        """n = 5 was above the cap while the operator was dense."""
-        c = encode_explicit(K4, 5)
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_k4_past_the_old_cap(self, n, rng):
+        """n = 5 was above the cap while the operator was dense; n = 6 took
+        22 ms a seesaw iteration while each half-step was a d x d eigh."""
+        c = encode_explicit(K4, n)
         op = build_acceptance_operator(c)
         for _ in range(3):
-            r1 = haar_state(proof_shape(5), rng)
-            r2 = haar_state(proof_shape(5), rng)
+            r1 = haar_state(proof_shape(n), rng)
+            r2 = haar_state(proof_shape(n), rng)
             assert abs(product_value(op, r1, r2) - acceptance_exact(c, r1, r2).p_total) < 1e-12
         lam = spectral_norm(op)
         assert abs(lam - 1.0) < 1e-9
         cheat = near_coloring_proof(c, Coloring((0, 1, 2, 0)))
         res = seesaw(op, restarts=0, init_states=(cheat, cheat))
-        assert 1 - 2 / (3 * 4 ** 5) <= res.value <= lam + 1e-9
+        assert 1 - 2 / (3 * 4 ** n) <= res.value <= lam + 1e-9
