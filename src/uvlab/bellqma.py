@@ -22,7 +22,7 @@ from .sgraph import SuccinctCircuit, edge_array, expand
 from .states import PureState
 from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
 
-ENUMERATION_BUDGET = 10 ** 7     # entries exact consistency may allocate
+ENUMERATION_BUDGET = 10 ** 7     # 8-byte entries exact consistency may allocate
 MC_CONFIDENCE = 0.99
 Z_PRIME_THRESHOLD = 1.0 / 12.0
 MC_TABLE_BYTES = 2 ** 24     # cap on each Monte-Carlo table and a batch's packed rows
@@ -142,41 +142,64 @@ def z_prime_set(proofs) -> list[int]:
     return [int(i) for i in np.nonzero(w[:, 1] + w[:, 2] >= Z_PRIME_THRESHOLD)[0]]
 
 
-def _independent_sets(conflict: np.ndarray, k: int, budget: int) -> np.ndarray:
-    """The independent sets of at most k outcomes of an m-outcome conflict
-    core, as the ``drop`` rows of :func:`_consistency_exact`, in the order
-    they are created: each core outcome j in turn extends every set it does
-    not conflict with.  The table grows into preallocated rows, doubled when
-    full and capped at the N sets with N * (k + m) within the budget, so
-    the budget is checked before each allocation."""
-    m = len(conflict)
-    limit = budget // (k + m)     # below 2^31 at ENUMERATION_BUDGET: int32 row numbers fit
-    drop, free, rows = np.full((1, m), -1, dtype=np.int32), np.ones((1, m), dtype=bool), 1
-    for j in range(m):
-        sel = np.flatnonzero(free[:rows, j])
-        size = rows + sel.size
-        if size > limit:
-            raise BudgetError(f"{size} independent sets of a {m}-outcome conflict core "
+def _independent_sets(conflict: np.ndarray, vertex: np.ndarray, p: np.ndarray,
+                      budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """The independent sets of at most k = p.shape[1] outcomes of an
+    m-outcome conflict core and their core sums (vertex[j]: core outcome
+    j's vertex, ascending; column m of ``conflict``: False).  A vertex's
+    outcomes conflict pairwise, so a set has at most L = min(k, V, m - 1)
+    members over the V core vertices.  Returns (drop, sums): drop[s, T] is
+    the row of set T without its s-th member, members ascending, and -1 past
+    its size; sums[T] is its parent's plus p[j], j its last member.  A step
+    per core vertex extends each set with a free slot by each of the
+    vertex's outcomes that conflicts with none of its members, so the rows
+    come in the order of a step per core outcome.  A set counts k + L + 1 budget entries of 8 bytes: its
+    sums, mass and slots, which leaves room for the tables kept across steps.
+    A step checks the budget before it allocates for its new sets, and the
+    drop table doubles when full, up to the cap."""
+    m, k = p.shape
+    bounds = [0, *(np.flatnonzero(vertex[1:] != vertex[:-1]) + 1).tolist(), m]
+    slots = min(k, len(bounds) - 1, m - 1)
+    limit = budget // (k + slots + 1)     # below 2^31 at ENUMERATION_BUDGET: int32 rows fit
+    # drop rows, then each set's place in listed: (row, size, members) of sets with a free slot
+    drop = np.array([[-1]] * slots + [[0]], dtype=np.int32)
+    listed = np.array([0, 0] + [m] * slots, dtype=np.int32)[:, None]
+    rows, blocks = 1, []
+    for lo, hi in zip(bounds, bounds[1:]):
+        free = ~np.take(conflict[lo:hi], listed[2:], axis=1).any(axis=1)  # (outcome, listed)
+        total = rows + int(np.count_nonzero(free))
+        if total > limit:
+            raise BudgetError(f"{total} independent sets of a {m}-outcome conflict core "
                               f"at k={k} exceed the budget {budget}; use Monte-Carlo mode")
-        if size > len(drop):
-            capacity = min(limit, max(size, 2 * len(drop)))
-            drop, free = _with_rows(drop, rows, capacity), _with_rows(free, rows, capacity)
-        pos = np.full(rows + 1, -1, dtype=np.int32)  # pos[-1] = -1 keeps absent outcomes absent
-        pos[sel] = np.arange(rows, size)
-        grown = drop[rows:size]
-        grown[:] = pos[drop[sel]]
-        grown[:, j] = sel
-        room = (grown >= 0).sum(axis=1, keepdims=True) < k    # k registers see <= k outcomes
-        free[rows:size] = free[sel] & ~conflict[j] & room
-        rows = size
-    return drop[:rows]
-
-
-def _with_rows(table: np.ndarray, rows: int, capacity: int) -> np.ndarray:
-    """A table of ``capacity`` rows whose first ``rows`` are copied from ``table``."""
-    out = np.empty((capacity, table.shape[1]), dtype=table.dtype)
-    out[:rows] = table[:rows]
-    return out
+        if total > drop.shape[1]:
+            grown = np.empty((slots + 1, min(limit, max(total, 2 * drop.shape[1]))), np.int32)
+            grown[:, :rows] = drop[:, :rows]
+            drop = grown
+        color, at = np.nonzero(free)           # the new sets, in creation order
+        new = listed.take(at, axis=1)          # the parents' entries, made the new sets'
+        parent, last = new[0].copy(), new[1].copy()
+        slot = last * len(at) + np.arange(len(at))     # flat index of the new member
+        child = np.cumsum(free, dtype=np.int32) + (rows - 1)  # row per (outcome, listed)
+        old = drop[:slots].take(parent, axis=1)                # -1 past a parent's size:
+        pair = color * listed.shape[1] + drop[slots].take(old)  # no place there; clip, mask
+        grown = np.where(old >= 0, child.take(pair, mode="clip"), -1)   # (T - a_s) + j
+        grown.put(slot, parent)
+        drop[:slots, rows:total] = grown
+        new[2:].put(slot, color + lo)
+        new[0], new[1] = np.arange(rows, total), last + 1
+        new = new.compress(last + 1 < slots, axis=1)
+        drop[slots, new[0]] = np.arange(listed.shape[1], listed.shape[1] + new.shape[1])
+        listed = np.concatenate([listed, new], axis=1)
+        blocks.append((rows, parent, lo, free.sum(axis=1).tolist()))
+        rows = total
+    del listed
+    sums = np.zeros((rows, k))                 # row 0: the empty set
+    for start, parent, lo, counts in blocks:
+        np.take(sums[:start], parent, axis=0, out=sums[start:start + len(parent)], mode="clip")
+        ends = itertools.accumulate(counts, initial=start)
+        for j, (a, b) in enumerate(itertools.pairwise(ends), lo):
+            sums[a:b] += p[j]
+    return drop[:slots, :rows], sums
 
 
 def _conflict_core(drawn: np.ndarray, edges, size: int, check) -> tuple:
@@ -218,12 +241,14 @@ def _consistency_exact(dists: np.ndarray, counts: np.ndarray, edges, size: int,
     sets of the conflict core of the support (README).  Row r of ``dists``
     is the outcome distribution of ``counts[r]`` consecutive registers; only
     the core columns and the wildcard masses are repeated to the k
-    registers.  The core's m x m conflict table counts
-    against the budget.  Row T of ``drop`` holds, per core outcome j in T,
-    the row of T without j, and -1 for j not in T.
-    Each of the S = sum_T 2^|T| signed terms reaches the sum with relative
-    error below (k + 3m + 24) 2^-53 (product, transform, pairwise sum), so
-    the unclamped sum is within (k + 3m + 24) S 2^-53 of the exact value."""
+    registers.  The core's conflict table counts m^2 budget entries.  The
+    transform makes a pass per member slot s, subtracting from each set T
+    the value of T without its s-th member.  Members sit in ascending order,
+    so each set gets the subtractions of a pass per core outcome, in the
+    same order and from the same values: the same floats.  Each of the S =
+    sum_T 2^|T| signed terms reaches the sum with relative error below
+    (k + 3m + 24) 2^-53 (sums, product, transform, pairwise sum), so the
+    unclamped sum is within (k + 3m + 24) S 2^-53 of the exact value."""
     k = int(counts.sum())
 
     def check(m):
@@ -234,25 +259,20 @@ def _consistency_exact(dists: np.ndarray, counts: np.ndarray, edges, size: int,
     m, pos, src, dst = _conflict_core(dists.max(axis=0) > 0.0, edges, size, check)
     if not m:
         return 1.0
-    conflict = np.zeros((m, m), dtype=bool)
+    conflict = np.zeros((m, m + 1), dtype=bool)     # column m: an empty slot
     conflict[src, dst] = True
     core = pos < m
-    # p is C-ordered (m, k), as the product's bits depend on its layout, and
     # each wildcard mass is summed left to right, the order numpy takes for
     # the rows of a slice of two or more registers (one row it sums
-    # pairwise): neither depends on how many proofs are distinct
+    # pairwise), so it does not depend on how many proofs are distinct
     p = np.repeat(dists[:, core].T, counts, axis=1)
-    rest = dists[:, ~core]
-    wild = np.repeat(np.cumsum(rest, axis=1)[:, -1] if rest.size else np.zeros(len(rest)),
-                     counts)
-    drop = _independent_sets(conflict, k, budget)
-    member = drop >= 0
-    mass = member @ p
+    wild = np.repeat(np.cumsum(dists[:, ~core], axis=1)[:, -1:].sum(axis=1), counts)
+    drop, mass = _independent_sets(conflict, np.flatnonzero(core) // 3, p, budget)
     mass += wild
     mass = mass.prod(axis=1)                      # Pr[the core outcomes seen lie in T]
-    for j in range(drop.shape[1]):
-        rows = np.flatnonzero(member[:, j])
-        mass[rows] -= mass[drop[rows, j]]
+    for row in drop:
+        rows = np.flatnonzero(row >= 0)
+        mass[rows] -= mass[row[rows]]
     return min(1.0, max(0.0, float(mass.sum())))
 
 

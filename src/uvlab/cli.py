@@ -59,14 +59,13 @@ def _emit(report: dict, out: str | None, as_csv: bool):
 
 
 def _proofs_for(c, strategy: str, k: int, seed: int | None):
-    g = sgraph.expand(c)
     if strategy == "honest":
-        coloring = sgraph.brute_force_3color(g)
+        coloring = sgraph.brute_force_3color(sgraph.expand(c))
         if coloring is None:
             raise ParseError("instance is not 3-colorable; no honest strategy exists")
         return provers.ProverStrategy("honest", coloring=coloring).states(c, k), None
     if strategy == "near":
-        coloring, bad = sgraph.min_violation_coloring(g)
+        coloring, bad = sgraph.min_violation_coloring(sgraph.expand(c))
         if bad == 0:
             raise ParseError("instance is 3-colorable; no near-coloring cheat exists")
         strat = provers.ProverStrategy("near_coloring", coloring=coloring, violations=bad)

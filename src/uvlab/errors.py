@@ -24,5 +24,5 @@ class ParseError(ValueError):
 
 class BudgetError(RuntimeError):
     """Exact k-proof consistency would allocate more than the budget
-    ``bellqma.ENUMERATION_BUDGET`` of N * (k + core size) entries, for the N
-    independent sets of the conflict core; the caller should switch to Monte Carlo."""
+    ``bellqma.ENUMERATION_BUDGET`` of N * (k + L + 1) entries, for the N independent
+    sets of the conflict core, L member slots each; the caller should switch to Monte Carlo."""

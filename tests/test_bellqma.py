@@ -71,34 +71,34 @@ def grid_reference(dists, reject):
     return float(joint[~bad].sum())
 
 
-def mobius_reference(dists, reject, budget):
+def mobius_reference(dists, reject):
     """Exact consistency by the Moebius sum over a set table re-stacked
-    with ``np.vstack`` at every core outcome.  The preallocated table must
-    create the same sets in the same order and give the same float."""
+    with ``np.vstack`` at every core outcome, with a transform pass per
+    core outcome.  A new set's core sums are its parent's plus the added
+    outcome's masses, and each wildcard mass is summed left to right and
+    added last.  The slot table must create the same sets in the same
+    order and give the same float."""
     k, live = len(dists), dists.max(axis=0) > 0.0
     core = live & (reject & live).any(axis=1)
     if not core.any():
         return 1.0
-    p, wild = dists[:, core].T, dists[:, ~core].sum(axis=1)
+    p, wild = dists[:, core].T, np.zeros(k)
+    for col in dists[:, ~core].T:
+        wild += col
     conflict, m = reject[np.ix_(core, core)], int(core.sum())
-    drop, free = np.full((1, m), -1), np.ones((1, m), dtype=bool)
+    drop, free, sums = np.full((1, m), -1), np.ones((1, m), dtype=bool), np.zeros((1, k))
     for j in range(m):
         sel = np.flatnonzero(free[:, j])
-        size = len(free) + sel.size
-        if size * (k + m) > budget:
-            raise BudgetError(f"{size} sets exceed the budget")
         pos = np.full(len(free) + 1, -1)
-        pos[sel] = np.arange(len(free), size)
+        pos[sel] = np.arange(len(free), len(free) + sel.size)
         grown = pos[drop[sel]]
         grown[:, j] = sel
         room = (grown >= 0).sum(axis=1, keepdims=True) < k
         drop, free = np.vstack([drop, grown]), np.vstack([free, free[sel] & ~conflict[j] & room])
-    member = drop >= 0
-    mass = member @ p
-    mass += wild
-    mass = mass.prod(axis=1)
+        sums = np.vstack([sums, sums[sel] + p[j]])
+    mass = (sums + wild).prod(axis=1)
     for j in range(m):
-        rows = np.flatnonzero(member[:, j])
+        rows = np.flatnonzero(drop[:, j] >= 0)
         mass[rows] -= mass[drop[rows, j]]
     return min(1.0, max(0.0, float(mass.sum())))
 
@@ -329,7 +329,7 @@ class TestConsistency:
                 dists = outcome_dists(c, proofs)
                 got = bellqma._consistency_exact(dists, ones(dists), edges, 2 ** c.n, 10 ** 7)
                 assert abs(got - grid_reference(dists, reject)) < 1e-12
-                assert got == mobius_reference(dists, reject, 10 ** 7)
+                assert got == mobius_reference(dists, reject)
 
     def test_core_above_64_outcomes_matches_grid(self):
         # K_30 at n = 5: all 90 outcomes of the 30 vertices conflict
@@ -390,10 +390,11 @@ class TestConsistency:
         assert peak < 4 * 2 ** 20
 
     def test_budget_caps_table_growth(self, monkeypatch):
-        # a budget one set short of all sets of k4_n3 at k = 5: the table
-        # (an int32 row and a bool per set and core outcome) doubles as it
-        # grows but never past the sets the budget allows, so its peak stays
-        # below twice the table at that cap, the old rows plus the new
+        # a budget one set short of all sets of k4_n3 at k = 5: a set counts
+        # k + L + 1 entries (L = 5 slots), a step counts its new sets before
+        # it allocates for them, and the drop table doubles as it grows but
+        # never past the sets the budget allows, so the peak stays below the
+        # budget at 8 bytes an entry (0.94 MiB)
         c, k = corpus.load("k4_n3"), 5
         proofs = random_product_proofs(proof_shape(3), k, seed=1)
         reject = ~consistency_accept_table(c)
@@ -401,8 +402,13 @@ class TestConsistency:
         live = dists.max(axis=0) > 0
         core = live & (reject & live).any(axis=1)
         m = int(core.sum())
-        sets = len(bellqma._independent_sets(reject[np.ix_(core, core)], k, 10 ** 7))
-        monkeypatch.setattr(bellqma, "ENUMERATION_BUDGET", (sets - 1) * (k + m))
+        conflict = np.zeros((m, m + 1), dtype=bool)
+        conflict[:, :m] = reject[np.ix_(core, core)]
+        drop, _ = bellqma._independent_sets(conflict, np.flatnonzero(core) // 3,
+                                            dists[:, core].T.copy(), 10 ** 7)
+        slots, sets = drop.shape
+        budget = (sets - 1) * (k + slots + 1)
+        monkeypatch.setattr(bellqma, "ENUMERATION_BUDGET", budget)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError, match=f"^{sets} independent sets"):
@@ -410,8 +416,36 @@ class TestConsistency:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (m, sets) == (24, 11236)
-        assert peak < 2 * 5 * m * (sets - 1)
+        assert (m, slots, sets) == (24, 5, 11236)
+        assert peak < 8 * budget
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_slot_table_matches_references(self, data):
+        # random graphs on <= 6 vertices at the smallest width that holds
+        # them, 1-3 colors in the support of each graph vertex, runs of
+        # equal proofs, and k from 1 to past the core size: the slot table
+        # gives the per-outcome reference's float, and the grid's value
+        # within 1e-12 wherever the d^k grid has at most 10^6 tuples
+        verts = data.draw(st.integers(2, 6))
+        n = max(1, (verts - 1).bit_length())
+        edges = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(verts), 2)))))
+        c = encode_explicit(ExplicitGraph(verts, frozenset(edges)), n)
+        k = data.draw(st.sampled_from(range(1, 21)))
+        g = data.draw(st.integers(1, min(k, 3)))
+        cuts = data.draw(st.sets(st.integers(1, max(1, k - 1)), min_size=g - 1, max_size=g - 1))
+        counts = np.diff([0, *sorted(cuts), k])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        support = np.zeros((g, 2 ** n, 3), dtype=bool)
+        support[:, :verts] = rng.random((g, verts, 3)) < 0.5
+        support[:, np.arange(verts), rng.integers(3, size=verts)] = True
+        dists = (rng.random(support.shape) * support).reshape(g, -1)
+        dists /= dists.sum(axis=1, keepdims=True)
+        got = bellqma._consistency_exact(dists, counts, expand(c).edges, 2 ** n, 10 ** 7)
+        reject, each = ~consistency_accept_table(c), np.repeat(dists, counts, axis=0)
+        assert got == mobius_reference(each, reject)
+        if (3 * 2 ** n) ** k <= 10 ** 6:
+            assert abs(got - grid_reference(each, reject)) < 1e-12
 
     def test_mc_needs_samples_and_seed(self, k4):
         proofs = random_product_proofs(proof_shape(2), 3, seed=2)
@@ -733,6 +767,39 @@ class TestCapacity:
         assert bellqma.acceptance(c, proofs, mode="exact").p_consistency == 1.0
         with pytest.raises(CapacityError, match="k=1440 proofs at n=12"):
             random_product_proofs(proof_shape(12), bellqma.default_k(12), seed=1)
+
+    def test_budget_filling_core_stays_small(self):
+        # k4_n4, random proofs at k = 4: 149,122 sets of a 48-outcome core,
+        # 78% of the budget at k + m entries a set, where the m-column table
+        # and its float membership matrix took the peak to 101 MiB
+        c = corpus.load("k4_n4")
+        proofs = random_product_proofs(proof_shape(4), 4, seed=7)
+        tracemalloc.start()
+        try:
+            got = bellqma.consistency_accept(c, proofs, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
+        # within the docstring's (k + 3m + 24) S 2^-53 of the value the
+        # membership product summed by BLAS gave, S = 2,257,417 signed terms
+        assert abs(got - 0.7058003156256294) <= (4 + 3 * 48 + 24) * 2_257_417 * 2.0 ** -53
+
+    def test_full_support_reach(self):
+        # full-support random proofs on the one-edge instance: at n = 5,
+        # k = 3 the 96-outcome core has 138,208 independent sets, past the
+        # 101,010 that k + m entries a set allowed
+        c = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 5)
+        proofs = random_product_proofs(proof_shape(5), 3, seed=1)
+        tracemalloc.start()
+        try:
+            got = bellqma.consistency_accept(c, proofs, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        want = grid_reference(outcome_dists(c, proofs), ~consistency_accept_table(c))
+        assert abs(got - want) < 1e-12
 
     def test_mc_presence_table_is_bounded(self):
         # 50,000 rows of 3 * 2^10 presence bits would take 154 MB at once;

@@ -269,6 +269,9 @@ class TestErrorsAndFormats:
         pytest.param(None, ["--protocol", "qma2", "--strategy", "random", "--seed", "-1"],
                      cli.EXIT_INSTANCE, "--seed must be a non-negative integer",
                      id="negative-seed"),
+        pytest.param(10, ["--protocol", "bellqma", "--strategy", "random", "--seed", "1",
+                          "--k", "2"], cli.EXIT_CAPACITY, "use Monte-Carlo mode",
+                     id="full-support-n10-k2-past-budget"),
     ])
     def test_exit_codes(self, width, argv, code, message, tmp_path, capsys):
         from uvlab.sgraph import encode_explicit, format_sgc
