@@ -28,6 +28,10 @@ Z_PRIME_THRESHOLD = 1.0 / 12.0
 MC_TABLE_BYTES = 2 ** 24     # cap on each Monte-Carlo table and a batch's packed rows
 GUIDE_BINS = 2 ** 10        # inverse-CDF guide table bins per register
 RUN_CORE_CAP = 10           # core outcomes past which a run of equal registers is drawn one by one
+# cap on Monte-Carlo samples x draw steps.  On 2 CPUs 2^30 steps that never
+# reject took 19 s on a 12-outcome core (n = 2, k = 240) and 497 s on the
+# widest core the table cap admits (6,144 outcomes, n = 11, k = 2)
+MC_STEP_BUDGET = 2 ** 30
 
 
 def default_k(n: int) -> int:
@@ -202,7 +206,7 @@ def _independent_sets(conflict: np.ndarray, vertex: np.ndarray, p: np.ndarray,
     return drop[:slots, :rows], sums
 
 
-def _conflict_core(drawn: np.ndarray, edges, size: int, check) -> tuple:
+def conflict_core(drawn: np.ndarray, edges, size: int, check=lambda m: None) -> tuple:
     """The conflict core of the outcomes flagged in ``drawn`` (index
     v * 3 + color), built from the edge list: the flagged outcomes that
     share a vertex with another flagged color, or an edge with the same
@@ -256,7 +260,7 @@ def _consistency_exact(dists: np.ndarray, counts: np.ndarray, edges, size: int,
             raise BudgetError(f"the conflict table of a {m}-outcome core exceeds the "
                               f"budget {budget}; use Monte-Carlo mode")
 
-    m, pos, src, dst = _conflict_core(dists.max(axis=0) > 0.0, edges, size, check)
+    m, pos, src, dst = conflict_core(dists.max(axis=0) > 0.0, edges, size, check)
     if not m:
         return 1.0
     conflict = np.zeros((m, m + 1), dtype=bool)     # column m: an empty slot
@@ -321,10 +325,11 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
     """Sample outcome tuples in batches of at most 50,000 rows and count
     the rejected ones.  Row r of ``dists`` is the outcome distribution of
     ``counts[r]`` consecutive registers.  An empty core never rejects and
-    returns 1 without drawing.
+    returns 1 without drawing; samples times the draw steps listed below
+    past MC_STEP_BUDGET raise CapacityError before the first draw.
 
     The core is built over the outcomes a draw can land on
-    (:func:`_conflict_core`).  Two packed ``uint64`` tables hold it: row j
+    (:func:`conflict_core`).  Two packed ``uint64`` tables hold it: row j
     of ``marks`` sets bit j % 64 of word j // 64 for core outcome j, row j
     of ``conflict`` the bits of the outcomes j conflicts with, and row m of
     both, read by off-core outcomes, is zero.  Each table, and a batch's
@@ -368,7 +373,7 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
     last = d - 1 - np.argmax(dists[:, ::-1] > 0.0, axis=1)
     lands = dists > 0.0
     lands[np.arange(g), last] = True     # a register with no mass lands on its last
-    m, pos, src, dst = _conflict_core(lands.any(axis=0), edges, size, _check_mc_table)
+    m, pos, src, dst = conflict_core(lands.any(axis=0), edges, size, _check_mc_table)
     if not m:
         return 1.0, halfwidth
     conflict = np.zeros((m + 1, -(-m // 64)), dtype=np.uint64)
@@ -383,6 +388,9 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
             steps += [(r, None)] * c
         elif len(cols):
             steps.append((r, cols))
+    if samples * max(len(steps), 1) > MC_STEP_BUDGET:
+        raise CapacityError(f"--samples {samples} times {len(steps)} draw steps exceeds the "
+                            f"Monte-Carlo budget of {MC_STEP_BUDGET} (2^30) steps")
     batch = min(50_000, MC_TABLE_BYTES // (8 * conflict.shape[1]))
     cdfs = np.empty((g, d + 1))
     np.cumsum(dists, axis=1, out=cdfs[:, :d])

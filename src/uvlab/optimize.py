@@ -15,32 +15,32 @@ states themselves: fixing one register, the optimal other register is the
 top eigenvector of the partially contracted operator, so alternating
 eigenvector steps never decrease the value.
 
-A is never built: it is applied in closed form from the consistency table,
-O(d^2) per product for proof dimension d = 3 * 2^n; the spectral norm is a
-locally optimal Rayleigh-Ritz iteration (LOPCG) of about 60 such products.
-The seesaw never forms the d x d partial contractions either: fixing R2,
-the one for R1 is block diagonal (2^n blocks of 3 x 3) plus rank 2, and
-fixing R1, the one for R2 is diagonal plus rank 1.  So a half-step is one
-batched 3 x 3 eigh and a 2 x 2 (or scalar) secular equation, O(d) after
-the O(d^2) consistency sum.
+A is never built: it is applied in closed form from the conflict pairs of
+``bellqma.conflict_core``, O(d^2) per product for proof dimension d = 3 * 2^n;
+the spectral norm is a locally optimal Rayleigh-Ritz iteration (LOPCG) of
+about 60 such products.  The seesaw never forms the d x d partial
+contractions either: fixing R2, the one for R1 is block diagonal (2^n blocks
+of 3 x 3) plus rank 2, and fixing R1, the one for R2 is diagonal plus rank
+1.  So a half-step is one batched 3 x 3 eigh and a 2 x 2 (or scalar) secular
+equation, O(d) after the O(2^n + |E|) sum of conflicting masses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
+from .bellqma import conflict_core
 from .errors import CapacityError
 from .provers import proof_shape
-from .qma2 import consistency_accept_table
-from .sgraph import SuccinctCircuit
+from .qma2 import consistency_accept_table  # noqa: F401  (rebound by perfbench/tracer.py)
+from .sgraph import SuccinctCircuit, expand
 from .states import PureState
 
 # the d^2-entry joint vectors cap n: a product takes O(d^2) time and memory, a
-# seesaw half-step O(d^2) for the consistency sum plus O(d) for the rest; at
+# seesaw half-step O(2^n + |E|) for the conflicting masses plus O(d); at
 # n = 6 the norm takes about 0.3 s, a 500-iteration seesaw restart 0.3 s
 MAX_OPERATOR_N = 6
 HERMITIAN_TOL = 1e-10
@@ -55,20 +55,19 @@ EPS = np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class AcceptanceOperator:
-    """A held as its consistency table.  ``op @ v`` applies A to a joint
-    vector (R1-major, length d^2) or to each column of a (d^2, m) block, so
-    ``op @ np.eye(d * d)`` is the dense matrix."""
+    """A held as the rejecting outcome pairs (src[i], dst[i]) of the consistency
+    test, both orders of each.  ``op @ v`` applies A to a joint vector (R1-major,
+    length d^2) or to each column of a (d^2, m) block, so ``op @ np.eye(d * d)``
+    is the dense matrix."""
 
-    accept: np.ndarray = field(repr=False)
+    proof_dim: int
+    src: np.ndarray = field(repr=False)
+    dst: np.ndarray = field(repr=False)
     instance: str = ""
 
-    @property
-    def proof_dim(self) -> int:
-        return self.accept.shape[0]
-
-    @cached_property
-    def _accept(self) -> np.ndarray:
-        return self.accept.astype(np.float64)
+    def passes(self, p: np.ndarray) -> np.ndarray:
+        """Per outcome, 1 minus the mass that distribution p puts on its conflicts."""
+        return 1.0 - np.bincount(self.src, weights=p[self.dst], minlength=self.proof_dim)
 
     def __matmul__(self, v) -> np.ndarray:
         d = self.proof_dim
@@ -76,17 +75,19 @@ class AcceptanceOperator:
         # R V: the mean over colors, minus its mean over nodes, repeated on 3 colors
         by_node = joint.reshape(d // 3, 3, d, -1).mean(axis=1)
         by_node -= by_node.mean(axis=0)
-        out = (0.5 * (joint + joint.transpose(1, 0, 2)) + self.accept[:, :, None] * joint
+        cons = joint.copy()
+        cons[self.src, self.dst] = 0.0
+        out = (0.5 * (joint + joint.transpose(1, 0, 2)) + cons
                + joint - np.repeat(by_node, 3, axis=0)) / 3.0
         return out.reshape(np.shape(v))
 
     def best_r1(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         """Top eigenpair of M1, x^† M1 x = <x (x) y|A|x (x) y> for unit y:
         3 M1 = 1.5 I + blockdiag_v(diag(D_v) - J/3) + w w^† + y y^†/2, with
-        D = accept @ |y|^2 and w = 1/sqrt(d).  One batched eigh of the 2^n
+        D = passes(|y|^2) and w = 1/sqrt(d).  One batched eigh of the 2^n
         3 x 3 blocks, then the rank-2 secular equation in their basis."""
         d = self.proof_dim
-        lam, q = np.linalg.eigh((self._accept @ np.abs(y) ** 2).reshape(-1, 3, 1) * np.eye(3)
+        lam, q = np.linalg.eigh(self.passes(np.abs(y) ** 2).reshape(-1, 3, 1) * np.eye(3)
                                 - 1.0 / 3.0)
         t, v = _top_eigpair(lam.reshape(d), (q.sum(axis=1) / math.sqrt(d)).reshape(d),
                             ((q * y.reshape(-1, 3, 1)).sum(axis=1) * math.sqrt(0.5)).reshape(d))
@@ -94,11 +95,11 @@ class AcceptanceOperator:
 
     def best_r2(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Top eigenpair of M2, y^† M2 y = <x (x) y|A|x (x) y> for unit x:
-        3 M2 = (1.5 - x^† R x) I + diag(|x|^2 @ accept) + x x^†/2, a rank-1
+        3 M2 = (1.5 - x^† R x) I + diag(passes(|x|^2)) + x x^†/2, a rank-1
         secular equation; x^† R x comes from the per-node color sums."""
         by_node = x.reshape(-1, 3).sum(axis=1)
         reject = (np.vdot(by_node, by_node).real - abs(by_node.sum()) ** 2 / by_node.size) / 3.0
-        t, y = _top_eigpair(np.abs(x) ** 2 @ self._accept, math.sqrt(0.5) * x, np.zeros_like(x))
+        t, y = _top_eigpair(self.passes(np.abs(x) ** 2), math.sqrt(0.5) * x, np.zeros_like(x))
         return y, (1.5 - reject + t) / 3.0
 
 
@@ -163,7 +164,8 @@ def build_acceptance_operator(c: SuccinctCircuit, instance: str = "") -> Accepta
     """Structured Hermitian acceptance operator over (node, color) x 2."""
     if c.n > MAX_OPERATOR_N:
         raise CapacityError(f"operator construction needs n <= {MAX_OPERATOR_N}")
-    return AcceptanceOperator(consistency_accept_table(c), instance=instance)
+    _, _, src, dst = conflict_core(np.ones(3 * 2 ** c.n, dtype=bool), expand(c).edges, 2 ** c.n)
+    return AcceptanceOperator(3 * 2 ** c.n, src, dst, instance=instance)
 
 
 def spectral_norm(op) -> float:

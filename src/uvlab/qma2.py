@@ -62,8 +62,8 @@ def soundness_bound(n: int) -> float:
 def consistency_accept_table(c: SuccinctCircuit) -> np.ndarray:
     """Boolean table accept[(v1, c1), (v2, c2)] over flattened vertex-color
     outcomes (index v * 3 + color): a pair rejects when it shows one vertex
-    with two colors, or an edge with one color.  Only the acceptance
-    operator of :mod:`uvlab.optimize` reads it.
+    with two colors, or an edge with one color.  No verifier path reads it:
+    tests use it as the ``kron`` reference, and perfbench binds it.
 
     Raises :class:`CapacityError` above MAX_CONSISTENCY_N before allocating.
     Cached per circuit (read-only array; do not mutate).

@@ -39,9 +39,6 @@ MAX_TOTAL_DIM = 1 << 22
 #: Norm tolerance for states handed in from outside.
 INPUT_NORM_TOL = 1e-9
 
-#: Norm tolerance asserted for states produced by internal operations.
-INTERNAL_NORM_TOL = 1e-12
-
 #: Branch probabilities below this are squared-amplitude noise (double
 #: precision noise is ~1e-16, squared ~1e-32); such branches keep their
 #: probability but carry an undefined (None) post state.

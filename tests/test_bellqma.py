@@ -345,7 +345,8 @@ class TestConsistency:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_conflict_core_matches_dense_table(self, data):
-        # random graphs at n <= 5 and random drawn masks: the core's pairs
+        # random graphs at n <= 5, with random drawn masks and the
+        # all-outcomes mask the acceptance operator reads: the core's pairs
         # are the dense table's rejecting pairs among the drawn outcomes,
         # each once, and the core is the drawn outcomes that have one
         n = data.draw(st.integers(1, 5))
@@ -354,19 +355,20 @@ class TestConsistency:
         edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
         c = encode_explicit(ExplicitGraph(m, frozenset(edges)), n)
         d = 3 * 2 ** n
-        drawn = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))
-        sized = []
-        size, pos, src, dst = bellqma._conflict_core(drawn, expand(c).edges, 2 ** n,
-                                                     sized.append)
         reject = ~consistency_accept_table(c)
-        live = np.flatnonzero(drawn)
-        want = {(a, b) for a in live for b in live if reject[a, b]}
-        core = np.flatnonzero(pos < size)
-        assert sized == [size] and np.array_equal(pos[core], np.arange(size))
-        assert np.all(pos[pos >= size] == size)
-        assert set(core.tolist()) == {a for a, _ in want}
-        got = list(zip(core[src].tolist(), core[dst].tolist()))
-        assert len(got) == len(want) and set(got) == want
+        for drawn in (np.ones(d, dtype=bool),
+                      np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d)))):
+            sized = []
+            size, pos, src, dst = bellqma.conflict_core(drawn, expand(c).edges, 2 ** n,
+                                                        sized.append)
+            live = np.flatnonzero(drawn)
+            want = {(a, b) for a in live for b in live if reject[a, b]}
+            core = np.flatnonzero(pos < size)
+            assert sized == [size] and np.array_equal(pos[core], np.arange(size))
+            assert np.all(pos[pos >= size] == size)
+            assert set(core.tolist()) == {a for a, _ in want}
+            got = list(zip(core[src].tolist(), core[dst].tolist()))
+            assert len(got) == len(want) and set(got) == want
 
     def test_budget_error_directs_to_mc(self):
         # full support at n = 4 has about 1.2e9 independent sets

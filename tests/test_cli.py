@@ -272,6 +272,10 @@ class TestErrorsAndFormats:
         pytest.param(10, ["--protocol", "bellqma", "--strategy", "random", "--seed", "1",
                           "--k", "2"], cli.EXIT_CAPACITY, "use Monte-Carlo mode",
                      id="full-support-n10-k2-past-budget"),
+        pytest.param(None, ["--protocol", "bellqma", "--strategy", "random", "--seed", "1",
+                            "--mode", "mc", "--samples", str(10 ** 12)],
+                     cli.EXIT_CAPACITY, "--samples 1000000000000 times 240 draw steps",
+                     id="mc-samples-past-step-budget"),
     ])
     def test_exit_codes(self, width, argv, code, message, tmp_path, capsys):
         from uvlab.sgraph import encode_explicit, format_sgc

@@ -199,6 +199,17 @@ class TestStructuredForm:
         assert np.abs(op @ block - m @ block).max() < 1e-12
         assert np.abs(op @ block[:, 0] - m @ block[:, 0]).max() < 1e-12
 
+    @pytest.mark.parametrize("name", ["k4_n2", "k4_n3", "k4_n4", "petersen_n4"])
+    def test_pass_masses_match_consistency_table(self, name, rng):
+        """The half-steps' masses, 1 minus the conflicting mass read from
+        the conflict pairs, against the dense table's accepting mass."""
+        c = corpus.load(name)
+        op = build_acceptance_operator(c, instance=name)
+        table = consistency_accept_table(c).astype(np.float64)
+        for _ in range(20):
+            p = np.abs(haar_state(proof_shape(c.n), rng).amps) ** 2
+            assert np.abs(op.passes(p) - table @ p).max() <= 1e-15
+
     @pytest.mark.parametrize("name", SMALL)
     def test_spectral_norm_matches_dense_eigvalsh(self, name):
         c = corpus.load(name)
