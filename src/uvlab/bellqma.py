@@ -206,6 +206,40 @@ def _independent_sets(conflict: np.ndarray, vertex: np.ndarray, p: np.ndarray,
     return drop[:slots, :rows], sums
 
 
+def _refuse_wide_core(vertex: np.ndarray, edges, size: int, k: int, budget: int):
+    """Raise BudgetError when a floor on the independent-set count of the
+    core (vertex[j]: core outcome j's vertex, ascending) passes the N the
+    budget admits, before any table is built.  Core vertices picked in
+    ascending order, each sharing no edge with one picked before, have
+    outcomes that conflict with no other picked vertex's, so at most one
+    core outcome at each of at most L picked vertices is an independent
+    set: the floor is sum_{j <= L} e_j(c_1, c_2, ...), c_i the core colors
+    at picked vertex i.  It never exceeds the sets :func:`_independent_sets`
+    lists, so no core it would admit is refused.  A core whose partial
+    colorings, prod_v (1 + c_v), all fit is passed before the edge list is
+    read."""
+    verts, colors = np.unique(vertex, return_counts=True)
+    slots = min(k, len(verts), len(vertex) - 1)
+    limit = budget // (k + slots + 1)
+    if math.prod((colors + 1).tolist()) <= limit:
+        return
+    ends = edge_array(edges)
+    ends = np.concatenate([ends, ends[:, ::-1]])
+    ends = ends[np.argsort(ends[:, 0], kind="stable")]
+    starts = np.searchsorted(ends[:, 0], np.arange(size + 1))
+    picked = np.zeros(size, dtype=bool)
+    sums = [1]               # e_0 .. e_L of the picked vertices' color counts
+    for v, c in zip(verts.tolist(), colors.tolist()):
+        if picked[ends[starts[v]:starts[v + 1], 1]].any():
+            continue
+        picked[v] = True
+        sums = [a + c * b for a, b in zip(sums + [0], [0] + sums)][:slots + 1]
+        if (floor := sum(sums)) > limit:
+            raise BudgetError(f"at least {floor} independent sets of a "
+                              f"{len(vertex)}-outcome conflict core at k={k} exceed the "
+                              f"budget {budget}; use Monte-Carlo mode")
+
+
 def conflict_core(drawn: np.ndarray, edges, size: int, check=lambda m: None) -> tuple:
     """The conflict core of the outcomes flagged in ``drawn`` (index
     v * 3 + color), built from the edge list: the flagged outcomes that
@@ -263,15 +297,17 @@ def _consistency_exact(dists: np.ndarray, counts: np.ndarray, edges, size: int,
     m, pos, src, dst = conflict_core(dists.max(axis=0) > 0.0, edges, size, check)
     if not m:
         return 1.0
+    core = pos < m
+    vertex = np.flatnonzero(core) // 3
+    _refuse_wide_core(vertex, edges, size, k, budget)
     conflict = np.zeros((m, m + 1), dtype=bool)     # column m: an empty slot
     conflict[src, dst] = True
-    core = pos < m
     # each wildcard mass is summed left to right, the order numpy takes for
     # the rows of a slice of two or more registers (one row it sums
     # pairwise), so it does not depend on how many proofs are distinct
     p = np.repeat(dists[:, core].T, counts, axis=1)
     wild = np.repeat(np.cumsum(dists[:, ~core], axis=1)[:, -1:].sum(axis=1), counts)
-    drop, mass = _independent_sets(conflict, np.flatnonzero(core) // 3, p, budget)
+    drop, mass = _independent_sets(conflict, vertex, p, budget)
     mass += wild
     mass = mass.prod(axis=1)                      # Pr[the core outcomes seen lie in T]
     for row in drop:
@@ -335,13 +371,12 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
     both, read by off-core outcomes, is zero.  Each table, and a batch's
     ``seen`` bits (one packed row per sample), takes at most MC_TABLE_BYTES.
 
-    Every step takes one ``random(b)`` per batch and yields, per live row,
-    an index ``at`` into a table pair ``(shown, conf)``: it ORs
+    Every step draws one uniform per live row of the batch and yields, per
+    live row, an index ``at`` into a table pair ``(shown, conf)``: it ORs
     ``shown[at]`` into the row's seen bits and rejects the row when they
     meet ``conf[at]``.  A rejected row stays rejected, so it is counted and
-    dropped there; when a batch has no live row left, its remaining steps
-    are skipped and the generator is advanced past their uniforms, so the
-    estimate equals the full draw's for the same seed.
+    dropped there and draws nothing more; a batch with no live row left
+    skips its remaining steps.
 
     A register step reads ``(marks, conflict)`` at the core index of
     ``searchsorted(cdf, u, side="right")``, clipped to the register's last
@@ -358,12 +393,12 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
     ``conflict`` rows of S, which also catches a conflict inside S.  A run
     with q = 0 draws nothing; a run past the cap, and a register of
     multiplicity 1, is drawn register by register, so a batch of distinct
-    proofs keeps the bits of drawing all k registers.  A run's law and
-    tables are built when a batch reaches it, so only one run's are held,
-    at most 2 * 2^RUN_CORE_CAP * ceil(m / 64) * 8 bytes (3 MB at the
-    largest m the table cap allows).  Each power (w + p(T))^c is within
-    relative (c q + 1) 2^-53 of its value for the given masses, and the
-    Moebius pass spreads an input error over at most 2^(q - |T|)
+    proofs draws its k registers one by one for the rows still live.  A
+    run's law and tables are built when a batch reaches it, so only one
+    run's are held, at most 2 * 2^RUN_CORE_CAP * ceil(m / 64) * 8 bytes
+    (3 MB at the largest m the table cap allows).  Each power (w + p(T))^c
+    is within relative (c q + 1) 2^-53 of its value for the given masses,
+    and the Moebius pass spreads an input error over at most 2^(q - |T|)
     patterns; with the rounding of the q difference passes and of the
     CDF's sum, the drawn law is within (3^q (c q + 1) + 2 4^q) 2^-53 of the
     exact one in total variation, to first order: 5e-12 for the near
@@ -403,11 +438,8 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
     while done < samples:
         b = min(batch, samples - done)
         seen = np.zeros((b, conflict.shape[1]), dtype=np.uint64)
-        live = np.arange(b)
-        for i, (r, cols) in enumerate(steps):
-            u = rng.random(b)
-            if len(live) < b:
-                u = u[live]
+        for r, cols in steps:
+            u = rng.random(len(seen))
             if cols is None:
                 if guides[r] is None:
                     guides[r] = np.searchsorted(cdfs[r], bin_starts, side="right")
@@ -426,10 +458,8 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
             bad = (seen & np.take(conf, at, axis=0)).any(axis=1)
             if bad.any():
                 rejected += int(bad.sum())
-                keep = ~bad
-                seen, live = seen[keep], live[keep]
-                if not len(live):
-                    rng.bit_generator.advance(b * (len(steps) - i - 1))
+                seen = seen[~bad]
+                if not len(seen):
                     break
         done += b
     return 1.0 - rejected / samples, halfwidth

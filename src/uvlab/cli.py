@@ -11,6 +11,11 @@ Two subcommands:
 Exit codes: 0 success, 1 suite check failure, 2 instance/parse/config
 errors (a file that cannot be read or written, and a ``--samples`` or
 ``--seed`` out of range, included), 3 capacity errors.
+
+At module level only the standard library and :mod:`uvlab.errors` are
+imported; each command imports the layers it runs, so ``--help`` and a
+bad flag exit before numpy loads and an oracle run loads only
+:mod:`uvlab.sgraph` besides.
 """
 
 from __future__ import annotations
@@ -21,9 +26,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import bellqma, gadgets, optimize, provers, qma2, sgraph, suites
 from .errors import BudgetError, CapacityError, ParseError
 
 EXIT_OK = 0
@@ -32,7 +34,9 @@ EXIT_INSTANCE = 2
 EXIT_CAPACITY = 3
 
 
-def _load_instance(path: str) -> tuple[sgraph.SuccinctCircuit, str]:
+def _load_instance(path: str):
+    """The circuit parsed from ``path`` and the file's stem."""
+    from . import sgraph
     p = Path(path)
     if not p.exists():
         raise ParseError(f"instance file {path!r} does not exist")
@@ -59,6 +63,7 @@ def _emit(report: dict, out: str | None, as_csv: bool):
 
 
 def _proofs_for(c, strategy: str, k: int, seed: int | None):
+    from . import provers, sgraph
     if strategy == "honest":
         coloring = sgraph.brute_force_3color(sgraph.expand(c))
         if coloring is None:
@@ -86,6 +91,9 @@ def _check_mc(args):
 
 
 def _run_qma2(args, c, name) -> dict:
+    import numpy as np
+
+    from . import qma2
     proofs, bad = _proofs_for(c, args.strategy, 2, args.seed)
     report = qma2.acceptance_exact(c, proofs[0], proofs[1])
     out = {"instance": name, "n": c.n, "strategy": args.strategy, "seed": args.seed,
@@ -102,6 +110,7 @@ def _run_qma2(args, c, name) -> dict:
 
 
 def _run_bellqma(args, c, name) -> dict:
+    from . import bellqma
     k = bellqma.default_k(c.n) if args.k is None else args.k
     if k < 2:
         raise ParseError("bellqma needs k >= 2")
@@ -120,6 +129,7 @@ def _run_bellqma(args, c, name) -> dict:
 
 
 def _run_oracle(args, c, name) -> dict:
+    from . import sgraph
     g = sgraph.expand(c)
     coloring = sgraph.brute_force_3color(g)
     return {"instance": name, "n": c.n, "m": g.m, "edges": len(g.edges),
@@ -128,6 +138,7 @@ def _run_oracle(args, c, name) -> dict:
 
 
 def _run_seesaw(args, c, name) -> dict:
+    from . import optimize, qma2
     seed = 0 if args.seed is None else args.seed
     op = optimize.build_acceptance_operator(c, instance=name)
     result = optimize.seesaw(op, seed=seed)
@@ -140,6 +151,9 @@ def _run_seesaw(args, c, name) -> dict:
 
 
 def _run_gadget(args, c, name) -> dict:
+    import numpy as np
+
+    from . import gadgets
     seed = 0 if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     u = gadgets.haar_unitary(rng)
@@ -166,6 +180,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from . import suites
     _check_out(args.out)
     results = suites.run_suite(args.name)
     for r in results:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -104,36 +105,37 @@ def mobius_reference(dists, reject):
 
 
 def mc_reference(dists, edges, size, samples, seed, batch):
-    """Monte-Carlo consistency drawing every register of every sample in
-    batches of ``batch`` rows: one ``random(b)`` per register and batch,
-    and a draw past a register's CDF clipped to its last outcome of nonzero
-    probability.  The batch's outcomes are kept, and the vertex/edge
-    predicate is evaluated on slices of rows whose presence flags take at
-    most 4 MiB.  The early-stopping sampler must return the same pair when
-    each register is drawn on its own.  Its batch is
+    """Monte-Carlo consistency drawing register by register in batches of
+    ``batch`` rows: one ``random`` uniform per register for each row still
+    consistent, in row order, and a draw past a register's CDF clipped to
+    its last outcome of nonzero probability.  The vertex/edge predicate is
+    evaluated on register pairs: a row is rejected, and draws nothing
+    more, once its new outcome and one of its outcomes so far (itself
+    included, for a self-loop) show one vertex in two colors or the two
+    ends of an edge in one color.  The sampler must return the same pair
+    when each register is drawn on its own.  Its batch is
     min(50,000, MC_TABLE_BYTES // (8 * words)) rows for a core of ``words``
     packed words a row."""
     k, d = dists.shape
     cdfs = np.cumsum(dists, axis=1)
     last = d - 1 - np.argmax(dists[:, ::-1] > 0.0, axis=1)
+    adjacent = np.zeros((size, size), dtype=bool)
+    for u, v in edges:
+        adjacent[u, v] = adjacent[v, u] = True
     rng = np.random.default_rng(seed)
-    step = max(1, 2 ** 22 // (3 * size))
     rejected = 0
     done = 0
     while done < samples:
         b = min(batch, samples - done)
-        out = np.empty((k, b), dtype=np.min_scalar_type(d))
+        seen = np.empty((0, b), dtype=np.intp)      # [register, live row]: outcomes drawn
         for i in range(k):
-            out[i] = np.minimum(np.searchsorted(cdfs[i], rng.random(b), side="right"), last[i])
-        for lo in range(0, b, step):
-            part = out[:, lo:lo + step].T
-            pres = np.zeros((len(part), 3, size), dtype=bool)     # [row, color, vertex]
-            pres[np.arange(len(part))[:, None], part % 3, part // 3] = True
-            colors = pres[:, 0].astype(np.uint8) + pres[:, 1] + pres[:, 2]
-            bad = (colors >= 2).any(axis=1)
-            for u, v in edges:
-                bad |= (pres[:, :, u] & pres[:, :, v]).any(axis=1)
+            out = np.searchsorted(cdfs[i], rng.random(seen.shape[1]), side="right")
+            seen = np.vstack([seen, np.minimum(out, last[i])])
+            vertex, color = np.divmod(seen, 3)
+            bad = (((vertex == vertex[-1]) & (color != color[-1]))
+                   | ((color == color[-1]) & adjacent[vertex, vertex[-1]])).any(axis=0)
             rejected += int(bad.sum())
+            seen = seen[:, ~bad]
         done += b
     p_accept = 1.0 - rejected / samples
     halfwidth = math.sqrt(math.log(2.0 / (1.0 - bellqma.MC_CONFIDENCE)) / (2.0 * samples))
@@ -481,8 +483,9 @@ class TestConsistency:
     def test_mc_keeps_stream_after_early_stop(self):
         # registers 0 and 1 conflict unless register 1 draws outcome 3
         # (probability 1e-5), so about 60% of the 20 batches reject every row
-        # at the second checkpoint and skip registers 2-3; the others keep
-        # survivors whose register 2 draw decides
+        # at the second checkpoint and draw nothing for registers 2-3; the
+        # others keep survivors whose register 2 draw decides, and the next
+        # batch draws on from where either kind stopped
         dists = np.zeros((4, 12))
         dists[0, 0] = 1.0
         dists[1, [1, 3]] = 1 - 1e-5, 1e-5
@@ -802,6 +805,26 @@ class TestCapacity:
         assert peak < 64 * 2 ** 20
         want = grid_reference(outcome_dists(c, proofs), ~consistency_accept_table(c))
         assert abs(got - want) < 1e-12
+
+    def test_wide_core_refused_before_building(self):
+        # full-support random proofs on one edge at n = 10, k = 2: the 1,023
+        # core vertices off one end of the edge, three colors each, give at
+        # least 4,707,847 sets against the 2,000,000 the budget admits, so
+        # the core is refused before its 3,072 x 3,073 table is allocated
+        # (building sets up to the cap took 0.45-0.65 s and 49.7 MiB traced)
+        c = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 10)
+        proofs = random_product_proofs(proof_shape(10), 2, seed=1)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(BudgetError, match="use Monte-Carlo mode"):
+                bellqma.consistency_accept(c, proofs, "exact")
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seconds < 0.1
+        assert peak < 2 * 2 ** 20
 
     def test_mc_presence_table_is_bounded(self):
         # 50,000 rows of 3 * 2^10 presence bits would take 154 MB at once;
