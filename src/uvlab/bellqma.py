@@ -28,9 +28,10 @@ Z_PRIME_THRESHOLD = 1.0 / 12.0
 MC_TABLE_BYTES = 2 ** 24     # cap on each Monte-Carlo table and a batch's packed rows
 GUIDE_BINS = 2 ** 10        # inverse-CDF guide table bins per register
 RUN_CORE_CAP = 10           # core outcomes past which a run of equal registers is drawn one by one
-# cap on Monte-Carlo samples x draw steps.  On 2 CPUs 2^30 steps that never
-# reject took 19 s on a 12-outcome core (n = 2, k = 240) and 497 s on the
-# widest core the table cap admits (6,144 outcomes, n = 11, k = 2)
+# cap on Monte-Carlo samples x draw steps x packed row words ceil(m / 64).
+# On 2 CPUs 2^30 steps that never reject took 19 s on a 12-outcome core
+# (n = 2, k = 240, one word) and 497 s on the widest core the table cap
+# admits (6,144 outcomes, n = 11, k = 2, 96 words)
 MC_STEP_BUDGET = 2 ** 30
 
 
@@ -146,25 +147,56 @@ def z_prime_set(proofs) -> list[int]:
     return [int(i) for i in np.nonzero(w[:, 1] + w[:, 2] >= Z_PRIME_THRESHOLD)[0]]
 
 
-def _independent_sets(conflict: np.ndarray, vertex: np.ndarray, p: np.ndarray,
+def _independent_sets(vertex: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                      masses: np.ndarray, counts: np.ndarray,
                       budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """The independent sets of at most k = p.shape[1] outcomes of an
-    m-outcome conflict core and their core sums (vertex[j]: core outcome
-    j's vertex, ascending; column m of ``conflict``: False).  A vertex's
-    outcomes conflict pairwise, so a set has at most L = min(k, V, m - 1)
-    members over the V core vertices.  Returns (drop, sums): drop[s, T] is
-    the row of set T without its s-th member, members ascending, and -1 past
-    its size; sums[T] is its parent's plus p[j], j its last member.  A step
-    per core vertex extends each set with a free slot by each of the
-    vertex's outcomes that conflicts with none of its members, so the rows
-    come in the order of a step per core outcome.  A set counts k + L + 1 budget entries of 8 bytes: its
-    sums, mass and slots, which leaves room for the tables kept across steps.
-    A step checks the budget before it allocates for its new sets, and the
-    drop table doubles when full, up to the cap."""
-    m, k = p.shape
+    """The independent sets of at most k = counts.sum() outcomes of an
+    m-outcome conflict core and their core sums.  vertex[j] is core outcome
+    j's vertex, ascending; (src[i], dst[i]) are the conflicting core pairs,
+    both orders (:func:`conflict_core`); row j of ``masses`` holds outcome
+    j's mass per distinct proof, repeated ``counts`` times to the k
+    registers as p.  A vertex's outcomes conflict pairwise, so a set has at
+    most L = min(k, V, m - 1) members over the V core vertices.  A set
+    counts k + L + 1 budget entries of 8 bytes: its sums, mass and slots,
+    which leaves room for the tables kept across steps.
+
+    A floor on the set count raises BudgetError before anything is
+    allocated.  Core vertices are picked in ascending order, each in no
+    conflict pair with one picked before, so one outcome at each of at most
+    L picked vertices is an independent set: the floor is sum_{j <= L}
+    e_j(c_1, c_2, ...), c_i the core colors at picked vertex i.  It never
+    exceeds the sets listed, and a core whose partial colorings, prod_v
+    (1 + c_v), all fit skips it.
+
+    Returns (drop, sums): drop[s, T] is the row of set T without its s-th
+    member, members ascending, and -1 past its size; sums[T] is its
+    parent's plus p[j], j its last member.  A step per core vertex extends
+    each set with a free slot by each of the vertex's outcomes that
+    conflicts with none of its members, so the rows come in the order of a
+    step per core outcome.  A step checks the budget before it allocates
+    for its new sets, and the drop table doubles when full, up to the cap."""
+    m, k = len(vertex), int(counts.sum())
     bounds = [0, *(np.flatnonzero(vertex[1:] != vertex[:-1]) + 1).tolist(), m]
-    slots = min(k, len(bounds) - 1, m - 1)
+    colors = np.diff(bounds).tolist()
+    slots = min(k, len(colors), m - 1)
     limit = budget // (k + slots + 1)     # below 2^31 at ENUMERATION_BUDGET: int32 rows fit
+    if math.prod(c + 1 for c in colors) > limit:
+        order = np.argsort(src, kind="stable")
+        near, starts = dst[order], np.searchsorted(src[order], bounds).tolist()
+        picked = np.zeros(m, dtype=bool)
+        sums = [1]               # e_0 .. e_L of the picked vertices' color counts
+        for lo, hi, a, b, c in zip(bounds, bounds[1:], starts, starts[1:], colors):
+            if picked[near[a:b]].any():
+                continue
+            picked[lo:hi] = True
+            sums = [x + c * y for x, y in zip(sums + [0], [0] + sums)][:slots + 1]
+            if (floor := sum(sums)) > limit:
+                raise BudgetError(f"at least {floor} independent sets of a {m}-outcome "
+                                  f"conflict core at k={k} exceed the budget {budget}; "
+                                  f"use Monte-Carlo mode")
+    conflict = np.zeros((m, m + 1), dtype=bool)     # column m: an empty slot
+    conflict[src, dst] = True
+    p = np.repeat(masses, counts, axis=1)
     # drop rows, then each set's place in listed: (row, size, members) of sets with a free slot
     drop = np.array([[-1]] * slots + [[0]], dtype=np.int32)
     listed = np.array([0, 0] + [m] * slots, dtype=np.int32)[:, None]
@@ -204,40 +236,6 @@ def _independent_sets(conflict: np.ndarray, vertex: np.ndarray, p: np.ndarray,
         for j, (a, b) in enumerate(itertools.pairwise(ends), lo):
             sums[a:b] += p[j]
     return drop[:slots, :rows], sums
-
-
-def _refuse_wide_core(vertex: np.ndarray, edges, size: int, k: int, budget: int):
-    """Raise BudgetError when a floor on the independent-set count of the
-    core (vertex[j]: core outcome j's vertex, ascending) passes the N the
-    budget admits, before any table is built.  Core vertices picked in
-    ascending order, each sharing no edge with one picked before, have
-    outcomes that conflict with no other picked vertex's, so at most one
-    core outcome at each of at most L picked vertices is an independent
-    set: the floor is sum_{j <= L} e_j(c_1, c_2, ...), c_i the core colors
-    at picked vertex i.  It never exceeds the sets :func:`_independent_sets`
-    lists, so no core it would admit is refused.  A core whose partial
-    colorings, prod_v (1 + c_v), all fit is passed before the edge list is
-    read."""
-    verts, colors = np.unique(vertex, return_counts=True)
-    slots = min(k, len(verts), len(vertex) - 1)
-    limit = budget // (k + slots + 1)
-    if math.prod((colors + 1).tolist()) <= limit:
-        return
-    ends = edge_array(edges)
-    ends = np.concatenate([ends, ends[:, ::-1]])
-    ends = ends[np.argsort(ends[:, 0], kind="stable")]
-    starts = np.searchsorted(ends[:, 0], np.arange(size + 1))
-    picked = np.zeros(size, dtype=bool)
-    sums = [1]               # e_0 .. e_L of the picked vertices' color counts
-    for v, c in zip(verts.tolist(), colors.tolist()):
-        if picked[ends[starts[v]:starts[v + 1], 1]].any():
-            continue
-        picked[v] = True
-        sums = [a + c * b for a, b in zip(sums + [0], [0] + sums)][:slots + 1]
-        if (floor := sum(sums)) > limit:
-            raise BudgetError(f"at least {floor} independent sets of a "
-                              f"{len(vertex)}-outcome conflict core at k={k} exceed the "
-                              f"budget {budget}; use Monte-Carlo mode")
 
 
 def conflict_core(drawn: np.ndarray, edges, size: int, check=lambda m: None) -> tuple:
@@ -287,8 +285,6 @@ def _consistency_exact(dists: np.ndarray, counts: np.ndarray, edges, size: int,
     sum_T 2^|T| signed terms reaches the sum with relative error below
     (k + 3m + 24) 2^-53 (sums, product, transform, pairwise sum), so the
     unclamped sum is within (k + 3m + 24) S 2^-53 of the exact value."""
-    k = int(counts.sum())
-
     def check(m):
         if m * m > budget:
             raise BudgetError(f"the conflict table of a {m}-outcome core exceeds the "
@@ -298,17 +294,12 @@ def _consistency_exact(dists: np.ndarray, counts: np.ndarray, edges, size: int,
     if not m:
         return 1.0
     core = pos < m
-    vertex = np.flatnonzero(core) // 3
-    _refuse_wide_core(vertex, edges, size, k, budget)
-    conflict = np.zeros((m, m + 1), dtype=bool)     # column m: an empty slot
-    conflict[src, dst] = True
+    drop, mass = _independent_sets(np.flatnonzero(core) // 3, src, dst, dists[:, core].T,
+                                   counts, budget)
     # each wildcard mass is summed left to right, the order numpy takes for
     # the rows of a slice of two or more registers (one row it sums
     # pairwise), so it does not depend on how many proofs are distinct
-    p = np.repeat(dists[:, core].T, counts, axis=1)
-    wild = np.repeat(np.cumsum(dists[:, ~core], axis=1)[:, -1:].sum(axis=1), counts)
-    drop, mass = _independent_sets(conflict, vertex, p, budget)
-    mass += wild
+    mass += np.repeat(np.cumsum(dists[:, ~core], axis=1)[:, -1:].sum(axis=1), counts)
     mass = mass.prod(axis=1)                      # Pr[the core outcomes seen lie in T]
     for row in drop:
         rows = np.flatnonzero(row >= 0)
@@ -362,7 +353,8 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
     the rejected ones.  Row r of ``dists`` is the outcome distribution of
     ``counts[r]`` consecutive registers.  An empty core never rejects and
     returns 1 without drawing; samples times the draw steps listed below
-    past MC_STEP_BUDGET raise CapacityError before the first draw.
+    times the packed row words ceil(m / 64) past MC_STEP_BUDGET raise
+    CapacityError before the first draw.
 
     The core is built over the outcomes a draw can land on
     (:func:`conflict_core`).  Two packed ``uint64`` tables hold it: row j
@@ -423,9 +415,10 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
             steps += [(r, None)] * c
         elif len(cols):
             steps.append((r, cols))
-    if samples * max(len(steps), 1) > MC_STEP_BUDGET:
-        raise CapacityError(f"--samples {samples} times {len(steps)} draw steps exceeds the "
-                            f"Monte-Carlo budget of {MC_STEP_BUDGET} (2^30) steps")
+    if samples * max(len(steps), 1) * conflict.shape[1] > MC_STEP_BUDGET:
+        raise CapacityError(f"--samples {samples} times {len(steps)} draw steps of "
+                            f"{conflict.shape[1]}-word rows exceeds the Monte-Carlo budget "
+                            f"of {MC_STEP_BUDGET} (2^30) row-word steps")
     batch = min(50_000, MC_TABLE_BYTES // (8 * conflict.shape[1]))
     cdfs = np.empty((g, d + 1))
     np.cumsum(dists, axis=1, out=cdfs[:, :d])

@@ -25,4 +25,5 @@ class ParseError(ValueError):
 class BudgetError(RuntimeError):
     """Exact k-proof consistency would allocate more than the budget
     ``bellqma.ENUMERATION_BUDGET`` of N * (k + L + 1) entries, for the N independent
-    sets of the conflict core, L member slots each; the caller should switch to Monte Carlo."""
+    sets of the conflict core, L member slots each; the caller should switch to Monte Carlo.
+    A greedy floor on N, read from the conflict pairs, raises it before any table is built."""

@@ -56,9 +56,9 @@ def _random_shape(rng) -> states.RegisterShape:
 # lemma-flavored property checks
 # ---------------------------------------------------------------------------
 
-def check_norm_preservation(trials=500, seed=11) -> CheckResult:
+def check_norm_preservation() -> CheckResult:
     def run():
-        rng = np.random.default_rng(seed)
+        trials, rng = 500, np.random.default_rng(11)
         worst = 0.0
         for _ in range(trials):
             shape = states.RegisterShape.of((2, int(rng.integers(2, 5)), 2))
@@ -74,9 +74,9 @@ def check_norm_preservation(trials=500, seed=11) -> CheckResult:
     return _timed("norm_preservation", None, run)
 
 
-def check_swap_agreement(trials=200, seed=12, tol=1e-9, limit=10.0) -> CheckResult:
+def check_swap_agreement() -> CheckResult:
     def run():
-        rng = np.random.default_rng(seed)
+        trials, rng = 200, np.random.default_rng(12)
         worst = 0.0
         for _ in range(trials):
             shape = _random_shape(rng)
@@ -85,13 +85,13 @@ def check_swap_agreement(trials=200, seed=12, tol=1e-9, limit=10.0) -> CheckResu
             closed = states.swap_test(a, b, "closed_form")
             circuit, _ = states.swap_test(a, b, "circuit")
             worst = max(worst, abs(closed - circuit))
-        return worst < tol, f"max |circuit-closed| = {worst:.3e} over {trials} pairs"
-    return _timed("swap_test_mode_agreement", limit, run)
+        return worst < 1e-9, f"max |circuit-closed| = {worst:.3e} over {trials} pairs"
+    return _timed("swap_test_mode_agreement", 10.0, run)
 
 
-def check_trace_distance_l1(trials=500, seed=13) -> CheckResult:
+def check_trace_distance_l1() -> CheckResult:
     def run():
-        rng = np.random.default_rng(seed)
+        trials, rng = 500, np.random.default_rng(13)
         worst = -1.0
         for _ in range(trials):
             shape = _random_shape(rng)
@@ -104,11 +104,11 @@ def check_trace_distance_l1(trials=500, seed=13) -> CheckResult:
     return _timed("trace_distance_dominates_l1", None, run)
 
 
-def check_uniform_deviation(trials=500, seed=14) -> CheckResult:
+def check_uniform_deviation() -> CheckResult:
     """States with one squared amplitude below 1/(2m) land in the
     complement branch with probability at least 1/(16 m^2)."""
     def run():
-        rng = np.random.default_rng(seed)
+        trials, rng = 500, np.random.default_rng(14)
         violations = 0
         margin = np.inf
         for _ in range(trials):
@@ -132,11 +132,11 @@ def check_uniform_deviation(trials=500, seed=14) -> CheckResult:
     return _timed("uniform_deviation_floor", None, run)
 
 
-def check_bipartite_marginal(trials=500, seed=15) -> CheckResult:
+def check_bipartite_marginal() -> CheckResult:
     """|alpha_i|^2 >= p |gamma_i|^2 relating pre- and post-measurement
     node amplitudes across the color-register uniformity branch."""
     def run():
-        rng = np.random.default_rng(seed)
+        trials, rng = 500, np.random.default_rng(15)
         worst = np.inf
         for _ in range(trials):
             n = int(rng.integers(1, 4))
@@ -150,11 +150,11 @@ def check_bipartite_marginal(trials=500, seed=15) -> CheckResult:
     return _timed("bipartite_marginal_floor", None, run)
 
 
-def check_equality_deviation(trials=500, seed=16) -> CheckResult:
+def check_equality_deviation() -> CheckResult:
     """Equality-test failure eps bounds every outcome-probability deviation
     between the two proofs by sqrt(8 eps)."""
     def run():
-        rng = np.random.default_rng(seed)
+        trials, rng = 500, np.random.default_rng(16)
         worst = -np.inf
         for _ in range(trials):
             n = int(rng.integers(1, 3))
@@ -201,13 +201,13 @@ def _hypothesis_pairs(trials, seed, uniformity=False):
             yield c, psi
 
 
-def check_well_defined_color(trials=120, seed=17) -> CheckResult:
+def check_well_defined_color() -> CheckResult:
     """Pairs passing equality and the same-vertex check at the hypothesis
     probability have one dominant color (|beta|^2 >= 0.9) on every vertex
     with node weight at least 2^-n / 100."""
     def run():
         checked = violations = 0
-        for c, psi in _hypothesis_pairs(trials, seed):
+        for c, psi in _hypothesis_pairs(120, 17):
             checked += 1
             d = provers.decompose(psi)
             for v in range(2 ** c.n):
@@ -219,13 +219,13 @@ def check_well_defined_color(trials=120, seed=17) -> CheckResult:
     return _timed("well_defined_color", None, run)
 
 
-def check_color_register_floor(trials=120, seed=18) -> CheckResult:
+def check_color_register_floor() -> CheckResult:
     """Same hypothesis as the well-defined-color check; the uniformity
     color branch 0 probability stays at least 0.05."""
     def run():
         checked = 0
         worst = np.inf
-        for _c, psi in _hypothesis_pairs(trials, seed):
+        for _c, psi in _hypothesis_pairs(120, 18):
             checked += 1
             b0, _ = states.uniformity_measure(psi, "color")
             worst = min(worst, b0.probability)
@@ -234,13 +234,13 @@ def check_color_register_floor(trials=120, seed=18) -> CheckResult:
     return _timed("color_register_floor", None, run)
 
 
-def check_all_nodes_present(trials=120, seed=19) -> CheckResult:
+def check_all_nodes_present() -> CheckResult:
     """Adding the uniformity test to the hypothesis forces every node
     weight to at least 2^-n / 100."""
     def run():
         checked = 0
         worst = np.inf
-        for c, psi in _hypothesis_pairs(trials, seed, uniformity=True):
+        for c, psi in _hypothesis_pairs(120, 19, uniformity=True):
             checked += 1
             d = provers.decompose(psi)
             floor = 1e-2 * 2.0 ** (-c.n)
@@ -250,7 +250,7 @@ def check_all_nodes_present(trials=120, seed=19) -> CheckResult:
     return _timed("all_nodes_present", None, run)
 
 
-def check_chernoff_tail(seed=20, limit=5.0) -> CheckResult:
+def check_chernoff_tail() -> CheckResult:
     """Exact Pr[|Z| < k/6] for honest proofs beats e^{-k/48} for every
     k in 12, 24, ..., 240."""
     def run():
@@ -262,7 +262,7 @@ def check_chernoff_tail(seed=20, limit=5.0) -> CheckResult:
             tail = bellqma.z_tail_below_threshold([honest] * k)
             worst = max(worst, tail - math.exp(-k / 48))
         return worst <= 0, f"max (exact tail - e^(-k/48)) = {worst:.3e} for k=12..240"
-    return _timed("bellqma_chernoff_tail", limit, run)
+    return _timed("bellqma_chernoff_tail", 5.0, run)
 
 
 def check_zprime_occupancy() -> CheckResult:
@@ -302,7 +302,7 @@ def _color_row_with_p0(p0: float) -> np.ndarray:
     return math.sqrt(p0) * u + math.sqrt(1 - p0) * orth
 
 
-def check_amplitude_floor(trials=25, seed=22) -> CheckResult:
+def check_amplitude_floor() -> CheckResult:
     """Fixtures whose uniformity rejection stays below 4^-n / 200 keep
     every node amplitude above 1/(24 * 2^n) on Z' registers.
 
@@ -311,7 +311,7 @@ def check_amplitude_floor(trials=25, seed=22) -> CheckResult:
     alone is percent-level there).
     """
     def run():
-        rng = np.random.default_rng(seed)
+        trials, rng = 25, np.random.default_rng(22)
         n = 1
         k = bellqma.default_k(n)
         ext = (0, 1)
@@ -332,11 +332,11 @@ def check_amplitude_floor(trials=25, seed=22) -> CheckResult:
     return _timed("bellqma_amplitude_floor", None, run)
 
 
-def check_mc_exact_agreement(fixtures=50, seed=23) -> CheckResult:
+def check_mc_exact_agreement() -> CheckResult:
     """Monte-Carlo consistency estimates stay within their half-width of
     the exact value on small instances."""
     def run():
-        rng = np.random.default_rng(seed)
+        fixtures, rng = 50, np.random.default_rng(23)
         c = corpus.load("k4_n2")
         worst = -np.inf
         for i in range(fixtures):
@@ -355,7 +355,7 @@ def check_mc_exact_agreement(fixtures=50, seed=23) -> CheckResult:
 # acceptance criteria
 # ---------------------------------------------------------------------------
 
-def acceptance_1_completeness(limit=1.0) -> CheckResult:
+def acceptance_1_completeness() -> CheckResult:
     """Exact two-proof acceptance 1 on oracle-colored 3-colorable instances."""
     def run():
         worst = 0.0
@@ -369,7 +369,7 @@ def acceptance_1_completeness(limit=1.0) -> CheckResult:
             report = qma2.acceptance_exact(c, honest, honest)
             worst = max(worst, abs(report.p_total - 1.0))
         return worst <= 1e-12, f"max |p_total - 1| = {worst:.3e} on k3_n2, k3_n3, c5_n3"
-    return _timed("criterion_1_completeness_two_proof", limit, run)
+    return _timed("criterion_1_completeness_two_proof", 1.0, run)
 
 
 def _k4_cheat_expected() -> float:
@@ -392,7 +392,7 @@ def _k4_cheat_expected() -> float:
     return (1.0 + p_cons + 1.0) / 3.0
 
 
-def acceptance_2_tightness(limit=1.0) -> CheckResult:
+def acceptance_2_tightness() -> CheckResult:
     def run():
         expected = _k4_cheat_expected()
         if abs(expected - (1.0 - 1.0 / 24.0)) > 1e-15:
@@ -402,10 +402,10 @@ def acceptance_2_tightness(limit=1.0) -> CheckResult:
         report = qma2.acceptance_exact(c, cheat, cheat)
         err = abs(report.p_total - expected)
         return err <= 1e-12, f"|p_total - (1 - 1/24)| = {err:.3e}"
-    return _timed("criterion_2_tightness_near_coloring", limit, run)
+    return _timed("criterion_2_tightness_near_coloring", 1.0, run)
 
 
-def acceptance_3_soundness_envelope(limit=120.0) -> CheckResult:
+def acceptance_3_soundness_envelope() -> CheckResult:
     """The best product strategy found sits between the near-coloring
     cheat floor and ``min(lambda, 1 - soundness_bound(n))``.
 
@@ -444,10 +444,10 @@ def acceptance_3_soundness_envelope(limit=120.0) -> CheckResult:
                   f"links: floor<=max {link1}, max<=lambda {link2}, "
                   f"max<=ceiling {link3}")
         return link1 and link2 and link3, detail
-    return _timed("criterion_3_soundness_envelope", limit, run)
+    return _timed("criterion_3_soundness_envelope", 120.0, run)
 
 
-def acceptance_4_bellqma_completeness(limit=10.0) -> CheckResult:
+def acceptance_4_bellqma_completeness() -> CheckResult:
     def run():
         c = corpus.load("k3_n2")
         coloring = corpus.witness_coloring("k3_n2")
@@ -458,14 +458,14 @@ def acceptance_4_bellqma_completeness(limit=10.0) -> CheckResult:
             floor = bellqma.completeness_bound(k)
             worst = max(worst, floor - report.p_total)
         return worst <= 0, f"max (floor - p_total) = {worst:.3e} for k in 60,120,240"
-    return _timed("criterion_4_bellqma_completeness", limit, run)
+    return _timed("criterion_4_bellqma_completeness", 10.0, run)
 
 
-def acceptance_5_chernoff(limit=5.0) -> CheckResult:
-    return replace(check_chernoff_tail(limit=limit), name="criterion_5_chernoff_tail")
+def acceptance_5_chernoff() -> CheckResult:
+    return replace(check_chernoff_tail(), name="criterion_5_chernoff_tail")
 
 
-def acceptance_6_bellqma_soundness(limit=10.0) -> CheckResult:
+def acceptance_6_bellqma_soundness() -> CheckResult:
     """Every tested strategy on the 4-clique rejects with probability at
     least 4^-n / 12000 at k = 240, consistency computed exactly."""
     def run():
@@ -489,23 +489,23 @@ def acceptance_6_bellqma_soundness(limit=10.0) -> CheckResult:
             ok = ok and rejection >= floor
             lines.append(f"{name}: rejection {rejection:.6f} (floor {floor:.2e}, exact)")
         return ok, "; ".join(lines)
-    return _timed("criterion_6_bellqma_soundness", limit, run)
+    return _timed("criterion_6_bellqma_soundness", 10.0, run)
 
 
-def acceptance_7_swap_agreement(limit=10.0) -> CheckResult:
-    return replace(check_swap_agreement(limit=limit), name="criterion_7_swap_agreement")
+def acceptance_7_swap_agreement() -> CheckResult:
+    return replace(check_swap_agreement(), name="criterion_7_swap_agreement")
 
 
-def acceptance_8_lemma_fixtures(limit=30.0) -> CheckResult:
+def acceptance_8_lemma_fixtures() -> CheckResult:
     def run():
         parts = [check_uniform_deviation(), check_bipartite_marginal(),
                  check_equality_deviation()]
         ok = all(p.passed for p in parts)
         return ok, "; ".join(f"{p.name}: {p.detail}" for p in parts)
-    return _timed("criterion_8_lemma_fixtures", limit, run)
+    return _timed("criterion_8_lemma_fixtures", 30.0, run)
 
 
-def acceptance_9_gadget_suite(limit=10.0) -> CheckResult:
+def acceptance_9_gadget_suite() -> CheckResult:
     def run():
         rng = np.random.default_rng(42)
         worst_prob = 0.0
@@ -530,10 +530,10 @@ def acceptance_9_gadget_suite(limit=10.0) -> CheckResult:
         ok = worst_prob <= 1e-12 and worst_fid >= 1 - 1e-9 and worst_formula <= 1e-9
         return ok, (f"max |branch-1/2| = {worst_prob:.1e}, min fidelity = {worst_fid:.12f}, "
                     f"max formula error = {worst_formula:.1e}")
-    return _timed("criterion_9_gadget_suite", limit, run)
+    return _timed("criterion_9_gadget_suite", 10.0, run)
 
 
-def acceptance_10_zhzhz(limit=5.0) -> CheckResult:
+def acceptance_10_zhzhz() -> CheckResult:
     def run():
         rng = np.random.default_rng(5)
         worst = 0.0
@@ -542,10 +542,10 @@ def acceptance_10_zhzhz(limit=5.0) -> CheckResult:
             z = gadgets.zhzhz_decompose(u)
             worst = max(worst, float(np.linalg.norm(z.matrix() - u, 2)))
         return worst < 1e-9, f"max reconstruction error {worst:.3e} over 200 Haar unitaries"
-    return _timed("criterion_10_zhzhz_reconstruction", limit, run)
+    return _timed("criterion_10_zhzhz_reconstruction", 5.0, run)
 
 
-def acceptance_11_cross_module(limit=10.0) -> CheckResult:
+def acceptance_11_cross_module() -> CheckResult:
     def run():
         c = corpus.load("k4_n2")
         rng = np.random.default_rng(8)
@@ -558,7 +558,7 @@ def acceptance_11_cross_module(limit=10.0) -> CheckResult:
             via_bell = bellqma.consistency_accept(c, [r1, r2], "exact")
             worst = max(worst, abs(via_pair - via_bell))
         return worst <= 1e-12, f"max |two-proof - k=2 bell| = {worst:.3e} over 20 pairs"
-    return _timed("criterion_11_cross_module_consistency", limit, run)
+    return _timed("criterion_11_cross_module_consistency", 10.0, run)
 
 
 LEMMA_CHECKS = (

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uvlab import bellqma, corpus
@@ -406,10 +406,9 @@ class TestConsistency:
         live = dists.max(axis=0) > 0
         core = live & (reject & live).any(axis=1)
         m = int(core.sum())
-        conflict = np.zeros((m, m + 1), dtype=bool)
-        conflict[:, :m] = reject[np.ix_(core, core)]
-        drop, _ = bellqma._independent_sets(conflict, np.flatnonzero(core) // 3,
-                                            dists[:, core].T.copy(), 10 ** 7)
+        src, dst = np.nonzero(reject[np.ix_(core, core)])
+        drop, _ = bellqma._independent_sets(np.flatnonzero(core) // 3, src, dst,
+                                            dists[:, core].T, ones(dists), 10 ** 7)
         slots, sets = drop.shape
         budget = (sets - 1) * (k + slots + 1)
         monkeypatch.setattr(bellqma, "ENUMERATION_BUDGET", budget)
@@ -450,6 +449,42 @@ class TestConsistency:
         assert got == mobius_reference(each, reject)
         if (3 * 2 ** n) ** k <= 10 ** 6:
             assert abs(got - grid_reference(each, reject)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_refused_iff_sets_do_not_fit(self, data):
+        # random graphs on 2-8 vertices at the smallest width that holds
+        # them, 1-3 colors in the support of every label, padding labels
+        # included, 1-3 distinct proofs and k from 1 to 20; N sets of L
+        # slots are listed at a large budget.  The smallest budget that
+        # admits the m^2 table and N (k + L + 1) entries gives the same
+        # float, and a limit of N - 1 sets is refused, by the floor or the
+        # build, wherever the m^2 table still fits
+        verts = data.draw(st.integers(2, 8))
+        n = max(1, (verts - 1).bit_length())
+        edges = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(verts), 2)))))
+        c = encode_explicit(ExplicitGraph(verts, frozenset(edges)), n)
+        k = data.draw(st.integers(1, 20))
+        g = data.draw(st.integers(1, min(k, 3)))
+        cuts = data.draw(st.sets(st.integers(1, max(1, k - 1)), min_size=g - 1, max_size=g - 1))
+        counts = np.diff([0, *sorted(cuts), k])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        support = rng.random((g, 2 ** n, 3)) < 0.5
+        support[:, np.arange(2 ** n), rng.integers(3, size=2 ** n)] = True
+        dists = (rng.random(support.shape) * support).reshape(g, -1)
+        dists /= dists.sum(axis=1, keepdims=True)
+        pairs, size = expand(c).edges, 2 ** n
+        m, pos, src, dst = bellqma.conflict_core(dists.max(axis=0) > 0.0, pairs, size)
+        assume(m > 0)
+        core = pos < m
+        slots, sets = bellqma._independent_sets(np.flatnonzero(core) // 3, src, dst,
+                                                dists[:, core].T, counts, 10 ** 9)[0].shape
+        want = bellqma._consistency_exact(dists, counts, pairs, size, 10 ** 9)
+        fits = sets * (k + slots + 1)
+        assert bellqma._consistency_exact(dists, counts, pairs, size, max(m * m, fits)) == want
+        if m * m <= fits - 1:
+            with pytest.raises(BudgetError, match="independent sets"):
+                bellqma._consistency_exact(dists, counts, pairs, size, fits - 1)
 
     def test_mc_needs_samples_and_seed(self, k4):
         proofs = random_product_proofs(proof_shape(2), 3, seed=2)

@@ -276,6 +276,10 @@ class TestErrorsAndFormats:
                             "--mode", "mc", "--samples", str(10 ** 12)],
                      cli.EXIT_CAPACITY, "--samples 1000000000000 times 240 draw steps",
                      id="mc-samples-past-step-budget"),
+        pytest.param(11, ["--protocol", "bellqma", "--strategy", "random", "--seed", "1",
+                          "--k", "2", "--mode", "mc", "--samples", "5592406"],
+                     cli.EXIT_CAPACITY, "--samples 5592406 times 2 draw steps of 96-word rows",
+                     id="mc-wide-core-past-step-budget"),
     ])
     def test_exit_codes(self, width, argv, code, message, tmp_path, capsys):
         from uvlab.sgraph import encode_explicit, format_sgc
