@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BudgetError, CapacityError
 from .provers import ProofBatch, stack_proofs, uniformity_weights
-from .sgraph import SuccinctCircuit, edge_array, expand
+from .sgraph import SuccinctCircuit, expand
 from .states import PureState
 from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
 
@@ -238,17 +238,16 @@ def _independent_sets(vertex: np.ndarray, src: np.ndarray, dst: np.ndarray,
     return drop[:slots, :rows], sums
 
 
-def conflict_core(drawn: np.ndarray, edges, size: int, check=lambda m: None) -> tuple:
+def conflict_core(drawn: np.ndarray, ends: np.ndarray, size: int, check=lambda m: None) -> tuple:
     """The conflict core of the outcomes flagged in ``drawn`` (index
-    v * 3 + color), built from the edge list: the flagged outcomes that
-    share a vertex with another flagged color, or an edge with the same
-    flagged color.  Returns (m, pos, src, dst): ``pos`` maps an outcome to
-    its core index j < m, or to m off the core, and the ordered pairs
-    (src[i], dst[i]) are the conflicting core pairs (both orders of each).
-    ``check(m)`` runs once the core is sized, before any pair is listed,
-    so a caller can refuse a core whose table would not fit."""
+    v * 3 + color), read from the (|E|, 2) edge array ``ends``: the flagged
+    outcomes that share a vertex with another flagged color, or an edge
+    with the same flagged color.  Returns (m, pos, src, dst): ``pos`` maps
+    an outcome to its core index j < m, or to m off the core, and the
+    ordered pairs (src[i], dst[i]) are the conflicting core pairs (both
+    orders of each).  ``check(m)`` runs once the core is sized, before any
+    pair is listed, so a caller can refuse a core whose table would not fit."""
     drawn = drawn.reshape(size, 3)
-    ends = edge_array(edges)
     same_color = drawn[ends[:, 0]] & drawn[ends[:, 1]]       # edge with one color
     hits = [ends[same_color[:, c]] for c in range(3)]
     core = drawn & (drawn.sum(axis=1, keepdims=True) > 1)    # vertex with two colors
@@ -467,7 +466,7 @@ def consistency_accept(c: SuccinctCircuit, proofs, mode: str = "exact",
     distribution is computed once.  Exact mode returns a float;
     Monte-Carlo mode returns (estimate, halfwidth) and requires both a
     sample count and a seed.  Both read the conflict core of the expanded
-    edge list.
+    edge array.
     """
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown consistency mode {mode!r}")

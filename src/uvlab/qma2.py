@@ -13,7 +13,7 @@ and runs one of three tests chosen uniformly at random:
 
 ``acceptance_exact`` computes all three branch probabilities exactly; the
 consistency term is a sum over the vertices (:func:`same_vertex_pass`)
-and the expanded edge list, O(2^n + |E|), so it needs no outcome table
+and the expanded edge array, O(2^n + |E|), so it needs no outcome table
 and no cap of its own.  ``run_sampled`` draws the accepting count of many
 independent verifier runs at once from those exact probabilities: a
 multinomial split of the runs over the three tests, then one binomial per
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .provers import stack_proofs, uniformity_weights
-from .sgraph import SuccinctCircuit, edge_array, expand
+from .sgraph import SuccinctCircuit, expand
 from .states import PureState, swap_test
 from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
 
@@ -72,8 +72,8 @@ def consistency_accept_table(c: SuccinctCircuit) -> np.ndarray:
         raise CapacityError(f"the conflict table needs n <= {MAX_CONSISTENCY_N}, got n={c.n}")
     size = 2 ** c.n
     adj = np.zeros((size, size), dtype=bool)
-    for u, v in expand(c).edges:
-        adj[u, v] = adj[v, u] = True
+    u, v = expand(c).edges.T
+    adj[u, v] = adj[v, u] = True
     same_color = np.eye(3, dtype=bool)
     # kron(A, B)[(v1, c1), (v2, c2)] = A[v1, v2] & B[c1, c2]
     table = ~(np.kron(np.eye(size, dtype=bool), ~same_color)
@@ -97,8 +97,11 @@ def acceptance_exact(c: SuccinctCircuit, r1: PureState, r2: PureState) -> Verdic
     batch = stack_proofs([r1, r2], c.n)
     p_eq = swap_test(r1, r2, mode="closed_form")
     p, q = batch.per_register(np.abs(batch.amps) ** 2)
-    u, v = edge_array(expand(c).edges).T
-    p_cons = same_vertex_pass(p, q) - float((p[u] * q[v] + p[v] * q[u]).sum())
+    u, v = expand(c).edges.T
+    terms = np.empty((len(u), 3))      # a color at a time: one (|E|, 3) array is live
+    for col in range(3):
+        terms[:, col] = p[u, col] * q[v, col] + p[v, col] * q[u, col]
+    p_cons = same_vertex_pass(p, q) - float(terms.sum())
     p_unif = 1.0 - float(uniformity_weights(batch)[0, 2])
     probs = [min(1.0, max(0.0, x)) for x in (p_eq, p_cons, p_unif)]
     return VerdictReport(*probs, min(1.0, sum(probs) / 3.0))

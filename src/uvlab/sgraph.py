@@ -34,12 +34,12 @@ evaluator serves :func:`eval_pair` on single bits (NOT is ``one - x``
 either way).  A block holds one bit per wire and 32 bytes of labels per
 pair, at most EXPAND_BLOCK_BYTES (8 MiB) in all; the block length follows
 from the wire count before anything is allocated: 669 pairs at the 10^5-gate
-cap, 100,000 to 240,000 for the bundled instances.
+cap, 100,000 to 240,000 for the bundled instances.  The edges, one sorted
+(|E|, 2) index array of 16 bytes an edge, go to every reader as they are.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -102,15 +102,28 @@ class SuccinctCircuit:
                 raise ValueError(f"output references wire {w} out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitGraph:
+    """A graph on [m]: ``edges`` is a read-only (|E|, 2) intp array of the pairs
+    u < v in increasing (u, v) order; a set or list of pairs is sorted first."""
+
     m: int
-    edges: frozenset[tuple[int, int]]    # pairs (u, v) with u < v
+    edges: np.ndarray
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if not (0 <= u < v < self.m):
-                raise ValueError(f"edge ({u},{v}) out of range for m={self.m}")
+        edges = self.edges if isinstance(self.edges, np.ndarray) else sorted(self.edges)
+        edges = np.asarray(edges, dtype=np.intp).reshape(len(edges), 2)
+        u, v = edges.T
+        key = u * self.m + v    # increasing, with u[0] >= 0 and u < v < m, leaves no u < 0
+        if len(edges) and not (u[0] >= 0 and (v > u).all() and v.max() < self.m
+                               and (key[1:] > key[:-1]).all()):
+            raise ValueError(f"edges must be distinct sorted pairs 0 <= u < v < m={self.m}")
+        edges.setflags(write=False)    # on the view: a caller's array keeps its flags
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other):
+        return (isinstance(other, ExplicitGraph) and self.m == other.m
+                and np.array_equal(self.edges, other.edges))
 
 
 @dataclass(frozen=True)
@@ -132,7 +145,8 @@ class Coloring:
         return out
 
     def monochromatic_edges(self, g: ExplicitGraph) -> list[tuple[int, int]]:
-        return sorted((u, v) for u, v in g.edges if self.color(u) == self.color(v))
+        ends = np.array(self.colors + (0,) * g.m)[g.edges]     # vertices past colors: 0
+        return list(map(tuple, g.edges[ends[:, 0] == ends[:, 1]].tolist()))
 
     def is_valid_for(self, g: ExplicitGraph) -> bool:
         return not self.monochromatic_edges(g)
@@ -299,7 +313,7 @@ def expand(c: SuccinctCircuit) -> ExplicitGraph:
     rows = np.arange(c.m, dtype=np.int64)
     first = rows * (2 * c.m - rows - 1) // 2          # flat index of the pair (u, u + 1)
     total = c.m * (c.m - 1) // 2
-    edges = []
+    blocks, count = [np.empty((2, 0), dtype=np.intp)], 0     # u and v rows of each block
     for start in range(0, total, block):
         flat = np.arange(start, min(start + block, total), dtype=np.int64)
         u = np.searchsorted(first, flat, side="right") - 1
@@ -309,18 +323,14 @@ def expand(c: SuccinctCircuit) -> ExplicitGraph:
         bits = np.frombuffer((pair & edge).to_bytes((len(flat) + 7) // 8, "little"),
                              dtype=np.uint8)
         hit = np.flatnonzero(np.unpackbits(bits, count=len(flat), bitorder="little"))
-        if len(edges) + hit.size > MAX_EDGES:
+        if (count := count + hit.size) > MAX_EDGES:
             raise CapacityError(f"the graph has more than {MAX_EDGES} edges, the expand cap")
-        edges += zip(u[hit].tolist(), v[hit].tolist())
-    return ExplicitGraph(c.m, frozenset(edges))
-
-
-def edge_array(edges) -> np.ndarray:
-    """An edge collection of (u, v) pairs as an (|E|, 2) index array, in
-    iteration order."""
-    flat = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp,
-                       count=2 * len(edges))
-    return flat.reshape(-1, 2)
+        blocks.append(np.array([u[hit], v[hit]]))
+    edges = np.concatenate(blocks, axis=1).T
+    edges.setflags(write=False)
+    g = object.__new__(ExplicitGraph)    # rows distinct, sorted and in range: skip the check
+    g.__dict__.update(m=c.m, edges=edges)
+    return g
 
 
 class _Builder:
@@ -359,7 +369,7 @@ def encode_explicit(g: ExplicitGraph, n: int) -> SuccinctCircuit:
             lits += [(n + i if (v >> i) & 1 else not_v[i]) for i in range(n)]
             minterm[(u, v)] = b.chain("AND", lits, "CONST1")
     out_pair = b.chain("OR", list(minterm.values()), "CONST0")
-    out_edge = b.chain("OR", [minterm[e] for e in sorted(g.edges)], "CONST0")
+    out_edge = b.chain("OR", [minterm[u, v] for u, v in g.edges.tolist()], "CONST0")
     return SuccinctCircuit(n, g.m, tuple(b.gates), out_pair, out_edge)
 
 
@@ -373,7 +383,7 @@ def _least_violations(g: ExplicitGraph, bound: int) -> tuple[tuple[int, ...] | N
     if g.m > MAX_BRUTE_FORCE_VERTICES:
         raise CapacityError(f"m={g.m} exceeds brute-force cap {MAX_BRUTE_FORCE_VERTICES}")
     earlier = [[] for _ in range(g.m)]      # the neighbors colored before each vertex
-    for u, v in g.edges:
+    for u, v in g.edges.tolist():
         earlier[v].append(u)
     colors = [0] * g.m
     best = [bound, None]

@@ -142,6 +142,12 @@ def mc_reference(dists, edges, size, samples, seed, batch):
     return p_accept, halfwidth
 
 
+def edge_rows(pairs):
+    """(u, v) pairs, self-loops allowed, as the (|E|, 2) index array the
+    samplers read."""
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
+
+
 def ones(dists):
     """One register per row of ``dists``."""
     return np.ones(len(dists), dtype=np.intp)
@@ -284,7 +290,7 @@ class TestConsistency:
         got = bellqma.consistency_accept(k4, [cheat] * 4, "exact")
         # independent oracle: loop over all outcome tuples of 4 registers
         col = (0, 1, 2, 0)
-        edges = set(expand(k4).edges)
+        edges = set(map(tuple, expand(k4).edges.tolist()))
         accept = 0.0
         for vs in itertools.product(range(4), repeat=4):
             ok = True
@@ -498,7 +504,7 @@ class TestConsistency:
         # (1, 999 samples) and three (120,001, whose batches all stop early
         # for the cheat at k = 240 on k4_n2), k non-powers of two included
         c = corpus.load(name)
-        edges = sorted(expand(c).edges)
+        edges = expand(c).edges
         for k in (2, 3, 5, 7, bellqma.default_k(c.n)):
             if strategy == "near":
                 proofs = [near_coloring_proof(c, Coloring((0, 1, 2, 0)))] * k
@@ -526,7 +532,7 @@ class TestConsistency:
         dists[1, [1, 3]] = 1 - 1e-5, 1e-5
         dists[2, [6, 7]] = 0.5
         dists[3, 6] = 1.0
-        got = bellqma._consistency_monte_carlo(dists, ones(dists), [], 4, 10 ** 6, 1)
+        got = bellqma._consistency_monte_carlo(dists, ones(dists), edge_rows([]), 4, 10 ** 6, 1)
         assert 0.0 < got[0] < 1e-5
         assert got == mc_reference(dists, [], 4, 10 ** 6, 1, 50_000)
 
@@ -634,7 +640,7 @@ class TestConsistency:
         # a full-support proof has 12 core outcomes on K4 at n = 2, past
         # RUN_CORE_CAP, so its run of 5 registers keeps the register draws
         dists = outcome_dists(k4, random_product_proofs(proof_shape(2), 1, seed=3))
-        edges = sorted(expand(k4).edges)
+        edges = expand(k4).edges
         assert np.count_nonzero(dists) == 12 > bellqma.RUN_CORE_CAP
         got = bellqma._consistency_monte_carlo(dists, np.array([5]), edges, 4, 999, 2)
         assert got == mc_reference(np.repeat(dists, 5, axis=0), edges, 4, 999, 2, 50_000)
@@ -646,7 +652,8 @@ class TestConsistency:
         dists = np.zeros((2, 12))
         dists[0, 0] = 0.5
         dists[1, 9] = 1.0
-        assert bellqma._consistency_monte_carlo(dists, ones(dists), [], 4, 20_000, 3)[0] == 1.0
+        got = bellqma._consistency_monte_carlo(dists, ones(dists), edge_rows([]), 4, 20_000, 3)
+        assert got[0] == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -669,7 +676,7 @@ class TestConsistency:
                 mass = data.draw(st.sampled_from([1.0, 0.999, 0.5]))
                 dists[i, support] = weights / weights.sum() * mass
         pairs = [(u, v) for u in range(size) for v in range(u, size)]
-        edges = sorted(data.draw(st.sets(st.sampled_from(pairs))))
+        edges = edge_rows(sorted(data.draw(st.sets(st.sampled_from(pairs)))))
         samples = data.draw(st.sampled_from([1, 2, 999, 50_001]))
         seed = data.draw(st.integers(0, 2 ** 32 - 1))
         got = bellqma._consistency_monte_carlo(dists, ones(dists), edges, size, samples, seed)
@@ -687,7 +694,7 @@ class TestConsistency:
         # (vertex 3, color 2) and meets register 1's (3, 0)
         dists = np.zeros((2, 12))
         dists[1, 9] = 1.0
-        got = bellqma._consistency_monte_carlo(dists, ones(dists), [], 4, 1000, 2)
+        got = bellqma._consistency_monte_carlo(dists, ones(dists), edge_rows([]), 4, 1000, 2)
         assert got[0] == 0.0
         assert got == mc_reference(dists, [], 4, 1000, 2, 50_000)
 
@@ -709,7 +716,7 @@ class TestAcceptance:
 
     def test_basis_on_non_edge_pair(self):
         c5 = corpus.load("c5_n3")
-        edges = set(expand(c5).edges)
+        edges = set(map(tuple, expand(c5).edges.tolist()))
         assert (0, 2) not in edges
         p1 = basis_state(proof_shape(3), (0, 1))
         p2 = basis_state(proof_shape(3), (2, 1))
@@ -887,7 +894,7 @@ class TestCapacity:
         # index arrays alone take 1.9 MB, so the cap must be checked before
         # the pairs are listed
         edges = [(u, (u + step) % 4096) for step in (1, 2) for u in range(4096)]
-        edges = [(min(e), max(e)) for e in edges]
+        edges = edge_rows([(min(e), max(e)) for e in edges])
         dists = outcome_dists(encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 12),
                               random_product_proofs(proof_shape(12), 2, seed=1))
         tracemalloc.start()

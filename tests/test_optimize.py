@@ -230,7 +230,7 @@ class TestStructuredForm:
         g = expand(c)
         base = corpus.witness_coloring(name) or Coloring((0, 1, 2, 0))   # K4: the near cheat
         colors = list(base.colors)
-        u, v = min(g.edges)
+        u, v = g.edges[0]
         colors[u] = colors[v]
         flawed = Coloring(tuple(colors))
         near = near_coloring_proof(c, flawed, len(flawed.monochromatic_edges(g)))

@@ -18,7 +18,7 @@ def brute_force_consistency(c, r1, r2):
     """Independent oracle: plain loops over every outcome pair, predicate
     restated from scratch."""
     size = 2 ** c.n
-    edges = set(expand(c).edges)
+    edges = set(map(tuple, expand(c).edges.tolist()))
     p = np.abs(r1.tensor_view()) ** 2
     q = np.abs(r2.tensor_view()) ** 2
     accept = 0.0
@@ -51,7 +51,7 @@ class TestCompleteness:
 def test_conflict_table_matches_plain_loops(name):
     c = corpus.load(name)
     size = 2 ** c.n
-    edges = set(expand(c).edges)
+    edges = set(map(tuple, expand(c).edges.tolist()))
     want = np.ones((3 * size, 3 * size), dtype=bool)
     for v1, c1, v2, c2 in itertools.product(range(size), range(3),
                                             range(size), range(3)):

@@ -215,6 +215,32 @@ class TestEvalPair:
                         assert out == INVALID
 
 
+class TestExplicitGraph:
+    @pytest.mark.parametrize("edges", [
+        [(0, 4)], {(-1, 2)}, [(2, 1)], [(1, 1)], [(0, 1), (1, 2), (0, 1)],
+        np.array([[1, 2], [0, 1]]), np.array([[0, 1, 2]]), np.array([0, 1]),
+    ], ids=["v-past-m", "negative", "u-above-v", "loop", "repeated-in-list",
+            "array-out-of-order", "rows-not-pairs", "one-dimension"])
+    def test_bad_edges_raise(self, edges):
+        with pytest.raises(ValueError):
+            ExplicitGraph(4, edges)
+
+    def test_edges_are_one_sorted_read_only_array(self):
+        pairs = [(1, 3), (0, 2), (0, 1)]
+        g = ExplicitGraph(4, frozenset(pairs))
+        assert g == ExplicitGraph(4, pairs) == ExplicitGraph(4, np.array(sorted(pairs)))
+        assert g != ExplicitGraph(5, pairs) and g != ExplicitGraph(4, pairs[:2])
+        assert g.edges.dtype == np.intp and g.edges.tolist() == [[0, 1], [0, 2], [1, 3]]
+        assert not g.edges.flags.writeable
+        with pytest.raises(ValueError):
+            g.edges[0, 0] = 1
+        assert Coloring((0, 1)).monochromatic_edges(g) == [(0, 2)]
+        assert type(Coloring((0, 1)).monochromatic_edges(g)[0][0]) is int
+        one = parse_sgc("SGC 1\nn 1\nm 1\nw0 = CONST1\nout pair w0\nout edge w0\n")
+        assert expand(one).edges.shape == (0, 2)
+        assert ExplicitGraph(3, set()).edges.shape == (0, 2)
+
+
 class TestExpandEncode:
     def test_k3_has_three_edges(self):
         assert len(expand(corpus.load("k3_n2")).edges) == 3
@@ -265,11 +291,11 @@ class TestExpandEncode:
     @given(circuits(), st.sampled_from([EXPAND_BLOCK_BYTES, 40, 100, 1000]))
     def test_matches_pairwise_evaluation(self, c, block_bytes):
         size = 2 ** c.n
-        pairwise = {(u, v) for u in range(size) for v in range(size)
-                    if eval_pair(c, u, v) == EDGE}
+        pairwise = [[u, v] for u in range(size) for v in range(size)
+                    if eval_pair(c, u, v) == EDGE]
         with mock.patch.object(sgraph, "EXPAND_BLOCK_BYTES", block_bytes):
             g = expand(c)
-        assert g.edges == pairwise
+        assert g.edges.tolist() == pairwise
         assert g == expand_reference(c)
 
     def test_block_memory_stays_under_cap(self):
@@ -287,8 +313,23 @@ class TestExpandEncode:
         finally:
             tracemalloc.stop()
         # an even chain returns u0: the edges are the pairs with u odd
-        assert g.edges == {(u, v) for u in range(1, m, 2) for v in range(u + 1, m)}
+        assert g.edges.tolist() == [[u, v] for u in range(1, m, 2) for v in range(u + 1, m)]
         assert peak < EXPAND_BLOCK_BYTES + 4 * 2 ** 20
+
+    def test_edge_memory_is_the_array(self):
+        # every odd-labelled pair at n = 10, 392,960 edges, is held as 16
+        # bytes an edge, and the blocks and the check add a few such arrays
+        c = parse_sgc("SGC 1\nn 10\nm 1024\nw0 = OR u0 v0\nout pair w0\nout edge w0\n")
+        tracemalloc.start()
+        try:
+            g = expand(c)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        edges = len(g.edges)
+        assert edges == 392_960
+        assert held < 16 * edges + 2 ** 20
+        assert peak < EXPAND_BLOCK_BYTES + 3 * 16 * edges
 
     @pytest.mark.parametrize("block_bytes", [EXPAND_BLOCK_BYTES, 200])
     def test_edge_cap(self, block_bytes):
