@@ -35,7 +35,7 @@ _EXPORTS = {
     "gadgets": ("GadgetProgram", "ZHZHZ", "cascade_acceptance", "end_to_end_reduction",
                 "magic_gadget", "magic_state", "zhzhz_decompose"),
     "optimize": ("AcceptanceOperator", "SeesawResult", "build_acceptance_operator",
-                 "lopcg_norm", "seesaw", "spectral_norm"),
+                 "seesaw", "spectral_norm"),
     "provers": ("ProofBatch", "ProofDecomposition", "ProverStrategy", "decompose",
                 "honest_proof", "near_coloring_proof", "proof_shape",
                 "random_product_proofs"),

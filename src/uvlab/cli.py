@@ -144,7 +144,7 @@ def _run_seesaw(args, c, name) -> dict:
     result = optimize.seesaw(op, seed=seed)
     return {"instance": name, "n": c.n, "seed": seed,
             "lambda_max": optimize.spectral_norm(op),
-            "lambda_max_error_bound": optimize.LOPCG_RESIDUAL_TOL,
+            "lambda_max_error_bound": optimize.NORM_RESIDUAL_TOL,
             "seesaw_best": result.value, "iterations": result.iterations,
             "restarts": result.restarts,
             "paper_soundness_floor": qma2.soundness_bound(c.n)}

@@ -17,8 +17,8 @@ eigenvector steps never decrease the value.
 
 A is never built: it is applied in closed form from the conflict pairs of
 ``bellqma.conflict_core``, O(d^2) per product for proof dimension d = 3 * 2^n;
-the spectral norm is a locally optimal Rayleigh-Ritz iteration (LOPCG) of
-about 60 such products.  The seesaw never forms the d x d partial
+the spectral norm is a restarted Lanczos iteration of 40 to 65 such products
+in a basis of at most 24 vectors.  The seesaw never forms the d x d partial
 contractions either: fixing R2, the one for R1 is block diagonal (2^n blocks
 of 3 x 3) plus rank 2, and fixing R1, the one for R2 is diagonal plus rank
 1.  So a half-step is one batched 3 x 3 eigh and a 2 x 2 (or scalar) secular
@@ -41,12 +41,13 @@ from .states import PureState
 
 # the d^2-entry joint vectors cap n: a product takes O(d^2) time and memory, a
 # seesaw half-step O(2^n + |E|) for the conflicting masses plus O(d); at
-# n = 6 the norm takes about 0.3 s, a 500-iteration seesaw restart 0.3 s
+# n = 6 the norm takes about 0.07 s, a 500-iteration seesaw restart 0.3 s
 MAX_OPERATOR_N = 6
 HERMITIAN_TOL = 1e-10
-# LOPCG's stop: a residual ||A v - theta v|| below it puts theta within it of
-# an eigenvalue of A, so it is the error bound reported beside lambda_max
-LOPCG_RESIDUAL_TOL = 1e-13
+NORM_RESIDUAL_TOL = 1e-13      # the eigensolve's stop, lambda_max's error bound
+NORM_BASIS = 24                # Lanczos vectors held; a full basis restarts
+NORM_KEEP = 8                  # from this many of its top Ritz vectors
+NORM_CHECK = 4                 # Lanczos steps between residual estimates
 CONVERGENCE_TOL = 1e-12
 DEFAULT_RESTARTS = 50
 DEFAULT_ITERS = 500
@@ -168,42 +169,50 @@ def build_acceptance_operator(c: SuccinctCircuit, instance: str = "") -> Accepta
     return AcceptanceOperator(3 * 2 ** c.n, src, dst, instance=instance)
 
 
-def spectral_norm(op) -> float:
-    """Largest eigenvalue of an AcceptanceOperator or Hermitian matrix."""
-    if not isinstance(op, AcceptanceOperator):
+def spectral_norm(op, *, steps: int = 10 ** 4, seed: int = 0) -> float:
+    """Largest eigenvalue of an AcceptanceOperator or Hermitian matrix, by
+    Lanczos from a seeded Gaussian start, reorthogonalized twice, in a basis
+    of NORM_BASIS vectors allocated up front that restarts from its top
+    NORM_KEEP Ritz vectors when full (NORM_BASIS + NORM_KEEP + O(1) vectors
+    in all).  Every NORM_CHECK steps the projection estimates the residual;
+    below NORM_RESIDUAL_TOL, one more product checks the unit Ritz vector x:
+    its Rayleigh quotient theta is returned once ||A x - theta x|| <
+    NORM_RESIDUAL_TOL, so within that of an eigenvalue of A, else Lanczos
+    restarts from x alone, whose short bases round less.  ValueError on an
+    empty, non-finite or non-Hermitian matrix; RuntimeError past ``steps``."""
+    if isinstance(op, AcceptanceOperator):
+        dim, dtype = op.proof_dim ** 2, np.float64
+    else:
         op = np.asarray(op)
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
-            raise ValueError(f"operator must be square, got shape {op.shape}")
-        if np.linalg.norm(op - op.conj().T, np.inf) > HERMITIAN_TOL:
-            raise ValueError("operator is not Hermitian within 1e-10")
-    return lopcg_norm(op)
-
-
-def lopcg_norm(op, iters: int = 10 ** 4, seed: int = 0) -> float:
-    """Largest eigenvalue by a locally optimal block iteration (LOPCG): each
-    step maximizes the Rayleigh quotient over span{v, r, p} (the vector, its
-    residual A v - theta v, the last update), orthonormalized by QR with
-    dependent columns dropped, for one product with a (dim, <= 3) block.
-    Vectors stay real unless A is complex.  Stops once ||A v - theta v|| <
-    LOPCG_RESIDUAL_TOL for the Rayleigh quotient theta, so theta is within
-    that of an eigenvalue of A; raises if ``iters`` steps fall short."""
-    n = op.proof_dim ** 2 if isinstance(op, AcceptanceOperator) else len(op)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    w, p = op @ v, np.zeros_like(v)
-    for _ in range(iters):
-        theta = float(np.real(np.vdot(v, w)))
-        r = w - theta * v
-        if np.linalg.norm(r) < LOPCG_RESIDUAL_TOL:
-            return theta
-        basis = np.column_stack([v, r, p])
-        q, tri = np.linalg.qr(basis)
-        q = q[:, np.abs(np.diag(tri)) > 1e-10 * np.linalg.norm(basis[:, :len(tri)], axis=0)]
-        aq = op @ q
-        c = np.linalg.eigh(q.conj().T @ aq)[1][:, -1]
-        v, w, p = q @ c, aq @ c, q[:, 1:] @ c[1:]      # q[:, 0] is +-v
-    raise RuntimeError(f"LOPCG did not reach residual {LOPCG_RESIDUAL_TOL} in {iters} steps")
+        if op.ndim != 2 or op.shape[0] != op.shape[1] or op.size == 0:
+            raise ValueError(f"operator must be square and nonempty, got shape {op.shape}")
+        if not np.isfinite(op).all() or np.linalg.norm(op - op.conj().T, np.inf) > HERMITIAN_TOL:
+            raise ValueError("operator must be finite and Hermitian within 1e-10")
+        dim, dtype = len(op), np.result_type(op, np.float64)
+    basis = np.empty((min(NORM_BASIS, dim), dim), dtype)
+    proj = np.zeros((len(basis), len(basis)))         # basis^† A basis, lower triangle
+    w, j = np.random.default_rng(seed).standard_normal(dim), 0
+    for _ in range(steps):
+        if j == len(basis):                            # keep the top Ritz vectors
+            k = min(NORM_KEEP, j - 1)
+            basis[:k], proj[:k, :k], j = s[:, -k:].T @ basis[:j], np.diag(ritz[-k:]), k
+        basis[j] = w / np.linalg.norm(w)
+        w = op @ basis[j]
+        h = (basis[:j + 1] @ w.conj()).conj()          # reorthogonalized twice
+        w -= h @ basis[:j + 1]
+        w -= (basis[:j + 1] @ w.conj()).conj() @ basis[:j + 1]
+        proj[j, :j + 1], beta, j = h.real, np.linalg.norm(w), j + 1
+        if j == len(basis) or beta < NORM_RESIDUAL_TOL or j % NORM_CHECK == 0:
+            ritz, s = np.linalg.eigh(proj[:j, :j])
+            if abs(beta * s[-1, -1]) < NORM_RESIDUAL_TOL:   # check the unit Ritz vector
+                x = s[:, -1] @ basis[:j]
+                x /= np.linalg.norm(x)
+                ax = op @ x
+                theta = float(np.vdot(x, ax).real)
+                if np.linalg.norm(ax - theta * x) < NORM_RESIDUAL_TOL:
+                    return theta
+                w, j = x, 0                             # else restart from x alone
+    raise RuntimeError(f"Lanczos did not reach residual {NORM_RESIDUAL_TOL} in {steps} steps")
 
 
 def product_value(op, r1: PureState | np.ndarray, r2: PureState | np.ndarray) -> float:
@@ -226,8 +235,9 @@ def seesaw(op: AcceptanceOperator, restarts: int = DEFAULT_RESTARTS,
     per-iteration value trace is monotone; the best pair over all restarts
     is returned.  Deterministic for a fixed seed.
     """
-    if restarts < 0 or (restarts == 0 and init_states is None):
-        raise ValueError(f"restarts = {restarts}: need restarts >= 1, or 0 with init_states")
+    if iters < 1 or restarts < 0 or (restarts == 0 and init_states is None):
+        raise ValueError(f"iters = {iters}, restarts = {restarts}: need iters >= 1, and "
+                         "restarts >= 1 or 0 with init_states")
     d = op.proof_dim
     rng = np.random.default_rng(seed)
     shape = proof_shape(int(round(np.log2(d / 3))))

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uvlab import corpus, optimize
 from uvlab.errors import CapacityError
-from uvlab.optimize import (build_acceptance_operator, lopcg_norm,
-                            product_value, seesaw, spectral_norm)
+from uvlab.optimize import (NORM_BASIS, NORM_KEEP, build_acceptance_operator, product_value,
+                            seesaw, spectral_norm)
 from uvlab.provers import haar_state, honest_proof, near_coloring_proof, proof_shape
 from uvlab.qma2 import acceptance_exact, consistency_accept_table, soundness_bound
 from uvlab.sgraph import Coloring, encode_explicit, expand, ExplicitGraph
@@ -99,10 +103,59 @@ class TestSpectralNorm:
         with pytest.raises(ValueError, match="Hermitian"):
             spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_lopcg_agreement(self, k4_op):
-        dense = spectral_norm(k4_op)
-        seeded = lopcg_norm(k4_op, iters=10 ** 4, seed=2)
-        assert abs(dense - seeded) < 1e-9
+    def test_seeded_start_agrees(self, k4_op):
+        assert abs(spectral_norm(k4_op) - spectral_norm(k4_op, steps=10 ** 4, seed=2)) < 1e-12
+
+    @given(st.integers(1, 60), st.sampled_from(["full", "repeated top", "rank 1", "negative"]),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @example(50, "negative", False, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_eigvalsh(self, dim, kind, complex_, seed):
+        """Real symmetric and complex Hermitian matrices of norm about 1:
+        a full spectrum, a top eigenvalue of multiplicity up to 3, rank 1,
+        and negative definite.  The explicit example has its top eigenvalues
+        about 1e-4 apart; restarting from one Ritz vector instead of
+        NORM_KEEP takes more than the default 10^4 steps on it."""
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((dim, dim)) + 1j * complex_ * rng.standard_normal((dim, dim))
+        if not complex_:
+            g = g.real
+        if kind == "full":
+            a = (g + g.conj().T) / (2 * np.sqrt(dim))
+        elif kind == "repeated top":
+            q = np.linalg.qr(g)[0]
+            lam = rng.uniform(-1.0, 0.9, dim)
+            lam[:rng.integers(1, 4)] = 1.0
+            a = (q * lam) @ q.conj().T
+        elif kind == "rank 1":
+            a = np.outer(g[:, 0], g[:, 0].conj()) / dim
+        else:
+            a = -(g @ g.conj().T) / dim - 0.01 * np.eye(dim)
+        a = (a + a.conj().T) / 2
+        assert abs(spectral_norm(a) - np.linalg.eigvalsh(a)[-1]) < 1e-12
+
+    def test_needs_more_than_one_basis(self):
+        """A gap of 1/499 at the top: one basis of NORM_BASIS steps falls
+        short, and restarts from the top Ritz vectors converge."""
+        a = np.diag(np.linspace(0.0, 1.0, 500))
+        with pytest.raises(RuntimeError, match="did not reach"):
+            spectral_norm(a, steps=NORM_BASIS)
+        assert abs(spectral_norm(a) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_norm_100_restarts_from_the_ritz_vector(self, seed):
+        """At norm about 130 the Ritz vector of a full basis stalls near a
+        residual of 2e-13; Lanczos from it alone reaches 1e-13."""
+        g = np.random.default_rng(seed).standard_normal((40, 40))
+        a = 100 * (g + g.T) / (2 * np.sqrt(40))
+        assert abs(spectral_norm(a) - np.linalg.eigvalsh(a)[-1]) < 1e-12
+
+    def test_exit_needs_the_true_residual(self):
+        """At norm 1e5 the rounding in A x is about 1e-11, so no Ritz vector
+        reaches a 1e-13 residual, though the projection's estimate does."""
+        g = np.random.default_rng(3).standard_normal((40, 40))
+        with pytest.raises(RuntimeError, match="did not reach"):
+            spectral_norm(1e5 * (g + g.T) / (2 * np.sqrt(40)), steps=300)
 
     @pytest.mark.parametrize("diag, top", [([-3.0, 0.5], 0.5), ([-2.0, 0.1, 0.2], 0.2)])
     def test_eigenvalues_below_minus_one(self, diag, top):
@@ -123,6 +176,17 @@ class TestSpectralNorm:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="operator must be square"):
             spectral_norm(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros((0, 0)), r"square and nonempty, got shape \(0, 0\)"),
+        (np.array([[0.0, np.nan], [np.nan, 1.0]]), "finite and Hermitian"),
+        (np.diag([np.inf, 1.0]), "finite and Hermitian"),
+    ], ids=["empty", "nan", "inf"])
+    def test_empty_or_non_finite_rejected(self, bad, message):
+        """Raised before the first product: a NaN passes a Hermitian test
+        alone, and an empty matrix has no largest eigenvalue."""
+        with pytest.raises(ValueError, match=message):
+            spectral_norm(bad)
 
 
 class TestSeesaw:
@@ -162,6 +226,11 @@ class TestSeesaw:
     def test_no_start_rejected(self, k4_op, restarts):
         with pytest.raises(ValueError, match="restarts = .*init_states"):
             seesaw(k4_op, restarts=restarts)
+
+    @pytest.mark.parametrize("iters", [0, -5])
+    def test_iters_below_one_rejected(self, k4_op, iters):
+        with pytest.raises(ValueError, match=f"iters = {iters}, .*need iters >= 1"):
+            seesaw(k4_op, restarts=1, iters=iters)
 
     def test_value_is_reached_by_returned_states(self, k4_op):
         res = seesaw(k4_op, restarts=4, seed=13)
@@ -268,14 +337,29 @@ class TestStructuredForm:
                 assert t == 100.0 and v[-1] == 1.0
 
     @pytest.mark.parametrize("name", SMALL)
-    def test_lopcg_converges_in_100_steps(self, name):
-        """The 1e-13 residual takes 58-66 steps at seed 0 here."""
+    def test_converges_in_64_steps(self, name):
+        """The 1e-13 residual takes 40-64 Lanczos steps at seed 0 here."""
         op = build_acceptance_operator(corpus.load(name), instance=name)
-        assert abs(lopcg_norm(op, iters=100) - 1.0) < 1e-12
+        assert abs(spectral_norm(op, steps=64) - 1.0) < 1e-12
 
-    def test_lopcg_raises_when_not_converged(self, k4_op):
-        with pytest.raises(RuntimeError, match="did not reach"):
-            lopcg_norm(k4_op, iters=5)
+    def test_raises_past_the_step_cap(self, k4_op):
+        with pytest.raises(RuntimeError, match="did not reach residual 1e-13 in 5 steps"):
+            spectral_norm(k4_op, steps=5)
+
+    def test_basis_memory_is_capped(self):
+        """At K4, n = 6 (d^2 = 36,864): the basis and the restart's Ritz
+        vectors, plus the residual and the product's temporaries; 33.1 vectors
+        at the peak here."""
+        op = build_acceptance_operator(encode_explicit(K4, 6))
+        np.random.default_rng(0).standard_normal(1)      # numpy.random loaded before tracing
+        tracemalloc.start()
+        try:
+            lam = spectral_norm(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(lam - 1.0) < 1e-12
+        assert peak < (NORM_BASIS + NORM_KEEP + 4) * op.proof_dim ** 2 * 8
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_k4_past_the_old_cap(self, n, rng):

@@ -380,7 +380,8 @@ class TestOracle:
     @given(small_graphs())
     def test_matches_exhaustive_product_order(self, g):
         # every coloring in itertools.product order, vertex 0 most significant
-        counts = [(sum(cols[u] == cols[v] for u, v in g.edges), cols)
+        edges = g.edges.tolist()
+        counts = [(sum(cols[u] == cols[v] for u, v in edges), cols)
                   for cols in itertools.product(range(3), repeat=g.m)]
         valid = next((cols for bad, cols in counts if bad == 0), None)
         fewest = min(bad for bad, _ in counts)
