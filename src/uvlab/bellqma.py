@@ -147,6 +147,55 @@ def z_prime_set(proofs) -> list[int]:
     return [int(i) for i in np.nonzero(w[:, 1] + w[:, 2] >= Z_PRIME_THRESHOLD)[0]]
 
 
+def _set_count(colors: np.ndarray, polys: list, top: int) -> int:
+    """sum_{j <= top} [x^j] of prod (1 + c x) over ``colors`` times ``polys``, in ints."""
+    polys = [*polys, *([math.comb(n, j) * c ** j for j in range(min(n, top) + 1)]
+                       for c, n in enumerate(np.bincount(colors, minlength=1).tolist()))]
+    return int(functools.reduce(lambda a, b: np.convolve(a, np.array(b, dtype=object))[:top + 1],
+                                polys, np.ones(1, dtype=object)).sum())
+
+
+def _step(table: np.ndarray, listed: np.ndarray, lo: int, hi: int, rows: int, top: int) -> tuple:
+    """One per-vertex step over ``listed``, columns of (row, size, members
+    padded with the empty slot): returns (free, color, slot, parent, size,
+    ``listed`` with the new sets, rows ``rows`` on, of size below ``top``)."""
+    free = ~np.take(table[lo:hi], listed[2:], axis=1).any(axis=1)   # (outcome, listed)
+    color, at = np.nonzero(free)
+    new = listed.take(at, axis=1)
+    slot = new[1] * len(at) + np.arange(len(at))
+    new[2:].put(slot, color + lo)
+    new[1] += 1
+    parent, new[0] = new[0].copy(), np.arange(rows, rows + len(at))
+    return free, color, slot, parent, new[1].copy(), np.hstack([listed, new[:, new[1] < top]])
+
+
+def _count_sets(colors: np.ndarray, src: np.ndarray, dst: np.ndarray, top: int, limit: int):
+    """(N, exact): N = sum_{j <= top} [x^j] prod_c I_c(x) over the components c
+    of the conflict pairs.  A one-vertex component gives 1 + c_v x; a wider one
+    is listed in its own table, which stops past ``limit``: N is then a floor."""
+    label, last = np.arange(colors.sum()), -1
+    while (label != last).any():            # min-label propagation, pointer jumping
+        last = label.copy()
+        np.minimum.at(label, src, label[dst])
+        label = label[label]
+    span = np.bincount(heads := label[np.cumsum(colors) - colors])   # core vertices per component
+    polys = []
+    for r in np.flatnonzero(span > 1).tolist():
+        own, pairs = np.flatnonzero(label == r), label[src] == r
+        table = np.zeros((len(own), len(own) + 1), dtype=bool)   # column len(own): empty slot
+        table[np.searchsorted(own, src[pairs]), np.searchsorted(own, dst[pairs])] = True
+        cuts = np.cumsum([0, *colors[heads == r]]).tolist()
+        most = min(top, len(cuts) - 1)         # the most members a set of it can have
+        listed, sets = np.zeros((2, 1), dtype=np.int32), np.bincount([0], minlength=most + 1)
+        for lo, hi in zip(cuts, cuts[1:]):      # one member row more a step, up to most
+            listed = np.pad(listed, ((0, len(listed) < most + 2), (0, 0)), constant_values=len(own))
+            size, listed = _step(table, listed, lo, hi, 0, top)[4:]
+            if (sets := sets + np.bincount(size, minlength=most + 1)).sum() > limit:
+                return _set_count(colors[span[heads] == 1], [*polys, sets.tolist()], top), False
+        polys.append(sets.tolist())
+    return _set_count(colors[span[heads] == 1], polys, top), True
+
+
 def _independent_sets(vertex: np.ndarray, src: np.ndarray, dst: np.ndarray,
                       masses: np.ndarray, counts: np.ndarray,
                       budget: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,74 +209,45 @@ def _independent_sets(vertex: np.ndarray, src: np.ndarray, dst: np.ndarray,
     counts k + L + 1 budget entries of 8 bytes: its sums, mass and slots,
     which leaves room for the tables kept across steps.
 
-    A floor on the set count raises BudgetError before anything is
-    allocated.  Core vertices are picked in ascending order, each in no
-    conflict pair with one picked before, so one outcome at each of at most
-    L picked vertices is an independent set: the floor is sum_{j <= L}
-    e_j(c_1, c_2, ...), c_i the core colors at picked vertex i.  It never
-    exceeds the sets listed, and a core whose partial colorings, prod_v
-    (1 + c_v), all fit skips it.
+    Before any allocation the bound sum_{j <= L} [x^j] prod_v (1 + c_v x),
+    c_v the core colors at vertex v, or past the budget the count N of
+    :func:`_count_sets`, sizes the drop table; N past it raises BudgetError.
 
     Returns (drop, sums): drop[s, T] is the row of set T without its s-th
     member, members ascending, and -1 past its size; sums[T] is its
-    parent's plus p[j], j its last member.  A step per core vertex extends
-    each set with a free slot by each of the vertex's outcomes that
-    conflicts with none of its members, so the rows come in the order of a
-    step per core outcome.  A step checks the budget before it allocates
-    for its new sets, and the drop table doubles when full, up to the cap."""
+    parent's plus p[j], j its last member.  A :func:`_step` per core vertex
+    lists the rows in the order that a step per core outcome gives."""
     m, k = len(vertex), int(counts.sum())
     bounds = [0, *(np.flatnonzero(vertex[1:] != vertex[:-1]) + 1).tolist(), m]
-    colors = np.diff(bounds).tolist()
+    colors = np.diff(bounds)
     slots = min(k, len(colors), m - 1)
     limit = budget // (k + slots + 1)     # below 2^31 at ENUMERATION_BUDGET: int32 rows fit
-    if math.prod(c + 1 for c in colors) > limit:
-        order = np.argsort(src, kind="stable")
-        near, starts = dst[order], np.searchsorted(src[order], bounds).tolist()
-        picked = np.zeros(m, dtype=bool)
-        sums = [1]               # e_0 .. e_L of the picked vertices' color counts
-        for lo, hi, a, b, c in zip(bounds, bounds[1:], starts, starts[1:], colors):
-            if picked[near[a:b]].any():
-                continue
-            picked[lo:hi] = True
-            sums = [x + c * y for x, y in zip(sums + [0], [0] + sums)][:slots + 1]
-            if (floor := sum(sums)) > limit:
-                raise BudgetError(f"at least {floor} independent sets of a {m}-outcome "
-                                  f"conflict core at k={k} exceed the budget {budget}; "
-                                  f"use Monte-Carlo mode")
+    if (sets := _set_count(colors, [], slots)) > limit:
+        sets, exact = _count_sets(colors, src, dst, slots, limit)
+        if sets > limit:
+            raise BudgetError(f"{'' if exact else 'at least '}{sets} independent sets of a "
+                              f"{m}-outcome conflict core at k={k} exceed the budget {budget}; "
+                              f"use Monte-Carlo mode")
     conflict = np.zeros((m, m + 1), dtype=bool)     # column m: an empty slot
     conflict[src, dst] = True
     p = np.repeat(masses, counts, axis=1)
     # drop rows, then each set's place in listed: (row, size, members) of sets with a free slot
-    drop = np.array([[-1]] * slots + [[0]], dtype=np.int32)
+    drop = np.empty((slots + 1, sets), dtype=np.int32)
+    drop[:, 0] = [-1] * slots + [0]
     listed = np.array([0, 0] + [m] * slots, dtype=np.int32)[:, None]
     rows, blocks = 1, []
     for lo, hi in zip(bounds, bounds[1:]):
-        free = ~np.take(conflict[lo:hi], listed[2:], axis=1).any(axis=1)  # (outcome, listed)
-        total = rows + int(np.count_nonzero(free))
-        if total > limit:
-            raise BudgetError(f"{total} independent sets of a {m}-outcome conflict core "
-                              f"at k={k} exceed the budget {budget}; use Monte-Carlo mode")
-        if total > drop.shape[1]:
-            grown = np.empty((slots + 1, min(limit, max(total, 2 * drop.shape[1]))), np.int32)
-            grown[:, :rows] = drop[:, :rows]
-            drop = grown
-        color, at = np.nonzero(free)           # the new sets, in creation order
-        new = listed.take(at, axis=1)          # the parents' entries, made the new sets'
-        parent, last = new[0].copy(), new[1].copy()
-        slot = last * len(at) + np.arange(len(at))     # flat index of the new member
+        width = listed.shape[1]
+        free, color, slot, parent, _, listed = _step(conflict, listed, lo, hi, rows, slots)
         child = np.cumsum(free, dtype=np.int32) + (rows - 1)  # row per (outcome, listed)
         old = drop[:slots].take(parent, axis=1)                # -1 past a parent's size:
-        pair = color * listed.shape[1] + drop[slots].take(old)  # no place there; clip, mask
+        pair = color * width + drop[slots].take(old)           # no place there; clip, mask
         grown = np.where(old >= 0, child.take(pair, mode="clip"), -1)   # (T - a_s) + j
         grown.put(slot, parent)
-        drop[:slots, rows:total] = grown
-        new[2:].put(slot, color + lo)
-        new[0], new[1] = np.arange(rows, total), last + 1
-        new = new.compress(last + 1 < slots, axis=1)
-        drop[slots, new[0]] = np.arange(listed.shape[1], listed.shape[1] + new.shape[1])
-        listed = np.concatenate([listed, new], axis=1)
+        drop[:slots, rows:rows + len(color)] = grown        # the new sets, in creation order
+        drop[slots, listed[0, width:]] = np.arange(width, listed.shape[1])
         blocks.append((rows, parent, lo, free.sum(axis=1).tolist()))
-        rows = total
+        rows += len(color)
     del listed
     sums = np.zeros((rows, k))                 # row 0: the empty set
     for start, parent, lo, counts in blocks:

@@ -26,4 +26,4 @@ class BudgetError(RuntimeError):
     """Exact k-proof consistency would allocate more than the budget
     ``bellqma.ENUMERATION_BUDGET`` of N * (k + L + 1) entries, for the N independent
     sets of the conflict core, L member slots each; the caller should switch to Monte Carlo.
-    A greedy floor on N, read from the conflict pairs, raises it before any table is built."""
+    N is counted exactly, per component of the conflict pairs, before any table is built."""

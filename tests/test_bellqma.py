@@ -401,10 +401,9 @@ class TestConsistency:
 
     def test_budget_caps_table_growth(self, monkeypatch):
         # a budget one set short of all sets of k4_n3 at k = 5: a set counts
-        # k + L + 1 entries (L = 5 slots), a step counts its new sets before
-        # it allocates for them, and the drop table doubles as it grows but
-        # never past the sets the budget allows, so the peak stays below the
-        # budget at 8 bytes an entry (0.94 MiB)
+        # k + L + 1 entries (L = 5 slots), and the sets are counted exactly
+        # before any table is allocated, so the refusal names them all and
+        # the peak stays below the budget at 8 bytes an entry (0.94 MiB)
         c, k = corpus.load("k4_n3"), 5
         proofs = random_product_proofs(proof_shape(3), k, seed=1)
         reject = ~consistency_accept_table(c)
@@ -464,8 +463,8 @@ class TestConsistency:
         # included, 1-3 distinct proofs and k from 1 to 20; N sets of L
         # slots are listed at a large budget.  The smallest budget that
         # admits the m^2 table and N (k + L + 1) entries gives the same
-        # float, and a limit of N - 1 sets is refused, by the floor or the
-        # build, wherever the m^2 table still fits
+        # float, and a limit of N - 1 sets is refused, by the exact count
+        # before building, wherever the m^2 table still fits
         verts = data.draw(st.integers(2, 8))
         n = max(1, (verts - 1).bit_length())
         edges = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(verts), 2)))))
@@ -491,6 +490,56 @@ class TestConsistency:
         if m * m <= fits - 1:
             with pytest.raises(BudgetError, match="independent sets"):
                 bellqma._consistency_exact(dists, counts, pairs, size, fits - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_count_matches_sets_built(self, data):
+        # the generator of test_refused_iff_sets_do_not_fit: the count over
+        # the components of the conflict pairs equals the rows the builder
+        # lists at a large budget, and never exceeds the bound of one
+        # outcome per vertex, prod_v (1 + c_v x) truncated at L
+        verts = data.draw(st.integers(2, 8))
+        n = max(1, (verts - 1).bit_length())
+        edges = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(verts), 2)))))
+        c = encode_explicit(ExplicitGraph(verts, frozenset(edges)), n)
+        k = data.draw(st.integers(1, 20))
+        g = data.draw(st.integers(1, min(k, 3)))
+        cuts = data.draw(st.sets(st.integers(1, max(1, k - 1)), min_size=g - 1, max_size=g - 1))
+        counts = np.diff([0, *sorted(cuts), k])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        support = rng.random((g, 2 ** n, 3)) < 0.5
+        support[:, np.arange(2 ** n), rng.integers(3, size=2 ** n)] = True
+        dists = (rng.random(support.shape) * support).reshape(g, -1)
+        m, pos, src, dst = bellqma.conflict_core(dists.max(axis=0) > 0.0, expand(c).edges, 2 ** n)
+        assume(m > 0)
+        vertex = np.flatnonzero(pos < m) // 3
+        slots, sets = bellqma._independent_sets(vertex, src, dst, dists[:, pos < m].T,
+                                                counts, 10 ** 9)[0].shape
+        colors = np.unique(vertex, return_counts=True)[1]
+        assert bellqma._count_sets(colors, src, dst, slots, 10 ** 9) == (sets, True)
+        assert bellqma._set_count(colors, [], slots) >= sets
+
+    @pytest.mark.parametrize("name, k, sets, mib", [("k4_n4", 5, 1050814, 1),
+                                                    ("petersen_n4", 6, 3932356, 8)])
+    def test_refusal_names_the_exact_count(self, name, k, sets, mib):
+        # random proofs (seed 3) past the budget: k4_n4 is one 4-vertex
+        # component and 12 one-vertex ones, petersen_n4 one 10-vertex
+        # component and 6 one-vertex ones.  The count refuses them before
+        # any set is built (listing sets up to the limit took 95-140 ms and
+        # 69.6 and 87.6 MiB traced) and names every set
+        c = corpus.load(name)
+        proofs = random_product_proofs(proof_shape(4), k, seed=3)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(BudgetError, match=f"^{sets} independent sets .* use Monte-Carlo mode"):
+                bellqma.consistency_accept(c, proofs, "exact")
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seconds < 0.05
+        assert peak < mib * 2 ** 20
 
     def test_mc_needs_samples_and_seed(self, k4):
         proofs = random_product_proofs(proof_shape(2), 3, seed=2)
@@ -849,9 +898,9 @@ class TestCapacity:
         assert abs(got - want) < 1e-12
 
     def test_wide_core_refused_before_building(self):
-        # full-support random proofs on one edge at n = 10, k = 2: the 1,023
-        # core vertices off one end of the edge, three colors each, give at
-        # least 4,707,847 sets against the 2,000,000 the budget admits, so
+        # full-support random proofs on one edge at n = 10, k = 2: 1,022
+        # one-vertex components of three colors each and the edge's own
+        # give 4,717,054 sets against the 2,000,000 the budget admits, so
         # the core is refused before its 3,072 x 3,073 table is allocated
         # (building sets up to the cap took 0.45-0.65 s and 49.7 MiB traced)
         c = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 10)
