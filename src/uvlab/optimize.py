@@ -22,7 +22,11 @@ in a basis of at most 24 vectors.  The seesaw never forms the d x d partial
 contractions either: fixing R2, the one for R1 is block diagonal (2^n blocks
 of 3 x 3) plus rank 2, and fixing R1, the one for R2 is diagonal plus rank
 1.  So a half-step is one batched 3 x 3 eigh and a 2 x 2 (or scalar) secular
-equation, O(d) after the O(2^n + |E|) sum of conflicting masses.
+equation, O(d) after the O(2^n + |E|) sum of conflicting masses.  The
+secular equation reads only real per-coordinate weights (|z0|^2, |z1|^2,
+Re z0^* z1, Im z0^* z1), so each Newton step is two real products; it
+starts from the previous seesaw value, which the new top eigenvalue
+reaches, since the old vector keeps that value under the new contraction.
 """
 
 from __future__ import annotations
@@ -49,9 +53,11 @@ NORM_BASIS = 24                # Lanczos vectors held; a full basis restarts
 NORM_KEEP = 8                  # from this many of its top Ritz vectors
 NORM_CHECK = 4                 # Lanczos steps between residual estimates
 CONVERGENCE_TOL = 1e-12
+FLOOR_ULPS = 4                 # a seesaw value's slack as a secular start
 DEFAULT_RESTARTS = 50
 DEFAULT_ITERS = 500
 EPS = np.finfo(np.float64).eps
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -82,60 +88,85 @@ class AcceptanceOperator:
                + joint - np.repeat(by_node, 3, axis=0)) / 3.0
         return out.reshape(np.shape(v))
 
-    def best_r1(self, y: np.ndarray) -> tuple[np.ndarray, float]:
+    def best_r1(self, y: np.ndarray, floor: float = -math.inf) -> tuple[np.ndarray, float]:
         """Top eigenpair of M1, x^† M1 x = <x (x) y|A|x (x) y> for unit y:
         3 M1 = 1.5 I + blockdiag_v(diag(D_v) - J/3) + w w^† + y y^†/2, with
         D = passes(|y|^2) and w = 1/sqrt(d).  One batched eigh of the 2^n
-        3 x 3 blocks, then the rank-2 secular equation in their basis."""
+        3 x 3 blocks, then the rank-2 secular equation in their basis, where
+        w's coordinates are real, as the blocks' eigenvectors are.
+        ``floor``: a value M1's top eigenvalue is known to reach, such as
+        the previous x's; the solve starts there."""
         d = self.proof_dim
-        lam, q = np.linalg.eigh(self.passes(np.abs(y) ** 2).reshape(-1, 3, 1) * np.eye(3)
-                                - 1.0 / 3.0)
-        t, v = _top_eigpair(lam.reshape(d), (q.sum(axis=1) / math.sqrt(d)).reshape(d),
-                            ((q * y.reshape(-1, 3, 1)).sum(axis=1) * math.sqrt(0.5)).reshape(d))
+        lam, q = np.linalg.eigh(self.passes(np.abs(y) ** 2).reshape(-1, 3, 1) * _EYE3 - 1.0 / 3.0)
+        z0 = q.sum(axis=1).reshape(d) * (1.0 / math.sqrt(d))
+        z1 = (y.reshape(-1, 1, 3) @ q).reshape(d) * math.sqrt(0.5)
+        zz = z0 * z1
+        weights = np.array([z0 * z0, z1.real ** 2 + z1.imag ** 2, zz.real, zz.imag])
+        t, v = _top_eigpair(lam.reshape(d), z0, z1, weights, 3.0 * floor - 1.5)
         return (q @ v.reshape(-1, 3, 1)).reshape(d), (1.5 + t) / 3.0
 
-    def best_r2(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+    def best_r2(self, x: np.ndarray, floor: float = -math.inf) -> tuple[np.ndarray, float]:
         """Top eigenpair of M2, y^† M2 y = <x (x) y|A|x (x) y> for unit x:
         3 M2 = (1.5 - x^† R x) I + diag(passes(|x|^2)) + x x^†/2, a rank-1
-        secular equation; x^† R x comes from the per-node color sums."""
+        secular equation whose weights |x|^2/2 reuse the masses; x^† R x
+        comes from the per-node color sums.  ``floor`` as in ``best_r1``."""
         by_node = x.reshape(-1, 3).sum(axis=1)
         reject = (np.vdot(by_node, by_node).real - abs(by_node.sum()) ** 2 / by_node.size) / 3.0
-        t, y = _top_eigpair(self.passes(np.abs(x) ** 2), math.sqrt(0.5) * x, np.zeros_like(x))
+        p = np.abs(x) ** 2
+        t, y = _top_eigpair(self.passes(p), math.sqrt(0.5) * x, None, 0.5 * p,
+                            3.0 * floor - 1.5 + reject)
         return y, (1.5 - reject + t) / 3.0
 
 
-def _top_eigpair(lam: np.ndarray, z0: np.ndarray, z1: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenpair (t, unit v) of diag(lam) + Z Z^†, Z = [z0 z1], by the
-    secular equation: t is the largest root of mu(t) = 1 for mu the top
-    eigenvalue of G(t) = Z^† (t - lam)^-1 Z, and v = (t - lam)^-1 Z u for u
-    its eigenvector.  Coordinates with coupling at rounding level are
-    deflated, as in LAPACK's divide and conquer.  Above the poles 1/mu is
-    concave and increasing, so Newton on 1/mu = 1 climbs to the root from
-    a lower bound; a bracket up to the total weight catches rounding."""
-    pairs = np.array([z0.conj() * z0, z1.conj() * z1, z0.conj() * z1])
-    weight = (pairs[0] + pairs[1]).real
-    live = weight > (8 * EPS) ** 2 * max(np.abs(lam).max() ** 2, weight.max())
-    v, deflated = np.zeros(len(lam), dtype=np.complex128), not live.all()
+def _top_eigpair(lam: np.ndarray, z0: np.ndarray, z1: np.ndarray | None, w: np.ndarray,
+                 floor: float = -math.inf) -> tuple[float, np.ndarray]:
+    """Top eigenpair (t, unit v) of diag(lam) + Z Z^†, Z = [z0 z1], from the
+    real weights w: rows |z0|^2, |z1|^2, Re z0^* z1 and Im z0^* z1; for z1
+    None, Z = z0 and w = |z0|^2 alone.  t is the largest root of mu(t) = 1
+    for mu the top eigenvalue of G(t) = Z^† (t - lam)^-1 Z, and
+    v = (t - lam)^-1 Z u for u its eigenvector.  Coordinates with coupling
+    at rounding level are deflated, as in LAPACK's divide and conquer.
+    Above the poles 1/mu is concave and increasing, so Newton on 1/mu = 1
+    climbs to the root from a lower bound: the top pole plus its weight, or
+    the Rayleigh quotients of z0 and z1.  It starts from ``floor`` less
+    FLOOR_ULPS ulps when that is higher: a value some unit vector reaches,
+    so a bound up to rounding; a start that rounds above the root steps
+    back below it, by concavity.  A bracket from the lower bound up to the
+    total weight catches rounding."""
+    rank1 = z1 is None
+    weight = w if rank1 else w[0] + w[1]
+    top = int(lam.argmax())
+    lam_top = float(lam[top])
+    tol = (8 * EPS) ** 2 * max(max(lam_top, -float(lam.min())) ** 2, float(weight.max()))
+    deflated = float(weight.min()) <= tol
     if deflated:                                       # j: the top deflated pole
+        live = weight > tol
         j = np.flatnonzero(~live)[lam[~live].argmax()]
-        pole, lam, z0, z1, pairs = lam[j], lam[live], z0[live], z1[live], pairs[:, live]
-    top = lam.argmax()
-    delta = lam[top] - lam                             # t - lam = delta + tau
+        pole, lam, z0, w, weight = lam[j], lam[live], z0[live], w[..., live], weight[live]
+        z1 = None if rank1 else z1[live]
+        top = int(lam.argmax())
+        lam_top = float(lam[top])
+    delta = lam_top - lam                              # t - lam = delta + tau
     # lower bounds: the top pole plus its weight, the Rayleigh quotients of z0, z1
-    (a, c, b), (sa, sc, _) = pairs.sum(axis=1).tolist(), (pairs @ delta).tolist()
-    lo = tau = max((pairs[0, top] + pairs[1, top]).real,
-                   *(nk.real + (abs(b) ** 2 - sk.real) / nk.real
-                     for nk, sk in ((a, sa), (c, sc)) if nk.real > 0))
-    hi = a.real + c.real
+    if rank1:
+        a, sa = float(w.sum()), float(w @ delta)
+        lo, hi = max(float(w[top]), a - sa / a), a
+    else:
+        (a, c, br, bi), (sa, sc) = w.sum(axis=1).tolist(), (w[:2] @ delta).tolist()
+        lo = max(float(weight[top]), *(nk + (br * br + bi * bi - sk) / nk
+                                       for nk, sk in ((a, sa), (c, sc)) if nk > 0))
+        hi = a + c
+    tau = max(lo, floor - lam_top - FLOOR_ULPS * EPS * max(abs(floor), abs(lam_top), hi))
     for _ in range(200):
         r = 1.0 / (delta + tau)
-        a, c, b = (pairs @ r).tolist()
-        da, dc, db = (pairs @ (r * r)).tolist()
-        a, c, half = a.real, c.real, (a.real - c.real) / 2
-        h = math.hypot(half, abs(b))
-        mu = (a + c) / 2 + h
-        dmu = -(da.real + dc.real) / 2 - (half * (da.real - dc.real) / 2
-                                          + (b.conjugate() * db).real) / (h or 1.0)
+        if rank1:
+            mu, dmu = float(w @ r), -float(w @ (r * r))
+        else:
+            (a, c, br, bi), (da, dc, dbr, dbi) = (w @ r).tolist(), (w @ (r * r)).tolist()
+            half = (a - c) / 2
+            h = math.hypot(half, br, bi)
+            mu = (a + c) / 2 + h
+            dmu = -(da + dc) / 2 - (half * (da - dc) / 2 + br * dbr + bi * dbi) / (h or 1.0)
         lo, hi = (tau, hi) if mu > 1.0 else (lo, tau)
         step = mu * (mu - 1.0) / -dmu
         if min(abs(step), hi - lo) <= 2 * EPS * tau:
@@ -143,12 +174,26 @@ def _top_eigpair(lam: np.ndarray, z0: np.ndarray, z1: np.ndarray) -> tuple[float
         tau = tau + step if lo < tau + step < hi else (lo + hi) / 2
     else:
         raise RuntimeError("secular Newton iteration did not converge in 200 steps")
-    if deflated and pole > lam[top] + tau:             # a deflated pole is on top
+    if deflated and pole > lam_top + tau:              # a deflated pole is on top
+        v = np.zeros(len(live), dtype=np.complex128)
         v[j] = 1.0
         return float(pole), v
-    u0, u1 = (mu - c, b.conjugate()) if a >= c else (b, mu - a)
-    v[live] = r * (u0 * z0 + u1 * z1)
-    return float(lam[top] + tau), v / math.sqrt(np.vdot(v, v).real)
+    # unit v: |v|^2 = sum r^2 |u0 z0 + u1 z1|^2, from the derivative's sums
+    if rank1:
+        u = r * (z0 / math.sqrt(-dmu))
+    else:
+        if h == 0.0:                                   # G(t) = mu I: any u will do
+            u0, u1 = 1.0, 0.0
+        else:
+            u0, u1 = (mu - c, complex(br, -bi)) if a >= c else (complex(br, bi), mu - a)
+        norm = math.sqrt(abs(u0) ** 2 * da + abs(u1) ** 2 * dc
+                         + 2 * (u0.conjugate() * u1 * complex(dbr, dbi)).real)
+        u = r * ((u0 / norm) * z0 + (u1 / norm) * z1)
+    if deflated:                                       # zero on the deflated coordinates
+        v = np.zeros(len(live), dtype=np.complex128)
+        v[live] = u
+        return lam_top + tau, v
+    return lam_top + tau, u
 
 
 @dataclass(frozen=True)
@@ -246,8 +291,8 @@ def seesaw(op: AcceptanceOperator, restarts: int = DEFAULT_RESTARTS,
         trace = []
         val = product_value(op, x, y)
         for it in range(iters):
-            x, _ = op.best_r1(y)
-            y, new = op.best_r2(x)
+            x, mid = op.best_r1(y, val)       # each value bounds the next solve
+            y, new = op.best_r2(x, mid)
             trace.append(new)
             if abs(new - val) < CONVERGENCE_TOL:
                 return x, y, new, it + 1, trace

@@ -199,10 +199,12 @@ def _haar_rows(k: int, total: int, rng: np.random.Generator) -> np.ndarray:
     """k normalized complex-Gaussian rows of length ``total`` from one
     draw.  Row i takes ``total`` real parts, then ``total`` imaginary parts,
     from the stream, and is divided by its norm, summed as
-    ``np.linalg.norm`` sums a complex vector: re . re + im . im."""
+    ``np.linalg.norm`` sums a complex vector: re . re + im . im, here as one
+    stacked product over the rows."""
     x = rng.standard_normal((k, 2, total))
     z = x[:, 0] + 1j * x[:, 1]
-    z /= np.array([math.sqrt(re @ re + im @ im) for re, im in zip(z.real, z.imag)])[:, None]
+    re, im = z.real, z.imag
+    z /= np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]).reshape(k, 1)
     return z
 
 

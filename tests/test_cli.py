@@ -141,14 +141,21 @@ class TestBellqmaProtocol:
 
 class TestSeesawGadgetProtocols:
     def test_seesaw_report(self, capsys):
+        """Golden values: a change to the half-steps' arithmetic may move
+        ``seesaw_best`` by a few ulps, but not the iteration count, and the
+        eigensolve's ``lambda_max`` not at all."""
         code = run_cli(["run", "--instance", instance_path("k4_n2"),
                         "--protocol", "seesaw", "--seed", "5"])
         assert code == 0
-        report = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        report = json.loads(out)
         assert {"lambda_max", "seesaw_best", "restarts", "seed"} <= set(report)
         assert report["seesaw_best"] <= report["lambda_max"] + 1e-9
         assert report["lambda_max_error_bound"] == 1e-13
         assert abs(report["lambda_max"] - 1.0) <= report["lambda_max_error_bound"]
+        assert abs(report["seesaw_best"] - 0.9896018645458695) <= 4 * math.ulp(0.9896018645458695)
+        assert report["iterations"] == 79
+        assert '"lambda_max": 1.0000000000000002,' in out
 
     def test_gadget_report(self, capsys):
         code = run_cli(["run", "--instance", instance_path("k3_n2"),

@@ -291,7 +291,9 @@ class TestStructuredForm:
         contractions M1 (R2 fixed to p) and M2 (R1 fixed to p) of the dense
         operator.  The fixed proofs: Haar states; a near-coloring proof,
         whose exact zeros give deflated coordinates; a computational-basis
-        state; and the honest proof."""
+        state; and the honest proof.  Each half-step runs with no floor and
+        from the fixed proof's own value, <p (x) p|A|p (x) p> = p^† M p,
+        which both top eigenvalues reach."""
         c = corpus.load(name)
         op = build_acceptance_operator(c, instance=name)
         d = op.proof_dim
@@ -308,16 +310,24 @@ class TestStructuredForm:
         for p in proofs:
             m1 = np.einsum("acbd,c,d->ab", a4, np.conj(p), p)
             m2 = np.einsum("acbd,a,b->cd", a4, np.conj(p), p)
-            for m, (vec, value) in ((m1, op.best_r1(p)), (m2, op.best_r2(p))):
-                top = np.linalg.eigvalsh(m)[-1]
-                assert abs(value - top) < 1e-12
-                assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-                assert abs(np.vdot(vec, m @ vec).real - top) < 1e-12
+            own = product_value(op, p, p)
+            for floor in (-np.inf, own):
+                for m, (vec, value) in ((m1, op.best_r1(p, floor=floor)),
+                                        (m2, op.best_r2(p, floor=floor))):
+                    top = np.linalg.eigvalsh(m)[-1]
+                    assert own <= top + 1e-12
+                    assert abs(value - top) < 1e-12
+                    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+                    assert abs(np.vdot(vec, m @ vec).real - top) < 1e-12
 
     def test_secular_solver_matches_eigvalsh(self):
         """The top eigenpair of diag(lam) + Z Z^† for Z of rank 2 or 1, with
         repeated poles and uncoupled coordinates; in every fifth case an
-        uncoupled pole lies above the root, so it is the eigenvector."""
+        uncoupled pole lies above the root, so it is the eigenvector.  Each
+        case is solved with no floor and from two valid floors, the Rayleigh
+        quotient of a random unit vector and the root itself, and from one
+        1e-9 above the root, as a floor that rounded high: its start must
+        step back below the root, not end the bracket there."""
         rng = np.random.default_rng(5)
         for trial in range(300):
             d = int(rng.integers(2, 30))
@@ -329,12 +339,33 @@ class TestStructuredForm:
                 lam[-1], z[-1] = 100.0, 0
             m = np.diag(lam) + z @ z.conj().T
             top = np.linalg.eigvalsh(m)[-1]
-            t, v = optimize._top_eigpair(lam, z[:, 0], z[:, 1])
-            assert abs(t - top) < 1e-12 * max(1.0, abs(top))
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-14
-            assert abs(np.vdot(v, m @ v).real - top) < 1e-12 * max(1.0, abs(top))
-            if trial % 5 == 0:
-                assert t == 100.0 and v[-1] == 1.0
+            cross = z[:, 0].conj() * z[:, 1]
+            weights = np.array([np.abs(z[:, 0]) ** 2, np.abs(z[:, 1]) ** 2, cross.real, cross.imag])
+            # of the cases without z1 (every third), half run as rank 1, half as rank 2 with z1 = 0
+            args = ((z[:, 0], None, weights[0]) if trial % 6 == 3
+                    else (z[:, 0], z[:, 1], weights))
+            u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            u /= np.linalg.norm(u)
+            for floor in (-np.inf, np.vdot(u, m @ u).real, top, top + 1e-9):
+                t, v = optimize._top_eigpair(lam, *args, floor)
+                assert abs(t - top) < 1e-12 * max(1.0, abs(top))
+                assert abs(np.linalg.norm(v) - 1.0) < 1e-14
+                assert abs(np.vdot(v, m @ v).real - top) < 1e-12 * max(1.0, abs(top))
+                if trial % 5 == 0:
+                    assert t == 100.0 and v[-1] == 1.0
+
+    def test_secular_solver_doubly_degenerate_top(self):
+        """z0 and z1 on disjoint coordinates of equal pole and mass: the top
+        eigenvalue 1 is double and G(t) = mu I, so neither row of mu I - G
+        gives u; any unit u is an eigenvector."""
+        lam = np.array([0.0, 0.0, -0.5])
+        z0, z1 = np.eye(3, dtype=np.complex128)[:2]
+        weights = np.array([np.abs(z0) ** 2, np.abs(z1) ** 2, np.zeros(3), np.zeros(3)])
+        t, v = optimize._top_eigpair(lam, z0, z1, weights)
+        m = np.diag(lam) + np.outer(z0, z0) + np.outer(z1, z1)
+        assert t == 1.0
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-15
+        assert np.linalg.norm(m @ v - v) < 1e-15
 
     @pytest.mark.parametrize("name", SMALL)
     def test_converges_in_64_steps(self, name):

@@ -104,10 +104,12 @@ class TestRandomProofs:
         norms = [s.norm() for s in random_product_proofs(proof_shape(1), 100, seed=9)]
         assert abs(np.mean(norms) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("n, k", [(1, 1), (2, 240), (3, 360), (8, 5), (12, 2)])
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 240), (3, 360), (8, 5), (12, 2),
+                                      (1, 1000), (4, 360), (5, 7), (6, 1000)])
     def test_one_draw_matches_separate_draws(self, n, k):
         # the single draw consumes the stream as k separate normalized
-        # complex-Gaussian vectors do, and gives their bits
+        # complex-Gaussian vectors do, and gives their bits: the stacked row
+        # norms are bitwise those of np.linalg.norm per row
         rng = np.random.default_rng(11)
         want = []
         for _ in range(k):
