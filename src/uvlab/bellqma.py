@@ -9,6 +9,7 @@ are described once, in the README's ``uvlab.bellqma`` bullet.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -23,6 +24,7 @@ from .states import PureState
 from .states import uniformity_measure  # noqa: F401  (rebound by perfbench/tracer.py)
 
 ENUMERATION_BUDGET = 10 ** 7     # 8-byte entries exact consistency may allocate
+PRODUCT_CHUNK = 2 ** 16         # products of a series product's pair list taken at a time
 MC_CONFIDENCE = 0.99
 Z_PRIME_THRESHOLD = 1.0 / 12.0
 MC_TABLE_BYTES = 2 ** 24     # cap on each Monte-Carlo table and a batch's packed rows
@@ -147,12 +149,23 @@ def z_prime_set(proofs) -> list[int]:
     return [int(i) for i in np.nonzero(w[:, 1] + w[:, 2] >= Z_PRIME_THRESHOLD)[0]]
 
 
-def _set_count(colors: np.ndarray, polys: list, top: int) -> int:
-    """sum_{j <= top} [x^j] of prod (1 + c x) over ``colors`` times ``polys``, in ints."""
-    polys = [*polys, *([math.comb(n, j) * c ** j for j in range(min(n, top) + 1)]
-                       for c, n in enumerate(np.bincount(colors, minlength=1).tolist()))]
-    return int(functools.reduce(lambda a, b: np.convolve(a, np.array(b, dtype=object))[:top + 1],
-                                polys, np.ones(1, dtype=object)).sum())
+def _set_count(sizes: np.ndarray, polys: list, top: int) -> int:
+    """sum_{j <= top} [x^j] of prod (1 + s x) over ``sizes`` times ``polys``, in ints:
+    equal sizes by binomials, equal polynomials by squaring."""
+    def times(a, b):
+        return np.convolve(a, b)[:top + 1]
+
+    def power(a, e):
+        out = np.ones(1, dtype=object)
+        while e:
+            out, a, e = (times(out, a) if e & 1 else out), times(a, a), e >> 1
+        return out
+
+    factors = [np.array([math.comb(n, j) * s ** j for j in range(min(n, top) + 1)], dtype=object)
+               for s, n in enumerate(np.bincount(sizes, minlength=1).tolist()) if n]
+    factors += [power(np.array(poly, dtype=object), e)
+                for poly, e in collections.Counter(map(tuple, polys)).items()]
+    return int(functools.reduce(times, factors, np.ones(1, dtype=object)).sum())
 
 
 def _step(table: np.ndarray, listed: np.ndarray, lo: int, hi: int, rows: int, top: int) -> tuple:
@@ -166,52 +179,80 @@ def _step(table: np.ndarray, listed: np.ndarray, lo: int, hi: int, rows: int, to
     new[2:].put(slot, color + lo)
     new[1] += 1
     parent, new[0] = new[0].copy(), np.arange(rows, rows + len(at))
-    return free, color, slot, parent, new[1].copy(), np.hstack([listed, new[:, new[1] < top]])
+    return free, color, slot, parent, new[1].copy(), np.concatenate([listed, new[:, new[1] < top]],
+                                                                    axis=1)
 
 
-def _count_sets(colors: np.ndarray, src: np.ndarray, dst: np.ndarray, top: int, limit: int):
-    """(N, exact): N = sum_{j <= top} [x^j] prod_c I_c(x) over the components c
-    of the conflict pairs.  A one-vertex component gives 1 + c_v x; a wider one
-    is listed in its own table, which stops past ``limit``: N is then a floor."""
-    label, last = np.arange(colors.sum()), -1
-    while (label != last).any():            # min-label propagation, pointer jumping
+def _labels(m: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(label, clique) for the components of the conflict pairs of an
+    m-outcome core.  Min-label propagation with pointer jumping gives
+    label[j], the smallest core index in j's component; clique[r] is True
+    at a label r whose outcomes conflict pairwise, every one-vertex
+    component among them, whose sets are the empty one and the singletons."""
+    label, last = np.arange(m), -1
+    if len(src) == m * (m - 1):                  # every pair conflicts: one clique
+        label = last = np.zeros(m, dtype=np.intp)
+    while (label != last).any():
         last = label.copy()
         np.minimum.at(label, src, label[dst])
         label = label[label]
-    span = np.bincount(heads := label[np.cumsum(colors) - colors])   # core vertices per component
-    polys = []
-    for r in np.flatnonzero(span > 1).tolist():
-        own, pairs = np.flatnonzero(label == r), label[src] == r
+    size = np.bincount(label, minlength=m)
+    return label, (size > 0) & (np.bincount(label[src], minlength=m) == size * (size - 1))
+
+
+def _list_sets(vertex: np.ndarray, src: np.ndarray, dst: np.ndarray, label: np.ndarray,
+               clique: np.ndarray, top: int, limit: int, keep: int) -> tuple:
+    """(polys, steps, rows, exact) for the components of :func:`_labels`
+    that are not cliques, core outcome j at vertex[j], ascending.  Each is
+    listed in a table of its own by :func:`_step`, a vertex at a time, up
+    to ``top`` members: polys holds its sets by size, and steps, per
+    component and vertex, the (parent row, core outcome) of each set added,
+    rows in creation order from the empty set's 0.  A listing stops past
+    ``limit`` sets (``exact`` False, its polynomial a floor); ``rows``
+    counts the rows listed, empty sets included, and steps is None once
+    they pass ``keep``."""
+    polys, steps, total = [], [], 0
+    for r in np.flatnonzero(~clique & (np.bincount(label, minlength=len(label)) > 0)).tolist():
+        own, at = np.flatnonzero(label == r), label[src] == r
         table = np.zeros((len(own), len(own) + 1), dtype=bool)   # column len(own): empty slot
-        table[np.searchsorted(own, src[pairs]), np.searchsorted(own, dst[pairs])] = True
-        cuts = np.cumsum([0, *colors[heads == r]]).tolist()
-        most = min(top, len(cuts) - 1)         # the most members a set of it can have
-        listed, sets = np.zeros((2, 1), dtype=np.int32), np.bincount([0], minlength=most + 1)
+        table[np.searchsorted(own, src[at]), np.searchsorted(own, dst[at])] = True
+        at_vertex = vertex[own]
+        cuts = [0, *(np.flatnonzero(at_vertex[1:] != at_vertex[:-1]) + 1).tolist(), len(own)]
+        most = min(top, len(cuts) - 1)          # the most members a set of it can have
+        listed = np.zeros((2, 1), dtype=np.int32)
+        kept = None if steps is None else []     # this component's steps
+        sets, rows = np.bincount([0], minlength=most + 1), 1
         for lo, hi in zip(cuts, cuts[1:]):      # one member row more a step, up to most
-            listed = np.pad(listed, ((0, len(listed) < most + 2), (0, 0)), constant_values=len(own))
-            size, listed = _step(table, listed, lo, hi, 0, top)[4:]
-            if (sets := sets + np.bincount(size, minlength=most + 1)).sum() > limit:
-                return _set_count(colors[span[heads] == 1], [*polys, sets.tolist()], top), False
+            if len(listed) < most + 2:
+                listed = np.concatenate([listed, np.full((1, listed.shape[1]), len(own),
+                                                         dtype=np.int32)])
+            _, color, _, parent, new, listed = _step(table, listed, lo, hi, rows, top)
+            sets += np.bincount(new, minlength=most + 1)
+            rows += len(color)
+            if rows > limit:
+                return [*polys, sets.tolist()], None, total + rows, False
+            if kept is not None and total + rows > keep:
+                kept = None                     # past keep the series cannot fit
+            if kept is not None:
+                kept.append((parent, own[color + lo]))
         polys.append(sets.tolist())
-    return _set_count(colors[span[heads] == 1], polys, top), True
+        total += rows
+        steps = None if kept is None else [*steps, kept]
+    return polys, steps, total, True
 
 
 def _independent_sets(vertex: np.ndarray, src: np.ndarray, dst: np.ndarray,
                       masses: np.ndarray, counts: np.ndarray,
-                      budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """The independent sets of at most k = counts.sum() outcomes of an
-    m-outcome conflict core and their core sums.  vertex[j] is core outcome
-    j's vertex, ascending; (src[i], dst[i]) are the conflicting core pairs,
-    both orders (:func:`conflict_core`); row j of ``masses`` holds outcome
-    j's mass per distinct proof, repeated ``counts`` times to the k
-    registers as p.  A vertex's outcomes conflict pairwise, so a set has at
-    most L = min(k, V, m - 1) members over the V core vertices.  A set
-    counts k + L + 1 budget entries of 8 bytes: its sums, mass and slots,
-    which leaves room for the tables kept across steps.
-
-    Before any allocation the bound sum_{j <= L} [x^j] prod_v (1 + c_v x),
-    c_v the core colors at vertex v, or past the budget the count N of
-    :func:`_count_sets`, sizes the drop table; N past it raises BudgetError.
+                      sets: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``sets`` independent sets of at most k = counts.sum() outcomes
+    of an m-outcome conflict core and their core sums.  vertex[j] is core
+    outcome j's vertex, ascending; (src[i], dst[i]) are the conflicting
+    core pairs, both orders (:func:`conflict_core`); row j of ``masses``
+    holds outcome j's mass per distinct proof, repeated ``counts`` times to
+    the k registers as p.  A vertex's outcomes conflict pairwise, so a set
+    has at most L = min(k, V, m - 1) members over the V core vertices, and
+    ``sets`` is their count N (:func:`_set_count` over :func:`_list_sets`)
+    or the bound on it that sizes the drop table.
 
     Returns (drop, sums): drop[s, T] is the row of set T without its s-th
     member, members ascending, and -1 past its size; sums[T] is its
@@ -219,15 +260,7 @@ def _independent_sets(vertex: np.ndarray, src: np.ndarray, dst: np.ndarray,
     lists the rows in the order that a step per core outcome gives."""
     m, k = len(vertex), int(counts.sum())
     bounds = [0, *(np.flatnonzero(vertex[1:] != vertex[:-1]) + 1).tolist(), m]
-    colors = np.diff(bounds)
-    slots = min(k, len(colors), m - 1)
-    limit = budget // (k + slots + 1)     # below 2^31 at ENUMERATION_BUDGET: int32 rows fit
-    if (sets := _set_count(colors, [], slots)) > limit:
-        sets, exact = _count_sets(colors, src, dst, slots, limit)
-        if sets > limit:
-            raise BudgetError(f"{'' if exact else 'at least '}{sets} independent sets of a "
-                              f"{m}-outcome conflict core at k={k} exceed the budget {budget}; "
-                              f"use Monte-Carlo mode")
+    slots = min(k, len(bounds) - 1, m - 1)
     conflict = np.zeros((m, m + 1), dtype=bool)     # column m: an empty slot
     conflict[src, dst] = True
     p = np.repeat(masses, counts, axis=1)
@@ -258,6 +291,9 @@ def _independent_sets(vertex: np.ndarray, src: np.ndarray, dst: np.ndarray,
     return drop[:slots, :rows], sums
 
 
+_FROM, _TO = np.array([0, 0, 1, 1, 2, 2]), np.array([1, 2, 0, 2, 0, 1])   # ordered color pairs
+
+
 def conflict_core(drawn: np.ndarray, ends: np.ndarray, size: int, check=lambda m: None) -> tuple:
     """The conflict core of the outcomes flagged in ``drawn`` (index
     v * 3 + color), read from the (|E|, 2) edge array ``ends``: the flagged
@@ -278,11 +314,8 @@ def conflict_core(drawn: np.ndarray, ends: np.ndarray, size: int, check=lambda m
     pos = np.full(3 * size, m, dtype=np.intp)
     pos[np.flatnonzero(core)] = np.arange(m)
     pos2 = pos.reshape(size, 3)
-    src, dst = [], []
-    for c1, c2 in itertools.permutations(range(3), 2):
-        v = np.flatnonzero(core[:, c1] & core[:, c2])
-        src.append(pos2[v, c1])
-        dst.append(pos2[v, c2])
+    pair, v = np.nonzero((core[:, _FROM] & core[:, _TO]).T)   # color pairs, then vertices
+    src, dst = [pos2[v, _FROM[pair]]], [pos2[v, _TO[pair]]]
     for c, e in enumerate(hits):
         a, b = pos2[e[:, 0], c], pos2[e[:, 1], c]
         src += [a, b]
@@ -290,20 +323,251 @@ def conflict_core(drawn: np.ndarray, ends: np.ndarray, size: int, check=lambda m
     return m, pos, np.concatenate(src), np.concatenate(dst)
 
 
-def _consistency_exact(dists: np.ndarray, counts: np.ndarray, edges, size: int,
-                       budget: int) -> float:
-    """Exact consistency acceptance: the Moebius sum over the independent
-    sets of the conflict core of the support (README).  Row r of ``dists``
-    is the outcome distribution of ``counts[r]`` consecutive registers; only
-    the core columns and the wildcard masses are repeated to the k
-    registers.  The core's conflict table counts m^2 budget entries.  The
+_RATIO_BELOW_32 = np.array([math.factorial(r) / r ** r * math.exp(r) for r in range(32)])
+
+
+def _stirling_ratio(r: np.ndarray) -> np.ndarray:
+    """r! e^r / r^r for whole numbers r >= 0, within 4 ulps: the exact ratio
+    times e^r below 32, else sqrt(2 pi r) times the exponential of
+    Stirling's series to its r^-7 term, whose next term is below 2^-55."""
+    small = _RATIO_BELOW_32[np.minimum(r, 31).astype(np.intp)]
+    if r.max() < 32:
+        return small
+    big = np.maximum(r, 32.0)
+    x2 = big ** -2.0
+    series = (1 / 12 - x2 * (1 / 360 - x2 * (1 / 1260 - x2 / 1680))) / big
+    return np.where(r < 32, small, np.sqrt(2.0 * math.pi * big) * np.exp(series))
+
+
+def _poisson(lam: np.ndarray, top: int) -> np.ndarray:
+    """Rows e^-l l^r / r!, r = 0..top, one per rate l >= 0 of ``lam``.  The
+    value at the mode r0 = min(floor(l), top) is exp(r0 log1p((l - r0) / r0)
+    - (l - r0)) / (r0! e^r0 / r0^r0), or e^-l at r0 = 0, within 8 ulps; the
+    ratios l / r and r / l carry it outward, two roundings a step.  So no
+    value of 2^-1022 or more underflows, and each is within (8 + 2 top)
+    2^-53 relative."""
+    lam = lam[:, None]
+    r0 = np.minimum(np.floor(lam), top)
+    r = np.arange(top + 1.0)
+    mode = np.exp(-lam)
+    if r0.any():
+        at, gap = np.maximum(r0, 1.0), lam - r0
+        mode = np.where(r0 > 0, np.exp(at * np.log1p(gap / at) - gap) / _stirling_ratio(at), mode)
+        down = np.where(r < r0, (r + 1.0) / np.maximum(lam, 1.0), 1.0)[:, ::-1].cumprod(axis=1)
+        mode = mode * down[:, ::-1]
+    return mode * np.where(r > r0, lam / np.maximum(r, 1.0), 1.0).cumprod(axis=1)
+
+
+@functools.lru_cache(maxsize=8)
+def _pairs(box: tuple) -> tuple:
+    """(a, b, starts): the pairs of flat indices into series of shape
+    ``box`` whose sum a + b stays in the box, where a + b is the flat index
+    of the sum, ordered by it, and where each sum's run starts."""
+    a = b = np.zeros(1, dtype=np.intp)
+    for t in box:
+        i, j = np.nonzero(np.add.outer(np.arange(t), np.arange(t)) < t)
+        a, b = (a[:, None] * t + i).ravel(), (b[:, None] * t + j).ravel()
+    order = np.argsort(a + b, kind="stable")
+    out = a[order], b[order], np.flatnonzero(np.diff((a + b)[order], prepend=-1))
+    for x in out:
+        x.flags.writeable = False               # shared by every caller of the cache
+    return out
+
+
+def _times(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray, pairs,
+           out: np.ndarray) -> np.ndarray:
+    """out[i] = the product of the series a[ia[i]] and b[ib[i]], truncated
+    to the box: ``np.convolve`` for one distinct proof (``pairs`` None),
+    over each series up to its last nonzero coefficient (a small rate's
+    tail underflows to 0), else the pair list.  Rows go in chunks of at
+    most max(PRODUCT_CHUNK, C + Q) entries a row, C coefficients and Q
+    pairs, so the temporaries take at most 3 max(PRODUCT_CHUNK, C + Q)
+    entries."""
+    size = a.shape[1]
+    step = max(1, PRODUCT_CHUNK // (size + (len(pairs[0]) if pairs else 0)))
+    for i in range(0, len(ia), step):
+        if pairs is None:
+            for row, u, v in zip(out[i:i + step], a[ia[i:i + step]], b[ib[i:i + step]]):
+                r = np.convolve(u[:size - np.argmax(u[::-1] != 0)],
+                                v[:size - np.argmax(v[::-1] != 0)])[:size]
+                row[:len(r)], row[len(r):] = r, 0.0
+        else:
+            np.add.reduceat(a[ia[i:i + step, None], pairs[0]] * b[ib[i:i + step, None], pairs[1]],
+                            pairs[2], axis=1, out=out[i:i + step])
+    return out
+
+
+def _others(c: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """(whole, rest) over consecutive segments of ``c`` of the given sizes:
+    whole[s] is the product of segment s, rest[j] that of j's segment
+    without c[j], both from prefix and suffix products."""
+    width, even = max(sizes), min(sizes) == max(sizes)
+    pad = np.ones((len(sizes), width + 2))
+    keep = slice(None) if even else np.arange(width) < np.array(sizes)[:, None]
+    pad[:, 1:-1][keep] = c.reshape(len(sizes), width) if even else c
+    before, after = pad.cumprod(axis=1), pad[:, ::-1].cumprod(axis=1)[:, ::-1]
+    return before[:, -1], (before[:, :width] * after[:, 2:])[keep].ravel()
+
+
+def _series(lam: np.ndarray, counts: np.ndarray, vertex: np.ndarray, label: np.ndarray,
+            clique: np.ndarray, steps: list) -> float:
+    """Exact consistency by the exponential formula for labelled products
+    (Flajolet-Sedgewick, Analytic Combinatorics, ch. II): p_cons = prod_r
+    m_r! [x^m] e^{sum_r w_r x_r} prod_c F_c(x), m_r = counts[r], with
+    F_c = sum_{T in c independent} prod_{j in T} (e^{sum_r p_rj x_r} - 1)
+    over the components c of :func:`_labels`.  ``lam`` holds the rates
+    m_r p_rj per distinct proof r, core outcomes j first and the wildcard
+    w_r last.  A series is an array of C = prod_r (m_r + 1) coefficients,
+    flat in C order.
+
+    Each factor is scaled to Poisson pmfs: E_j at r is prod_r e^{-m_r p_rj}
+    (m_r p_rj)^{r_r} / r_r! (:func:`_poisson`, outer products over the
+    proofs) with its constant term c_j set to exactly 0, and an outcome j
+    left out of T gives c_j.  So every coefficient lies in [0, 1], and the
+    scale back is prod_r m_r! e^{m_r} / m_r^{m_r} times e^{sum of rates - k},
+    the sum exactly rounded.  A clique gives prod_c c_j + sum_j E_j
+    prod_{i != j} c_i, and cliques with equal rates one factor raised to
+    their count by squaring.  A listed set T gets the product of its
+    members' E_j, built from its parent's, and the weight prod_{j in c - T}
+    c_j, a vertex at a time.  The factors are multiplied in halves, the
+    last product only at [x^m].  The E_j are built PRODUCT_CHUNK / C rows
+    at a time.
+
+    Every term is nonnegative, so a rounding moves a value by at most
+    2^-53 relative, and the result is within R 2^-53 relative of the exact
+    value for the given masses, to first order, R the roundings on any path
+    to it: at most C a truncated product along a chain of at most
+    d = L + 2 log2 e + log2 F + 1 of them (L members, e the largest power, F
+    the factors), S for a component's S sets, 4V + 3s for the weights (V
+    core vertices, cliques of at most s outcomes), 2k + 8G for the Poisson
+    values and their outer products over G distinct proofs, k for the rates
+    (a relative change of 2^-53 in each mass moves the degree-k value by at
+    most k 2^-53) and 4G + 2 for the scale (:func:`_stirling_ratio`):
+    R <= d C + S + 4V + 3s + 3k + 12G + 6.  Values below 2^-1022 times the
+    scale may be lost, in absolute terms."""
+    k, m, top = int(counts.sum()), lam.shape[1] - 1, int(counts.max())
+    box = math.prod(c + 1 for c in counts.tolist())
+    pairs = _pairs(tuple((counts + 1).tolist())) if len(counts) > 1 else None
+    # clique components whose outcomes have equal rates give equal factors: one
+    # of each, raised to its count.  e holds the factors E_j of their outcomes,
+    # then of the listed components' outcomes, then the wildcard's
+    in_clique = clique[label]
+    members = np.flatnonzero(in_clique)
+    members = members[np.argsort(label[members], kind="stable")]
+    cuts = [0, *(np.flatnonzero(label[members[1:]] != label[members[:-1]]) + 1).tolist(),
+            len(members)]
+    equal = {}
+    for a, b in zip(cuts, cuts[1:]):
+        equal.setdefault(lam[:, members[a:b]].tobytes(), []).append(members[a:b])
+    ones = [same[0] for same in equal.values()]
+    wide = np.flatnonzero(~in_clique)
+    order = np.concatenate([*ones, wide, [m]]).astype(np.intp)
+    e = np.empty((len(order), box))
+    step = max(1, PRODUCT_CHUNK // box)
+    for i in range(0, len(order), step):        # in chunks, to keep the temporaries small
+        pmf = _poisson(lam[:, order[i:i + step]].ravel(), top).reshape(len(counts), -1, top + 1)
+        f = pmf[0, :, :counts[0] + 1]
+        for r, c in enumerate(counts[1:].tolist(), 1):   # a rate m_r p is at most m_r: same values
+            f = (f[:, :, None] * pmf[r, :, None, :c + 1]).reshape(len(f), -1)
+        e[i:i + step] = f
+    absent = e[:-1, 0].copy()                   # the constant terms c_j
+    e[:-1, 0] = 0.0
+    factors, power, cliques = [e[-1].copy()], [1], len(order) - 1 - len(wide)
+    if cliques:
+        sizes = [len(one) for one in ones]
+        whole, rest = _others(absent[:cliques], sizes)
+        e[:cliques] *= rest[:, None]
+        f = np.add.reduceat(e[:cliques], np.cumsum([0, *sizes[:-1]]))
+        f[:, 0] = whole
+        factors += list(f)
+        power += [len(same) for same in equal.values()]
+    if steps:                                   # the listed outcomes, in core order
+        e, at = e[cliques:], np.empty(m, dtype=np.intp)
+        at[wide] = np.arange(len(wide))
+        first = np.ones(len(wide), dtype=bool)  # a listed vertex's first outcome
+        first[1:] = vertex[wide[1:]] != vertex[wide[:-1]]
+        vseg = np.cumsum(first) - 1
+        whole, rest = _others(absent[cliques:], np.bincount(vseg))
+    for comp in steps:
+        sets = np.zeros((1 + sum(len(out) for _, out in comp), box))
+        sets[0, 0] = 1.0
+        weight = np.ones(len(sets))
+        rows = 1
+        for parent, out in comp:
+            out = at[out]
+            _times(sets, parent, e, out, pairs, sets[rows:rows + len(out)])
+            weight[rows:rows + len(out)] = weight[parent] * rest[out]
+            weight[:rows] *= whole[vseg[out[0]]]
+            rows += len(out)
+        factors.append(weight @ sets)
+        power.append(1)
+    del e
+    f, power = np.array(factors), np.array(power) - 1
+    base = f.copy()
+    while power.any():                          # f = base^(1 + power), by squaring
+        odd = np.flatnonzero(power % 2)
+        f[odd] = _times(f, odd, base, odd, pairs, np.empty((len(odd), f.shape[1])))
+        power //= 2
+        live = np.flatnonzero(power)
+        base[live] = _times(base, live, base, live, pairs, np.empty((len(live), f.shape[1])))
+    while len(f) > 2:
+        half = np.arange(len(f) // 2)
+        f = np.concatenate([_times(f, half, f, half + len(half), pairs,
+                                   np.empty((len(half), f.shape[1]))), f[2 * len(half):]])
+    value = f[0] @ f[-1][::-1] if len(f) == 2 else f[0, -1]
+    return float(value * np.prod(_stirling_ratio(counts.astype(float)))
+                 * math.exp(math.fsum([*lam.ravel().tolist(), -k])))
+
+
+def _mobius(dists: np.ndarray, counts: np.ndarray, core: np.ndarray, src: np.ndarray,
+            dst: np.ndarray, sets: int) -> float:
+    """Exact consistency by the Moebius sum over the independent sets of
+    the conflict core (README), ``sets`` of them at most.  Only the core
+    columns and the wildcard masses are repeated to the k registers.  Each
+    wildcard mass is summed left to right, the order numpy takes for the
+    rows of a slice of two or more registers (one row it sums pairwise),
+    so it does not depend on how many proofs are distinct.  The
     transform makes a pass per member slot s, subtracting from each set T
-    the value of T without its s-th member.  Members sit in ascending order,
-    so each set gets the subtractions of a pass per core outcome, in the
-    same order and from the same values: the same floats.  Each of the S =
-    sum_T 2^|T| signed terms reaches the sum with relative error below
+    the value of T without its s-th member.  Members sit in ascending
+    order, so each set gets the subtractions of a pass per core outcome, in
+    the same order and from the same values: the same floats.  Each of the
+    S = sum_T 2^|T| signed terms reaches the sum with relative error below
     (k + 3m + 24) 2^-53 (sums, product, transform, pairwise sum), so the
     unclamped sum is within (k + 3m + 24) S 2^-53 of the exact value."""
+    drop, mass = _independent_sets(np.flatnonzero(core) // 3, src, dst, dists[:, core].T,
+                                   counts, sets)
+    mass += np.repeat(np.cumsum(dists[:, ~core], axis=1)[:, -1:].sum(axis=1), counts)
+    mass = mass.prod(axis=1)                      # Pr[the core outcomes seen lie in T]
+    for row in drop:
+        rows = np.flatnonzero(row >= 0)
+        mass[rows] -= mass[row[rows]]
+    return min(1.0, max(0.0, float(mass.sum())))
+
+
+def _consistency_exact(dists: np.ndarray, counts: np.ndarray, edges, size: int,
+                       budget: int) -> float:
+    """Exact consistency acceptance over the conflict core of the support
+    (README).  Row r of ``dists`` is the outcome distribution of
+    ``counts[r]`` consecutive registers.  The core's m^2 entries, which
+    bound its conflict pairs and the Moebius sum's table, must fit the
+    budget.  Sizes then choose the path before either allocates:
+
+    * the Moebius sum of :func:`_mobius` at once, when some component of
+      :func:`_labels` is not a clique and prod_v (1 + c_v), c_v the core
+      colors at vertex v, bounds its N sets of L members by entries
+      (k + L + 1) prod_v (1 + c_v) that fit and are at most the series'
+      work estimate, Q prod_v (1 + c_v) over the vertices of those
+      components (Q as below, C(k + 2, 2) for one distinct proof): no
+      listing is needed, and the table takes sum_{j <= L} [x^j]
+      prod_v (1 + c_v x) sets, a bound on N;
+    * else, with those components listed (:func:`_list_sets`), the series
+      of :func:`_series`, if C (S + m + 4U + 4) + 2Q + 5 max(PRODUCT_CHUNK,
+      C + Q) entries fit: C = prod_r (counts[r] + 1) coefficients, S sets
+      listed in the U components, and at two or more distinct proofs
+      Q = prod_r C(counts[r] + 2, 2) pairs (else Q = 0);
+    * else the Moebius sum, if N (k + L + 1) entries fit, N counted exactly
+      (:func:`_set_count`);
+    * else BudgetError, naming both counts."""
     def check(m):
         if m * m > budget:
             raise BudgetError(f"the conflict table of a {m}-outcome core exceeds the "
@@ -313,17 +577,41 @@ def _consistency_exact(dists: np.ndarray, counts: np.ndarray, edges, size: int,
     if not m:
         return 1.0
     core = pos < m
-    drop, mass = _independent_sets(np.flatnonzero(core) // 3, src, dst, dists[:, core].T,
-                                   counts, budget)
-    # each wildcard mass is summed left to right, the order numpy takes for
-    # the rows of a slice of two or more registers (one row it sums
-    # pairwise), so it does not depend on how many proofs are distinct
-    mass += np.repeat(np.cumsum(dists[:, ~core], axis=1)[:, -1:].sum(axis=1), counts)
-    mass = mass.prod(axis=1)                      # Pr[the core outcomes seen lie in T]
-    for row in drop:
-        rows = np.flatnonzero(row >= 0)
-        mass[rows] -= mass[row[rows]]
-    return min(1.0, max(0.0, float(mass.sum())))
+    vertex = np.flatnonzero(core) // 3
+    k, box = int(counts.sum()), math.prod(c + 1 for c in counts.tolist())
+    top = min(k, int(np.count_nonzero(vertex[1:] != vertex[:-1])) + 1, m - 1)
+    per = k + top + 1
+    pairs = math.prod(math.comb(c + 2, 2) for c in counts.tolist()) if len(counts) > 1 else 0
+    extra = 2 * pairs + 5 * max(PRODUCT_CHUNK, min(box, budget) + pairs)
+    label, clique = _labels(m, src, dst)
+    listed = ~clique[label]                     # the outcomes of components to list
+    if listed.any():
+        first = np.ones(m, dtype=bool)          # a core vertex's first outcome
+        first[1:] = vertex[1:] != vertex[:-1]
+        colors = np.bincount(np.cumsum(first) - 1)
+        # work: the Moebius sum's N (k + L + 1) entries, N <= prod_v (1 + c_v), against
+        # products of Q pairs (C^2 / 2 for one proof) over at most prod_v (1 + c_v)
+        # sets, v the vertices to list; the Moebius sum needs no listing
+        if per * math.prod((colors + 1).tolist()) <= min(budget, (pairs or math.comb(k + 2, 2))
+                                                         * math.prod((colors[listed[first]]
+                                                                      + 1).tolist())):
+            return _mobius(dists, counts, core, src, dst, _set_count(colors, [], top))
+    polys, steps, rows, exact = _list_sets(vertex, src, dst, label, clique, top,
+                                           budget // min(box, per), (budget - extra) // box - m - 4)
+    need = box * (rows + m + 4 * (len(polys) + int(clique.sum())) + 4) + extra
+    if exact and need <= budget:
+        lam = np.empty((len(counts), m + 1))      # Poisson rates m_r p, the wildcard's last
+        lam[:, :m], lam[:, m] = dists[:, core], dists[:, ~core].sum(axis=1)
+        lam *= counts[:, None]
+        return min(1.0, max(0.0, _series(lam, counts, vertex, label, clique, steps)))
+    sets = _set_count(np.bincount(label, minlength=m)[clique], polys, top)
+    if exact and sets * per <= budget:
+        return _mobius(dists, counts, core, src, dst, sets)
+    series = (f"so do the {need} entries of its series" if box <= budget else
+              f"so does its series of more than {budget} coefficients")
+    raise BudgetError(f"{'' if exact else 'at least '}{sets} independent sets of a {m}-outcome "
+                      f"conflict core at k={k} exceed the budget {budget}, and {series}; "
+                      f"use Monte-Carlo mode")
 
 
 def _check_mc_table(m: int):

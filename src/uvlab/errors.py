@@ -24,6 +24,7 @@ class ParseError(ValueError):
 
 class BudgetError(RuntimeError):
     """Exact k-proof consistency would allocate more than the budget
-    ``bellqma.ENUMERATION_BUDGET`` of N * (k + L + 1) entries, for the N independent
-    sets of the conflict core, L member slots each; the caller should switch to Monte Carlo.
-    N is counted exactly, per component of the conflict pairs, before any table is built."""
+    ``bellqma.ENUMERATION_BUDGET`` on both of its paths: the series over the
+    components of the conflict pairs and the Moebius sum over the N independent
+    sets of the conflict core, N * (k + L + 1) entries for L member slots each; the
+    caller should switch to Monte Carlo.  Both are sized before any table is built."""

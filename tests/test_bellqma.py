@@ -104,6 +104,62 @@ def mobius_reference(dists, reject):
     return min(1.0, max(0.0, float(mass.sum())))
 
 
+def exact_parts(dists, counts, edges, size):
+    """What exact consistency sizes its paths from: (m, core, src, dst,
+    vertex, L, label, clique), m = 0 for an empty core."""
+    m, pos, src, dst = bellqma.conflict_core(dists.max(axis=0) > 0.0, edges, size)
+    core = pos < m
+    vertex = np.flatnonzero(core) // 3
+    top = min(int(counts.sum()), len(np.unique(vertex)), m - 1)
+    return (m, core, src, dst, vertex, top, *bellqma._labels(m, src, dst))
+
+
+def exact_count(dists, counts, edges, size):
+    """(N, rows): the independent sets of at most L members of the core,
+    counted over its components, and the rows the series lists."""
+    m, core, src, dst, vertex, top, label, clique = exact_parts(dists, counts, edges, size)
+    polys, _, rows, _ = bellqma._list_sets(vertex, src, dst, label, clique, top, 10 ** 12, 0)
+    return bellqma._set_count(np.bincount(label, minlength=m)[clique], polys, top), rows
+
+
+def mobius_path(dists, counts, edges, size):
+    """The Moebius sum alone, its drop table at the exact count."""
+    m, core, src, dst = exact_parts(dists, counts, edges, size)[:4]
+    if not m:
+        return 1.0
+    return bellqma._mobius(dists, counts, core, src, dst,
+                           exact_count(dists, counts, edges, size)[0])
+
+
+def series_path(dists, counts, edges, size):
+    """The series alone, clamped to [0, 1] as the exact path clamps it."""
+    m, core, src, dst, vertex, top, label, clique = exact_parts(dists, counts, edges, size)
+    if not m:
+        return 1.0
+    steps = bellqma._list_sets(vertex, src, dst, label, clique, top, 10 ** 12, 10 ** 12)[1]
+    lam = counts[:, None] * np.hstack([dists[:, core], dists[:, ~core].sum(axis=1)[:, None]])
+    return min(1.0, max(0.0, bellqma._series(lam, counts, vertex, label, clique, steps)))
+
+
+def series_bound(dists, counts, edges, size):
+    """The ``_series`` docstring's relative bound R 2^-53, R <= d C + S + 4V
+    + 3s + 3k + 12G + 6, with d <= L + 3 log2(m + 2) + 2 (at most m + 1
+    factors, each power at most m), S the rows listed and V, s <= m."""
+    m, *_, top, _, _ = exact_parts(dists, counts, edges, size)
+    box = math.prod(c + 1 for c in counts.tolist())
+    d = top + 3 * math.log2(m + 2) + 2
+    rows = exact_count(dists, counts, edges, size)[1]
+    return (d * box + rows + 7 * m + 3 * int(counts.sum()) + 12 * len(counts) + 6) * 2.0 ** -53
+
+
+def mobius_error(dists, counts, edges, size):
+    """The Moebius sum's absolute bound (k + 3m + 24) S 2^-53 with
+    S = sum_T 2^|T| <= N 2^L signed terms."""
+    m, *_, top, _, _ = exact_parts(dists, counts, edges, size)
+    sets = exact_count(dists, counts, edges, size)[0] if m else 0
+    return (int(counts.sum()) + 3 * m + 24) * sets * 2.0 ** (top - 53)
+
+
 def mc_reference(dists, edges, size, samples, seed, batch):
     """Monte-Carlo consistency drawing register by register in batches of
     ``batch`` rows: one ``random`` uniform per register for each row still
@@ -336,8 +392,13 @@ class TestConsistency:
                     random_product_proofs(proof_shape(c.n), k, s) for s in (1, 2, 3)]:
                 dists = outcome_dists(c, proofs)
                 got = bellqma._consistency_exact(dists, ones(dists), edges, 2 ** c.n, 10 ** 7)
+                want = mobius_reference(dists, reject)
                 assert abs(got - grid_reference(dists, reject)) < 1e-12
-                assert got == mobius_reference(dists, reject)
+                assert mobius_path(dists, ones(dists), edges, 2 ** c.n) == want
+                series = series_path(dists, ones(dists), edges, 2 ** c.n)
+                assert abs(series - want) <= (series_bound(dists, ones(dists), edges, 2 ** c.n)
+                                              * want + mobius_error(dists, ones(dists), edges,
+                                                                    2 ** c.n))
 
     def test_core_above_64_outcomes_matches_grid(self):
         # K_30 at n = 5: all 90 outcomes of the 30 vertices conflict
@@ -400,21 +461,16 @@ class TestConsistency:
         assert peak < 4 * 2 ** 20
 
     def test_budget_caps_table_growth(self, monkeypatch):
-        # a budget one set short of all sets of k4_n3 at k = 5: a set counts
-        # k + L + 1 entries (L = 5 slots), and the sets are counted exactly
-        # before any table is allocated, so the refusal names them all and
-        # the peak stays below the budget at 8 bytes an entry (0.94 MiB)
-        c, k = corpus.load("k4_n3"), 5
+        # a budget one set short of all sets of k4_n3 at k = 14: a set counts
+        # k + L + 1 entries (L = 8 slots), the series over 2^14 coefficients
+        # does not fit, and the sets are counted exactly before any table is
+        # allocated, so the refusal names them all and the peak stays below
+        # the budget at 8 bytes an entry (3.3 MiB)
+        c, k = corpus.load("k4_n3"), 14
         proofs = random_product_proofs(proof_shape(3), k, seed=1)
-        reject = ~consistency_accept_table(c)
         dists = outcome_dists(c, proofs)
-        live = dists.max(axis=0) > 0
-        core = live & (reject & live).any(axis=1)
-        m = int(core.sum())
-        src, dst = np.nonzero(reject[np.ix_(core, core)])
-        drop, _ = bellqma._independent_sets(np.flatnonzero(core) // 3, src, dst,
-                                            dists[:, core].T, ones(dists), 10 ** 7)
-        slots, sets = drop.shape
+        m, *_, slots, _, _ = exact_parts(dists, ones(dists), expand(c).edges, 8)
+        sets = exact_count(dists, ones(dists), expand(c).edges, 8)[0]
         budget = (sets - 1) * (k + slots + 1)
         monkeypatch.setattr(bellqma, "ENUMERATION_BUDGET", budget)
         tracemalloc.start()
@@ -424,7 +480,7 @@ class TestConsistency:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (m, slots, sets) == (24, 5, 11236)
+        assert (m, slots, sets) == (24, 8, 18688)
         assert peak < 8 * budget
 
     @settings(max_examples=60, deadline=None)
@@ -449,7 +505,7 @@ class TestConsistency:
         support[:, np.arange(verts), rng.integers(3, size=verts)] = True
         dists = (rng.random(support.shape) * support).reshape(g, -1)
         dists /= dists.sum(axis=1, keepdims=True)
-        got = bellqma._consistency_exact(dists, counts, expand(c).edges, 2 ** n, 10 ** 7)
+        got = mobius_path(dists, counts, expand(c).edges, 2 ** n)
         reject, each = ~consistency_accept_table(c), np.repeat(dists, counts, axis=0)
         assert got == mobius_reference(each, reject)
         if (3 * 2 ** n) ** k <= 10 ** 6:
@@ -457,14 +513,48 @@ class TestConsistency:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
+    def test_series_matches_references(self, data):
+        # the generator of test_slot_table_matches_references: the series
+        # gives the per-outcome reference's value within the _series
+        # docstring's relative bound (plus the reference's own absolute
+        # bound), and the grid's within 1e-12 wherever the d^k grid has at
+        # most 10^6 tuples; the exact path, whichever it takes, within both
+        verts = data.draw(st.integers(2, 6))
+        n = max(1, (verts - 1).bit_length())
+        edges = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(verts), 2)))))
+        c = encode_explicit(ExplicitGraph(verts, frozenset(edges)), n)
+        k = data.draw(st.sampled_from(range(1, 21)))
+        g = data.draw(st.integers(1, min(k, 3)))
+        cuts = data.draw(st.sets(st.integers(1, max(1, k - 1)), min_size=g - 1, max_size=g - 1))
+        counts = np.diff([0, *sorted(cuts), k])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        support = np.zeros((g, 2 ** n, 3), dtype=bool)
+        support[:, :verts] = rng.random((g, verts, 3)) < 0.5
+        support[:, np.arange(verts), rng.integers(3, size=verts)] = True
+        dists = (rng.random(support.shape) * support).reshape(g, -1)
+        dists /= dists.sum(axis=1, keepdims=True)
+        pairs, size = expand(c).edges, 2 ** n
+        reject, each = ~consistency_accept_table(c), np.repeat(dists, counts, axis=0)
+        want = mobius_reference(each, reject)
+        slack = (series_bound(dists, counts, pairs, size) * want
+                 + mobius_error(dists, counts, pairs, size))
+        assert abs(series_path(dists, counts, pairs, size) - want) <= slack
+        assert abs(bellqma._consistency_exact(dists, counts, pairs, size, 10 ** 7) - want) <= slack
+        if (3 * 2 ** n) ** k <= 10 ** 6:
+            assert abs(series_path(dists, counts, pairs, size) - grid_reference(each, reject)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
     def test_refused_iff_sets_do_not_fit(self, data):
         # random graphs on 2-8 vertices at the smallest width that holds
         # them, 1-3 colors in the support of every label, padding labels
-        # included, 1-3 distinct proofs and k from 1 to 20; N sets of L
-        # slots are listed at a large budget.  The smallest budget that
-        # admits the m^2 table and N (k + L + 1) entries gives the same
-        # float, and a limit of N - 1 sets is refused, by the exact count
-        # before building, wherever the m^2 table still fits
+        # included, 1-3 distinct proofs and k from 1 to 20.  Of the two
+        # paths, the Moebius sum takes N (k + L + 1) entries for its N sets
+        # of L slots, and the series the entries its docstring sizes from
+        # the rows it lists.  The smallest budget that admits the m^2 table
+        # and either path gives the value of a large budget within the
+        # bounds of both paths, and one entry less is refused, by counts
+        # made before building, wherever the m^2 table still fits
         verts = data.draw(st.integers(2, 8))
         n = max(1, (verts - 1).bit_length())
         edges = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(verts), 2)))))
@@ -479,14 +569,18 @@ class TestConsistency:
         dists = (rng.random(support.shape) * support).reshape(g, -1)
         dists /= dists.sum(axis=1, keepdims=True)
         pairs, size = expand(c).edges, 2 ** n
-        m, pos, src, dst = bellqma.conflict_core(dists.max(axis=0) > 0.0, pairs, size)
+        m, *_, slots, label, clique = exact_parts(dists, counts, pairs, size)
         assume(m > 0)
-        core = pos < m
-        slots, sets = bellqma._independent_sets(np.flatnonzero(core) // 3, src, dst,
-                                                dists[:, core].T, counts, 10 ** 9)[0].shape
+        sets, rows = exact_count(dists, counts, pairs, size)
+        box = math.prod(c + 1 for c in counts.tolist())
+        q = math.prod(math.comb(c + 2, 2) for c in counts.tolist()) if g > 1 else 0
+        need = (box * (rows + m + 4 * (int((np.bincount(label) > 0).sum())) + 4)
+                + 2 * q + 5 * max(bellqma.PRODUCT_CHUNK, box + q))
+        fits = min(sets * (k + slots + 1), need)
         want = bellqma._consistency_exact(dists, counts, pairs, size, 10 ** 9)
-        fits = sets * (k + slots + 1)
-        assert bellqma._consistency_exact(dists, counts, pairs, size, max(m * m, fits)) == want
+        got = bellqma._consistency_exact(dists, counts, pairs, size, max(m * m, fits))
+        assert abs(got - want) <= (2 * series_bound(dists, counts, pairs, size) * want
+                                   + 2 * mobius_error(dists, counts, pairs, size))
         if m * m <= fits - 1:
             with pytest.raises(BudgetError, match="independent sets"):
                 bellqma._consistency_exact(dists, counts, pairs, size, fits - 1)
@@ -496,8 +590,8 @@ class TestConsistency:
     def test_count_matches_sets_built(self, data):
         # the generator of test_refused_iff_sets_do_not_fit: the count over
         # the components of the conflict pairs equals the rows the builder
-        # lists at a large budget, and never exceeds the bound of one
-        # outcome per vertex, prod_v (1 + c_v x) truncated at L
+        # lists in a table sized by the bound of one outcome per vertex,
+        # prod_v (1 + c_v x) truncated at L, and never exceeds that bound
         verts = data.draw(st.integers(2, 8))
         n = max(1, (verts - 1).bit_length())
         edges = data.draw(st.sets(st.sampled_from(list(itertools.combinations(range(verts), 2)))))
@@ -510,23 +604,24 @@ class TestConsistency:
         support = rng.random((g, 2 ** n, 3)) < 0.5
         support[:, np.arange(2 ** n), rng.integers(3, size=2 ** n)] = True
         dists = (rng.random(support.shape) * support).reshape(g, -1)
-        m, pos, src, dst = bellqma.conflict_core(dists.max(axis=0) > 0.0, expand(c).edges, 2 ** n)
+        m, core, src, dst, vertex, top = exact_parts(dists, counts, expand(c).edges, 2 ** n)[:6]
         assume(m > 0)
-        vertex = np.flatnonzero(pos < m) // 3
-        slots, sets = bellqma._independent_sets(vertex, src, dst, dists[:, pos < m].T,
-                                                counts, 10 ** 9)[0].shape
         colors = np.unique(vertex, return_counts=True)[1]
-        assert bellqma._count_sets(colors, src, dst, slots, 10 ** 9) == (sets, True)
-        assert bellqma._set_count(colors, [], slots) >= sets
+        bound = bellqma._set_count(colors, [], top)
+        slots, sets = bellqma._independent_sets(vertex, src, dst, dists[:, core].T,
+                                                counts, bound)[0].shape
+        assert slots == top
+        assert exact_count(dists, counts, expand(c).edges, 2 ** n)[0] == sets <= bound
 
-    @pytest.mark.parametrize("name, k, sets, mib", [("k4_n4", 5, 1050814, 1),
-                                                    ("petersen_n4", 6, 3932356, 8)])
+    @pytest.mark.parametrize("name, k, sets, mib", [("k4_n4", 14, 1211982184, 1),
+                                                    ("c7_n4", 14, 1100139832, 8)])
     def test_refusal_names_the_exact_count(self, name, k, sets, mib):
-        # random proofs (seed 3) past the budget: k4_n4 is one 4-vertex
-        # component and 12 one-vertex ones, petersen_n4 one 10-vertex
-        # component and 6 one-vertex ones.  The count refuses them before
-        # any set is built (listing sets up to the limit took 95-140 ms and
-        # 69.6 and 87.6 MiB traced) and names every set
+        # random proofs (seed 3) that neither path fits: the series over
+        # 2^14 coefficients needs its 3^14 pairs alone past the budget, and
+        # the Moebius sum's sets are past it too.  k4_n4 is one 4-vertex
+        # component and 12 one-vertex ones, c7_n4 one 7-vertex component
+        # and 9 one-vertex ones.  The count refuses them before any set is
+        # built and names every set
         c = corpus.load(name)
         proofs = random_product_proofs(proof_shape(4), k, seed=3)
         tracemalloc.start()
@@ -809,14 +904,19 @@ class TestAcceptance:
     def test_repeated_proof_matches_copies_at_odd_widths(self, n):
         # at odd n each outcome probability is an inexact square, so the
         # wildcard mass of 3 * 2^n - 2 outcomes depends on its summation
-        # order: one row of count 7 must give the float of 7 register rows
+        # order: in the Moebius sum one row of count 7 must give the float
+        # of 7 register rows.  The series over one proof of multiplicity 7
+        # (8 coefficients) and over 7 proofs (2^7) agree within its bound
         c = encode_explicit(ExplicitGraph(4, frozenset(itertools.combinations(range(4), 2))), n)
         cheat = near_coloring_proof(c, Coloring((0, 1, 2, 0)))
         dists, edges = outcome_dists(c, [cheat]), expand(c).edges
-        once = bellqma._consistency_exact(dists, np.array([7]), edges, 2 ** n, 10 ** 7)
+        once = mobius_path(dists, np.array([7]), edges, 2 ** n)
         copies = np.repeat(dists, 7, axis=0)
-        assert repr(once) == repr(bellqma._consistency_exact(copies, ones(copies), edges,
-                                                             2 ** n, 10 ** 7))
+        assert repr(once) == repr(mobius_path(copies, ones(copies), edges, 2 ** n))
+        series = [series_path(d, w, edges, 2 ** n) for d, w in ((dists, np.array([7])),
+                                                                (copies, ones(copies)))]
+        assert abs(series[0] - once) <= series_bound(dists, np.array([7]), edges, 2 ** n) * once
+        assert abs(series[1] - once) <= series_bound(copies, ones(copies), edges, 2 ** n) * once
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_no_proofs_rejected(self, k4, mode):
@@ -898,13 +998,15 @@ class TestCapacity:
         assert abs(got - want) < 1e-12
 
     def test_wide_core_refused_before_building(self):
-        # full-support random proofs on one edge at n = 10, k = 2: 1,022
+        # full-support random proofs on one edge at n = 10, k = 11: 1,022
         # one-vertex components of three colors each and the edge's own
-        # give 4,717,054 sets against the 2,000,000 the budget admits, so
-        # the core is refused before its 3,072 x 3,073 table is allocated
-        # (building sets up to the cap took 0.45-0.65 s and 49.7 MiB traced)
+        # give about 5.5e30 sets, and the series over 2^11 coefficients
+        # needs about 1.6e7 entries, so the core is refused before its
+        # 3,072 x 3,073 table or any series is allocated (at k = 2 building
+        # sets up to the cap took 0.45-0.65 s and 49.7 MiB traced; the
+        # series now computes k = 2 to 10, test_newly_exact_batches_match_mc)
         c = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 10)
-        proofs = random_product_proofs(proof_shape(10), 2, seed=1)
+        proofs = random_product_proofs(proof_shape(10), 11, seed=1)
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -916,6 +1018,23 @@ class TestCapacity:
             tracemalloc.stop()
         assert seconds < 0.1
         assert peak < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("name, k, want", [("k4_n4", 5, 0.56729), ("k4_n4", 6, 0.43638),
+                                               ("edge_n10", 2, 0.99936)])
+    def test_newly_exact_batches_match_mc(self, name, k, want):
+        # random proofs the Moebius sum refused for their sets (k4_n4 at
+        # seed 3, 1,050,814 sets at k = 5; one edge at n = 10, seed 1,
+        # 4,717,054 sets at k = 2): the series computes them, within
+        # 2 ci_halfwidth of a 100,000-sample Monte-Carlo run
+        if name == "edge_n10":
+            c, seed = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 10), 1
+        else:
+            c, seed = corpus.load(name), 3
+        proofs = random_product_proofs(proof_shape(c.n), k, seed=seed)
+        got = bellqma.acceptance(c, proofs, mode="exact")
+        est = bellqma.acceptance(c, proofs, mode="mc", samples=100_000, seed=k)
+        assert round(got.p_consistency, 5) == want
+        assert abs(got.p_total - est.p_total) <= 2 * est.ci_halfwidth
 
     def test_mc_presence_table_is_bounded(self):
         # 50,000 rows of 3 * 2^10 presence bits would take 154 MB at once;
@@ -978,6 +1097,25 @@ class TestSoundnessAcrossWidths:
         want = 2 * q ** k - (2 * q - 1) ** k
         assert abs(rep.p_consistency - want) <= 1e-12 * want
         assert 1 - rep.p_total >= bellqma.soundness_bound(n)
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_k4_width_family_matches_mc(self, n):
+        # K4 at width n, one full-support proof repeated 120 n times: the
+        # near cheat with 1/k of its mass moved to a Haar state.  The series
+        # takes it (the Moebius sum's sets are past the budget): one K4
+        # component listed and 2^n - 4 one-vertex ones in closed form, against
+        # Monte Carlo within 2 ci_halfwidth (4,000 samples, as one sample
+        # draws every register of a 3 * 2^n-outcome core)
+        c = encode_explicit(ExplicitGraph(4, frozenset(itertools.combinations(range(4), 2))), n)
+        k = bellqma.default_k(n)
+        near = near_coloring_proof(c, Coloring((0, 1, 2, 0)))
+        amps = (math.sqrt(1 - 1 / k) * near.amps
+                + math.sqrt(1 / k) * haar_state(proof_shape(n), np.random.default_rng(n)).amps)
+        dists = outcome_dists(c, [PureState(near.shape, amps / np.linalg.norm(amps))])
+        edges, counts = expand(c).edges, np.array([k])
+        got = bellqma._consistency_exact(dists, counts, edges, 2 ** n, bellqma.ENUMERATION_BUDGET)
+        est, hw = bellqma._consistency_monte_carlo(dists, counts, edges, 2 ** n, 4000, n)
+        assert abs(got - est) <= 2 * hw
 
     def test_every_no_instance_rejects_at_floor(self):
         # rejection floor 4^-n / 12000 at k = 120 n, for each bundled

@@ -277,8 +277,8 @@ class TestErrorsAndFormats:
                      cli.EXIT_INSTANCE, "--seed must be a non-negative integer",
                      id="negative-seed"),
         pytest.param(10, ["--protocol", "bellqma", "--strategy", "random", "--seed", "1",
-                          "--k", "2"], cli.EXIT_CAPACITY, "use Monte-Carlo mode",
-                     id="full-support-n10-k2-past-budget"),
+                          "--k", "11"], cli.EXIT_CAPACITY, "use Monte-Carlo mode",
+                     id="full-support-n10-k11-past-budget"),
         pytest.param(None, ["--protocol", "bellqma", "--strategy", "random", "--seed", "1",
                             "--mode", "mc", "--samples", str(10 ** 12)],
                      cli.EXIT_CAPACITY, "--samples 1000000000000 times 240 draw steps",
