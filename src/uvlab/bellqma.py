@@ -200,24 +200,24 @@ def _labels(m: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.nd
     return label, (size > 0) & (np.bincount(label[src], minlength=m) == size * (size - 1))
 
 
-def _list_sets(vertex: np.ndarray, src: np.ndarray, dst: np.ndarray, label: np.ndarray,
+def _list_sets(first: np.ndarray, src: np.ndarray, dst: np.ndarray, label: np.ndarray,
                clique: np.ndarray, top: int, limit: int, keep: int) -> tuple:
     """(polys, steps, rows, exact) for the components of :func:`_labels`
-    that are not cliques, core outcome j at vertex[j], ascending.  Each is
-    listed in a table of its own by :func:`_step`, a vertex at a time, up
-    to ``top`` members: polys holds its sets by size, and steps, per
-    component and vertex, the (parent row, core outcome) of each set added,
-    rows in creation order from the empty set's 0.  A listing stops past
-    ``limit`` sets (``exact`` False, its polynomial a floor); ``rows``
-    counts the rows listed, empty sets included, and steps is None once
-    they pass ``keep``."""
+    that are not cliques, first[j] True where core outcome j opens a new
+    core vertex (a vertex's outcomes conflict pairwise, so they share a
+    component).  Each is listed in a table of its own by :func:`_step`, a
+    vertex at a time, up to ``top`` members: polys holds its sets by size,
+    and steps, per component and vertex, the (parent row, core outcome) of
+    each set added, rows in creation order from the empty set's 0.  A
+    listing stops past ``limit`` sets (``exact`` False, its polynomial a
+    floor); ``rows`` counts the rows listed, empty sets included, and
+    steps is None once they pass ``keep``."""
     polys, steps, total = [], [], 0
     for r in np.flatnonzero(~clique & (np.bincount(label, minlength=len(label)) > 0)).tolist():
         own, at = np.flatnonzero(label == r), label[src] == r
         table = np.zeros((len(own), len(own) + 1), dtype=bool)   # column len(own): empty slot
         table[np.searchsorted(own, src[at]), np.searchsorted(own, dst[at])] = True
-        at_vertex = vertex[own]
-        cuts = [0, *(np.flatnonzero(at_vertex[1:] != at_vertex[:-1]) + 1).tolist(), len(own)]
+        cuts = [*np.flatnonzero(first[own]).tolist(), len(own)]
         most = min(top, len(cuts) - 1)          # the most members a set of it can have
         listed = np.zeros((2, 1), dtype=np.int32)
         kept = None if steps is None else []     # this component's steps
@@ -241,25 +241,26 @@ def _list_sets(vertex: np.ndarray, src: np.ndarray, dst: np.ndarray, label: np.n
     return polys, steps, total, True
 
 
-def _independent_sets(vertex: np.ndarray, src: np.ndarray, dst: np.ndarray,
+def _independent_sets(first: np.ndarray, src: np.ndarray, dst: np.ndarray,
                       masses: np.ndarray, counts: np.ndarray,
                       sets: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``sets`` independent sets of at most k = counts.sum() outcomes
-    of an m-outcome conflict core and their core sums.  vertex[j] is core
-    outcome j's vertex, ascending; (src[i], dst[i]) are the conflicting
-    core pairs, both orders (:func:`conflict_core`); row j of ``masses``
-    holds outcome j's mass per distinct proof, repeated ``counts`` times to
-    the k registers as p.  A vertex's outcomes conflict pairwise, so a set
-    has at most L = min(k, V, m - 1) members over the V core vertices, and
-    ``sets`` is their count N (:func:`_set_count` over :func:`_list_sets`)
-    or the bound on it that sizes the drop table.
+    of an m-outcome conflict core and their core sums.  first[j] is True
+    where core outcome j opens a new core vertex; (src[i], dst[i]) are the
+    conflicting core pairs, both orders (:func:`conflict_core`); row j of
+    ``masses`` holds outcome j's mass per distinct proof, repeated
+    ``counts`` times to the k registers as p.  A vertex's outcomes conflict
+    pairwise, so a set has at most L = min(k, V, m - 1) members over the
+    V = first.sum() core vertices, and ``sets`` is their count N
+    (:func:`_set_count` over :func:`_list_sets`) or a bound on it that
+    sizes the drop table.
 
     Returns (drop, sums): drop[s, T] is the row of set T without its s-th
     member, members ascending, and -1 past its size; sums[T] is its
     parent's plus p[j], j its last member.  A :func:`_step` per core vertex
     lists the rows in the order that a step per core outcome gives."""
-    m, k = len(vertex), int(counts.sum())
-    bounds = [0, *(np.flatnonzero(vertex[1:] != vertex[:-1]) + 1).tolist(), m]
+    m, k = len(first), int(counts.sum())
+    bounds = [*np.flatnonzero(first).tolist(), m]
     slots = min(k, len(bounds) - 1, m - 1)
     conflict = np.zeros((m, m + 1), dtype=bool)     # column m: an empty slot
     conflict[src, dst] = True
@@ -409,7 +410,7 @@ def _others(c: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
     return before[:, -1], (before[:, :width] * after[:, 2:])[keep].ravel()
 
 
-def _series(lam: np.ndarray, counts: np.ndarray, vertex: np.ndarray, label: np.ndarray,
+def _series(lam: np.ndarray, counts: np.ndarray, first: np.ndarray, label: np.ndarray,
             clique: np.ndarray, steps: list) -> float:
     """Exact consistency by the exponential formula for labelled products
     (Flajolet-Sedgewick, Analytic Combinatorics, ch. II): p_cons = prod_r
@@ -417,7 +418,8 @@ def _series(lam: np.ndarray, counts: np.ndarray, vertex: np.ndarray, label: np.n
     F_c = sum_{T in c independent} prod_{j in T} (e^{sum_r p_rj x_r} - 1)
     over the components c of :func:`_labels`.  ``lam`` holds the rates
     m_r p_rj per distinct proof r, core outcomes j first and the wildcard
-    w_r last.  A series is an array of C = prod_r (m_r + 1) coefficients,
+    w_r last; first[j] is True where core outcome j opens a new core
+    vertex.  A series is an array of C = prod_r (m_r + 1) coefficients,
     flat in C order.
 
     Each factor is scaled to Poisson pmfs: E_j at r is prod_r e^{-m_r p_rj}
@@ -426,42 +428,34 @@ def _series(lam: np.ndarray, counts: np.ndarray, vertex: np.ndarray, label: np.n
     left out of T gives c_j.  So every coefficient lies in [0, 1], and the
     scale back is prod_r m_r! e^{m_r} / m_r^{m_r} times e^{sum of rates - k},
     the sum exactly rounded.  A clique gives prod_c c_j + sum_j E_j
-    prod_{i != j} c_i, and cliques with equal rates one factor raised to
-    their count by squaring.  A listed set T gets the product of its
-    members' E_j, built from its parent's, and the weight prod_{j in c - T}
-    c_j, a vertex at a time.  The factors are multiplied in halves, the
-    last product only at [x^m].  The E_j are built PRODUCT_CHUNK / C rows
-    at a time.
+    prod_{i != j} c_i.  A listed set T gets the product of its members'
+    E_j, built from its parent's, and the weight prod_{j in c - T} c_j, a
+    vertex at a time.  The factors are multiplied in halves, the last
+    product only at [x^m].  The E_j are built PRODUCT_CHUNK / C rows at a
+    time.
 
     Every term is nonnegative, so a rounding moves a value by at most
     2^-53 relative, and the result is within R 2^-53 relative of the exact
     value for the given masses, to first order, R the roundings on any path
     to it: at most C a truncated product along a chain of at most
-    d = L + 2 log2 e + log2 F + 1 of them (L members, e the largest power, F
-    the factors), S for a component's S sets, 4V + 3s for the weights (V
-    core vertices, cliques of at most s outcomes), 2k + 8G for the Poisson
-    values and their outer products over G distinct proofs, k for the rates
-    (a relative change of 2^-53 in each mass moves the degree-k value by at
-    most k 2^-53) and 4G + 2 for the scale (:func:`_stirling_ratio`):
-    R <= d C + S + 4V + 3s + 3k + 12G + 6.  Values below 2^-1022 times the
-    scale may be lost, in absolute terms."""
+    d = L + log2 F + 1 of them (L members, F the factors), S for a
+    component's S sets, 4V + 3s for the weights (V core vertices, cliques
+    of at most s outcomes), 2k + 8G for the Poisson values and their outer
+    products over G distinct proofs, k for the rates (a relative change of
+    2^-53 in each mass moves the degree-k value by at most k 2^-53) and
+    4G + 2 for the scale (:func:`_stirling_ratio`): R <= d C + S + 4V + 3s
+    + 3k + 12G + 6.  Values below 2^-1022 times the scale may be lost, in
+    absolute terms."""
     k, m, top = int(counts.sum()), lam.shape[1] - 1, int(counts.max())
     box = math.prod(c + 1 for c in counts.tolist())
     pairs = _pairs(tuple((counts + 1).tolist())) if len(counts) > 1 else None
-    # clique components whose outcomes have equal rates give equal factors: one
-    # of each, raised to its count.  e holds the factors E_j of their outcomes,
-    # then of the listed components' outcomes, then the wildcard's
+    # e holds the factors E_j of the clique outcomes, a clique at a time, then
+    # of the listed components' outcomes, then the wildcard's
     in_clique = clique[label]
     members = np.flatnonzero(in_clique)
     members = members[np.argsort(label[members], kind="stable")]
-    cuts = [0, *(np.flatnonzero(label[members[1:]] != label[members[:-1]]) + 1).tolist(),
-            len(members)]
-    equal = {}
-    for a, b in zip(cuts, cuts[1:]):
-        equal.setdefault(lam[:, members[a:b]].tobytes(), []).append(members[a:b])
-    ones = [same[0] for same in equal.values()]
     wide = np.flatnonzero(~in_clique)
-    order = np.concatenate([*ones, wide, [m]]).astype(np.intp)
+    order = np.concatenate([members, wide, [m]]).astype(np.intp)
     e = np.empty((len(order), box))
     step = max(1, PRODUCT_CHUNK // box)
     for i in range(0, len(order), step):        # in chunks, to keep the temporaries small
@@ -472,21 +466,18 @@ def _series(lam: np.ndarray, counts: np.ndarray, vertex: np.ndarray, label: np.n
         e[i:i + step] = f
     absent = e[:-1, 0].copy()                   # the constant terms c_j
     e[:-1, 0] = 0.0
-    factors, power, cliques = [e[-1].copy()], [1], len(order) - 1 - len(wide)
+    factors, cliques = [e[-1].copy()], len(members)
     if cliques:
-        sizes = [len(one) for one in ones]
+        sizes = np.bincount(label, minlength=m)[clique]     # in label order, as members
         whole, rest = _others(absent[:cliques], sizes)
         e[:cliques] *= rest[:, None]
         f = np.add.reduceat(e[:cliques], np.cumsum([0, *sizes[:-1]]))
         f[:, 0] = whole
         factors += list(f)
-        power += [len(same) for same in equal.values()]
     if steps:                                   # the listed outcomes, in core order
         e, at = e[cliques:], np.empty(m, dtype=np.intp)
         at[wide] = np.arange(len(wide))
-        first = np.ones(len(wide), dtype=bool)  # a listed vertex's first outcome
-        first[1:] = vertex[wide[1:]] != vertex[wide[:-1]]
-        vseg = np.cumsum(first) - 1
+        vseg = np.cumsum(first[wide]) - 1       # a listed outcome's vertex
         whole, rest = _others(absent[cliques:], np.bincount(vseg))
     for comp in steps:
         sets = np.zeros((1 + sum(len(out) for _, out in comp), box))
@@ -500,16 +491,8 @@ def _series(lam: np.ndarray, counts: np.ndarray, vertex: np.ndarray, label: np.n
             weight[:rows] *= whole[vseg[out[0]]]
             rows += len(out)
         factors.append(weight @ sets)
-        power.append(1)
     del e
-    f, power = np.array(factors), np.array(power) - 1
-    base = f.copy()
-    while power.any():                          # f = base^(1 + power), by squaring
-        odd = np.flatnonzero(power % 2)
-        f[odd] = _times(f, odd, base, odd, pairs, np.empty((len(odd), f.shape[1])))
-        power //= 2
-        live = np.flatnonzero(power)
-        base[live] = _times(base, live, base, live, pairs, np.empty((len(live), f.shape[1])))
+    f = np.array(factors)
     while len(f) > 2:
         half = np.arange(len(f) // 2)
         f = np.concatenate([_times(f, half, f, half + len(half), pairs,
@@ -519,10 +502,11 @@ def _series(lam: np.ndarray, counts: np.ndarray, vertex: np.ndarray, label: np.n
                  * math.exp(math.fsum([*lam.ravel().tolist(), -k])))
 
 
-def _mobius(dists: np.ndarray, counts: np.ndarray, core: np.ndarray, src: np.ndarray,
-            dst: np.ndarray, sets: int) -> float:
+def _mobius(dists: np.ndarray, counts: np.ndarray, core: np.ndarray, first: np.ndarray,
+            src: np.ndarray, dst: np.ndarray, sets: int) -> float:
     """Exact consistency by the Moebius sum over the independent sets of
-    the conflict core (README), ``sets`` of them at most.  Only the core
+    the conflict core (README), ``sets`` of them at most, first[j] True
+    where core outcome j opens a new core vertex.  Only the core
     columns and the wildcard masses are repeated to the k registers.  Each
     wildcard mass is summed left to right, the order numpy takes for the
     rows of a slice of two or more registers (one row it sums pairwise),
@@ -534,8 +518,7 @@ def _mobius(dists: np.ndarray, counts: np.ndarray, core: np.ndarray, src: np.nda
     S = sum_T 2^|T| signed terms reaches the sum with relative error below
     (k + 3m + 24) 2^-53 (sums, product, transform, pairwise sum), so the
     unclamped sum is within (k + 3m + 24) S 2^-53 of the exact value."""
-    drop, mass = _independent_sets(np.flatnonzero(core) // 3, src, dst, dists[:, core].T,
-                                   counts, sets)
+    drop, mass = _independent_sets(first, src, dst, dists[:, core].T, counts, sets)
     mass += np.repeat(np.cumsum(dists[:, ~core], axis=1)[:, -1:].sum(axis=1), counts)
     mass = mass.prod(axis=1)                      # Pr[the core outcomes seen lie in T]
     for row in drop:
@@ -558,8 +541,7 @@ def _consistency_exact(dists: np.ndarray, counts: np.ndarray, edges, size: int,
       (k + L + 1) prod_v (1 + c_v) that fit and are at most the series'
       work estimate, Q prod_v (1 + c_v) over the vertices of those
       components (Q as below, C(k + 2, 2) for one distinct proof): no
-      listing is needed, and the table takes sum_{j <= L} [x^j]
-      prod_v (1 + c_v x) sets, a bound on N;
+      listing is needed, and the drop table takes prod_v (1 + c_v) sets;
     * else, with those components listed (:func:`_list_sets`), the series
       of :func:`_series`, if C (S + m + 4U + 4) + 2Q + 5 max(PRODUCT_CHUNK,
       C + Q) entries fit: C = prod_r (counts[r] + 1) coefficients, S sets
@@ -578,35 +560,34 @@ def _consistency_exact(dists: np.ndarray, counts: np.ndarray, edges, size: int,
         return 1.0
     core = pos < m
     vertex = np.flatnonzero(core) // 3
+    first = np.r_[True, vertex[1:] != vertex[:-1]]    # a core vertex's first outcome
     k, box = int(counts.sum()), math.prod(c + 1 for c in counts.tolist())
-    top = min(k, int(np.count_nonzero(vertex[1:] != vertex[:-1])) + 1, m - 1)
+    top = min(k, int(first.sum()), m - 1)
     per = k + top + 1
     pairs = math.prod(math.comb(c + 2, 2) for c in counts.tolist()) if len(counts) > 1 else 0
     extra = 2 * pairs + 5 * max(PRODUCT_CHUNK, min(box, budget) + pairs)
     label, clique = _labels(m, src, dst)
     listed = ~clique[label]                     # the outcomes of components to list
     if listed.any():
-        first = np.ones(m, dtype=bool)          # a core vertex's first outcome
-        first[1:] = vertex[1:] != vertex[:-1]
         colors = np.bincount(np.cumsum(first) - 1)
+        bound = math.prod((colors + 1).tolist())
         # work: the Moebius sum's N (k + L + 1) entries, N <= prod_v (1 + c_v), against
         # products of Q pairs (C^2 / 2 for one proof) over at most prod_v (1 + c_v)
         # sets, v the vertices to list; the Moebius sum needs no listing
-        if per * math.prod((colors + 1).tolist()) <= min(budget, (pairs or math.comb(k + 2, 2))
-                                                         * math.prod((colors[listed[first]]
-                                                                      + 1).tolist())):
-            return _mobius(dists, counts, core, src, dst, _set_count(colors, [], top))
-    polys, steps, rows, exact = _list_sets(vertex, src, dst, label, clique, top,
+        if per * bound <= min(budget, (pairs or math.comb(k + 2, 2))
+                              * math.prod((colors[listed[first]] + 1).tolist())):
+            return _mobius(dists, counts, core, first, src, dst, bound)
+    polys, steps, rows, exact = _list_sets(first, src, dst, label, clique, top,
                                            budget // min(box, per), (budget - extra) // box - m - 4)
     need = box * (rows + m + 4 * (len(polys) + int(clique.sum())) + 4) + extra
     if exact and need <= budget:
         lam = np.empty((len(counts), m + 1))      # Poisson rates m_r p, the wildcard's last
         lam[:, :m], lam[:, m] = dists[:, core], dists[:, ~core].sum(axis=1)
         lam *= counts[:, None]
-        return min(1.0, max(0.0, _series(lam, counts, vertex, label, clique, steps)))
+        return min(1.0, max(0.0, _series(lam, counts, first, label, clique, steps)))
     sets = _set_count(np.bincount(label, minlength=m)[clique], polys, top)
     if exact and sets * per <= budget:
-        return _mobius(dists, counts, core, src, dst, sets)
+        return _mobius(dists, counts, core, first, src, dst, sets)
     series = (f"so do the {need} entries of its series" if box <= budget else
               f"so does its series of more than {budget} coefficients")
     raise BudgetError(f"{'' if exact else 'at least '}{sets} independent sets of a {m}-outcome "

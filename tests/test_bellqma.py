@@ -106,48 +106,50 @@ def mobius_reference(dists, reject):
 
 def exact_parts(dists, counts, edges, size):
     """What exact consistency sizes its paths from: (m, core, src, dst,
-    vertex, L, label, clique), m = 0 for an empty core."""
+    first, L, label, clique), first[j] True where core outcome j opens a
+    new vertex, m = 0 for an empty core."""
     m, pos, src, dst = bellqma.conflict_core(dists.max(axis=0) > 0.0, edges, size)
     core = pos < m
     vertex = np.flatnonzero(core) // 3
+    first = np.r_[True, vertex[1:] != vertex[:-1]][:m]
     top = min(int(counts.sum()), len(np.unique(vertex)), m - 1)
-    return (m, core, src, dst, vertex, top, *bellqma._labels(m, src, dst))
+    return (m, core, src, dst, first, top, *bellqma._labels(m, src, dst))
 
 
 def exact_count(dists, counts, edges, size):
     """(N, rows): the independent sets of at most L members of the core,
     counted over its components, and the rows the series lists."""
-    m, core, src, dst, vertex, top, label, clique = exact_parts(dists, counts, edges, size)
-    polys, _, rows, _ = bellqma._list_sets(vertex, src, dst, label, clique, top, 10 ** 12, 0)
+    m, core, src, dst, first, top, label, clique = exact_parts(dists, counts, edges, size)
+    polys, _, rows, _ = bellqma._list_sets(first, src, dst, label, clique, top, 10 ** 12, 0)
     return bellqma._set_count(np.bincount(label, minlength=m)[clique], polys, top), rows
 
 
 def mobius_path(dists, counts, edges, size):
     """The Moebius sum alone, its drop table at the exact count."""
-    m, core, src, dst = exact_parts(dists, counts, edges, size)[:4]
+    m, core, src, dst, first = exact_parts(dists, counts, edges, size)[:5]
     if not m:
         return 1.0
-    return bellqma._mobius(dists, counts, core, src, dst,
+    return bellqma._mobius(dists, counts, core, first, src, dst,
                            exact_count(dists, counts, edges, size)[0])
 
 
 def series_path(dists, counts, edges, size):
     """The series alone, clamped to [0, 1] as the exact path clamps it."""
-    m, core, src, dst, vertex, top, label, clique = exact_parts(dists, counts, edges, size)
+    m, core, src, dst, first, top, label, clique = exact_parts(dists, counts, edges, size)
     if not m:
         return 1.0
-    steps = bellqma._list_sets(vertex, src, dst, label, clique, top, 10 ** 12, 10 ** 12)[1]
+    steps = bellqma._list_sets(first, src, dst, label, clique, top, 10 ** 12, 10 ** 12)[1]
     lam = counts[:, None] * np.hstack([dists[:, core], dists[:, ~core].sum(axis=1)[:, None]])
-    return min(1.0, max(0.0, bellqma._series(lam, counts, vertex, label, clique, steps)))
+    return min(1.0, max(0.0, bellqma._series(lam, counts, first, label, clique, steps)))
 
 
 def series_bound(dists, counts, edges, size):
     """The ``_series`` docstring's relative bound R 2^-53, R <= d C + S + 4V
-    + 3s + 3k + 12G + 6, with d <= L + 3 log2(m + 2) + 2 (at most m + 1
-    factors, each power at most m), S the rows listed and V, s <= m."""
+    + 3s + 3k + 12G + 6, with d <= L + log2(m + 1) + 1 (at most m + 1
+    factors), S the rows listed and V, s <= m."""
     m, *_, top, _, _ = exact_parts(dists, counts, edges, size)
     box = math.prod(c + 1 for c in counts.tolist())
-    d = top + 3 * math.log2(m + 2) + 2
+    d = top + math.log2(m + 1) + 1
     rows = exact_count(dists, counts, edges, size)[1]
     return (d * box + rows + 7 * m + 3 * int(counts.sum()) + 12 * len(counts) + 6) * 2.0 ** -53
 
@@ -543,6 +545,48 @@ class TestConsistency:
         if (3 * 2 ** n) ** k <= 10 ** 6:
             assert abs(series_path(dists, counts, pairs, size) - grid_reference(each, reject)) < 1e-12
 
+    @staticmethod
+    def uniform_color(n):
+        """K4 at width n and its uniform-color proof, every amplitude
+        1/sqrt(3 2^n): each padding vertex is a clique component of the
+        core, and all of them have equal rates."""
+        c = encode_explicit(ExplicitGraph(4, frozenset(itertools.combinations(range(4), 2))), n)
+        return c, PureState(proof_shape(n), np.full(3 * 2 ** n, 1 / math.sqrt(3 * 2 ** n)))
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3)])
+    def test_equal_clique_rates_match_references(self, n, k):
+        # the exact path takes the series, one factor per clique component:
+        # within the _series docstring bound of the per-outcome reference,
+        # within 1e-12 of the d^k grid (at most 24^4 = 331,776 tuples), and
+        # at k = 2 within the bound of 1 - 2 / (3 2^n) - 4 / 4^n, the chance
+        # that two draws show neither one vertex in two colors nor an edge
+        # in one color (41/48 at n = 3)
+        c, proof = self.uniform_color(n)
+        dists, counts, pairs, size = outcome_dists(c, [proof]), np.array([k]), expand(c).edges, 2 ** n
+        got = bellqma.consistency_accept(c, [proof] * k, "exact")
+        assert got == series_path(dists, counts, pairs, size)
+        reject, each = ~consistency_accept_table(c), np.repeat(dists, k, axis=0)
+        want = mobius_reference(each, reject)
+        bound = series_bound(dists, counts, pairs, size)
+        assert abs(got - want) <= bound * want + mobius_error(dists, counts, pairs, size)
+        assert abs(got - grid_reference(each, reject)) < 1e-12
+        if k == 2:
+            closed = 1 - Fraction(2, 3 * 2 ** n) - Fraction(4, 4 ** n)
+            assert abs(Fraction(got) - closed) <= bound * closed
+
+    def test_equal_clique_rates_at_n10_match_mc(self):
+        # n = 10, k = 48: 1,020 clique components of equal rates, each its
+        # own factor, in under 0.5 s, within 2 ci_halfwidth of 4,000-sample
+        # Monte Carlo (p_cons about 0.476)
+        c, proof = self.uniform_color(10)
+        dists, counts, edges = outcome_dists(c, [proof]), np.array([48]), expand(c).edges
+        start = time.perf_counter()
+        got = bellqma._consistency_exact(dists, counts, edges, 2 ** 10, bellqma.ENUMERATION_BUDGET)
+        seconds = time.perf_counter() - start
+        est, hw = bellqma._consistency_monte_carlo(dists, counts, edges, 2 ** 10, 4000, 10)
+        assert seconds < 0.5
+        assert abs(got - est) <= 2 * hw
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_refused_iff_sets_do_not_fit(self, data):
@@ -604,11 +648,11 @@ class TestConsistency:
         support = rng.random((g, 2 ** n, 3)) < 0.5
         support[:, np.arange(2 ** n), rng.integers(3, size=2 ** n)] = True
         dists = (rng.random(support.shape) * support).reshape(g, -1)
-        m, core, src, dst, vertex, top = exact_parts(dists, counts, expand(c).edges, 2 ** n)[:6]
+        m, core, src, dst, first, top = exact_parts(dists, counts, expand(c).edges, 2 ** n)[:6]
         assume(m > 0)
-        colors = np.unique(vertex, return_counts=True)[1]
+        colors = np.unique(np.flatnonzero(core) // 3, return_counts=True)[1]
         bound = bellqma._set_count(colors, [], top)
-        slots, sets = bellqma._independent_sets(vertex, src, dst, dists[:, core].T,
+        slots, sets = bellqma._independent_sets(first, src, dst, dists[:, core].T,
                                                 counts, bound)[0].shape
         assert slots == top
         assert exact_count(dists, counts, expand(c).edges, 2 ** n)[0] == sets <= bound

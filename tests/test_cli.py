@@ -359,6 +359,26 @@ class TestSuiteSummarySchema:
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("everything")
 
+    def test_lemma_suite_exit_0(self, tmp_path, capsys):
+        out = tmp_path / "lemmas.json"
+        assert run_cli(["suite", "lemmas", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("[PASS] ") for line in lines) == 13
+        assert not any(line.startswith("[FAIL] ") for line in lines)
+        summary = json.loads(out.read_text())
+        assert summary["suite"] == "lemmas" and summary["passed"] is True
+        assert len(summary["checks"]) == 13
+
+    def test_failing_check_exit_1(self, tmp_path, capsys, monkeypatch):
+        from uvlab import suites
+        def failing():
+            return suites.CheckResult("always_fails", False, "deliberate failure", 0.0)
+        monkeypatch.setattr(suites, "LEMMA_CHECKS", suites.LEMMA_CHECKS + (failing,))
+        out = tmp_path / "lemmas.json"
+        assert run_cli(["suite", "lemmas", "--out", str(out)]) == 1
+        assert "[FAIL] always_fails: deliberate failure" in capsys.readouterr().out
+        assert json.loads(out.read_text())["passed"] is False
+
 
 def readme_run_commands():
     """Every ``uvlab run`` command of the README's "Command line" block,

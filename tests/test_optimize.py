@@ -232,6 +232,15 @@ class TestSeesaw:
         with pytest.raises(ValueError, match=f"iters = {iters}, .*need iters >= 1"):
             seesaw(k4_op, restarts=1, iters=iters)
 
+    def test_stops_at_iteration_cap(self):
+        # three iterations are too few to converge on k4_n3, so the run ends
+        # at the cap and returns the last value of its trace
+        op = build_acceptance_operator(corpus.load("k4_n3"), instance="k4_n3")
+        res = seesaw(op, restarts=1, iters=3)
+        assert res.iterations == 3 and len(res.trace) == 3
+        assert np.all(np.diff(res.trace) >= 0.0)
+        assert res.value == res.trace[-1]
+
     def test_value_is_reached_by_returned_states(self, k4_op):
         res = seesaw(k4_op, restarts=4, seed=13)
         assert abs(product_value(k4_op, *res.states) - res.value) < 1e-9

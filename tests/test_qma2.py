@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,18 @@ class TestErrorsAndReports:
         wrong = basis_state(proof_shape(3), (0, 0))
         with pytest.raises(ShapeMismatchError):
             acceptance_exact(k3, h, wrong)
+
+    def test_conflict_table_refused_past_n10_before_allocating(self):
+        # n = 11 would need a (3 * 2^11)^2 boolean table (37.7 MB)
+        c = encode_explicit(ExplicitGraph(2, frozenset({(0, 1)})), 11)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="n <= 10, got n=11"):
+                consistency_accept_table(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_capacity_above_n8(self):
         # n = 11 runs; m = 2^16 + 1 vertices meet the expand cap
