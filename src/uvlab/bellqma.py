@@ -590,7 +590,10 @@ def _consistency_exact(dists: np.ndarray, counts: np.ndarray, edges, size: int,
         return _mobius(dists, counts, core, first, src, dst, sets)
     series = (f"so do the {need} entries of its series" if box <= budget else
               f"so does its series of more than {budget} coefficients")
-    raise BudgetError(f"{'' if exact else 'at least '}{sets} independent sets of a {m}-outcome "
+    count = str(sets)   # N past 15 digits as 9.215e615, cut from its digits: float(N) overflows
+    if len(count) > 15:
+        count = f"{count[0]}.{count[1:4]}e{len(count) - 1}"
+    raise BudgetError(f"{'' if exact else 'at least '}{count} independent sets of a {m}-outcome "
                       f"conflict core at k={k} exceed the budget {budget}, and {series}; "
                       f"use Monte-Carlo mode")
 

@@ -22,10 +22,17 @@ SGC v1 text format (UTF-8, line oriented, ``#`` starts a comment):
     out pair w1
     out edge w2
 
-Input wires are named u0..u(n-1) and v0..v(n-1); u0 is the least significant
-bit of u.  The n and m headers each appear once, before any gate.  Gate
-lines must appear in order w0, w1, ... and may only reference inputs or
-earlier gates.
+Tokens are separated by whitespace.  Input wires are named u0..u(n-1) and
+v0..v(n-1); u0 is the least significant bit of u.  The n and m headers
+each appear once, before any gate, and so does each out line.  Gate lines
+must appear in order w0, w1, ... and may only reference inputs or earlier
+gates.
+
+A :class:`SuccinctCircuit` holds its gates as three columns: ``ops``, and
+the operand wires ``a`` and ``b``, -1 where the op takes fewer operands.
+Wires 0..2n-1 are the inputs u then v, and gate k is wire 2n + k.  Its
+constructor is the one check of ops, operands, outputs and caps; the
+parser resolves operand names through its table of wires defined so far.
 
 :func:`expand` evaluates the circuit on the pairs u < v < m, flattened
 row by row and cut into blocks.  Each wire of a block is one Python int with
@@ -40,9 +47,9 @@ cap, 100,000 to 240,000 for the bundled instances.  The edges, one sorted
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,43 +69,36 @@ MAX_EDGES = 1 << 21              # edges expand holds; the complete graph at n =
 ARITY = {"AND": 2, "OR": 2, "NOT": 1, "CONST0": 0, "CONST1": 0}
 
 
-class CircuitGate(NamedTuple):
-    """One gate.  A named tuple, not a frozen dataclass: the parser builds one
-    per gate line, and a tuple builds and hashes in half the time."""
-
-    op: str          # AND | OR | NOT | CONST0 | CONST1
-    a: int = -1      # wire indices; unused operands are -1
-    b: int = -1
-
-
 @dataclass(frozen=True)
 class SuccinctCircuit:
+    """Gate columns as in the module docstring, checked here and only here."""
+
     n: int
     m: int
-    gates: tuple[CircuitGate, ...]
+    ops: tuple[str, ...]     # AND | OR | NOT | CONST0 | CONST1
+    a: tuple[int, ...]
+    b: tuple[int, ...]
     out_pair: int
     out_edge: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.n > MAX_LABEL_BITS:     # checked before 2^n is evaluated
-            raise CapacityError(f"n={self.n} exceeds the label-width cap {MAX_LABEL_BITS}")
+        _check_width(self.n)            # before 2^n is evaluated
         if not 1 <= self.m <= 2 ** self.n:
             raise ValueError(f"m={self.m} outside [1, 2^{self.n}]")
-        if len(self.gates) > MAX_GATES:
-            raise CapacityError(f"{len(self.gates)} gates exceeds cap {MAX_GATES}")
-        nwires = 2 * self.n + len(self.gates)
-        for k, g in enumerate(self.gates):
+        if len(self.ops) > MAX_GATES:
+            raise CapacityError(f"{len(self.ops)} gates exceeds cap {MAX_GATES}")
+        if not len(self.ops) == len(self.a) == len(self.b):
+            raise ValueError("gate columns ops, a and b differ in length")
+        for k, (op, x, y) in enumerate(zip(self.ops, self.a, self.b)):
+            arity = ARITY.get(op)
+            if arity is None:
+                raise ValueError(f"unknown gate op {op!r}")
             limit = 2 * self.n + k
-            operands = ARITY.get(g.op)
-            if operands is None:
-                raise ValueError(f"unknown gate op {g.op!r}")
-            for w in (g.a, g.b)[:operands]:
-                if not 0 <= w < limit:
-                    raise ValueError(f"gate w{k} references wire {w} out of range")
+            if not ((0 <= x < limit if arity else x == -1)
+                    and (0 <= y < limit if arity == 2 else y == -1)):
+                raise ValueError(f"gate w{k} = {op} {x} {y} needs {arity} earlier wire(s), then -1")
         for w in (self.out_pair, self.out_edge):
-            if not 0 <= w < nwires:
+            if not 0 <= w < 2 * self.n + len(self.ops):
                 raise ValueError(f"output references wire {w} out of range")
 
 
@@ -152,87 +152,99 @@ class Coloring:
         return not self.monochromatic_edges(g)
 
 
-_GATE_RE = re.compile(r"^w(\d+)\s*=\s*(AND|OR|NOT|CONST0|CONST1)\s*(.*)$")
-_WIRE_RE = re.compile(r"([uvw])(\d+)")
+_WIRE_RE = re.compile(r"[uvw](0|[1-9][0-9]*)")
 
 
-def _resolve_wire(token: str, n: int, gates_so_far: int, lineno: int) -> int:
-    mt = _WIRE_RE.fullmatch(token)
-    if not mt:
-        raise ParseError(f"bad wire name {token!r}", lineno)
-    kind, num = mt.group(1), int(mt.group(2))
-    if kind in "uv":
-        if num >= n:
-            raise ParseError(f"input wire {token} out of range for n={n}", lineno)
-        return num if kind == "u" else n + num
-    if num >= gates_so_far:
-        raise ParseError(f"wire w{num} is not defined yet", lineno)
-    return 2 * n + num
+def _check_width(n: int):
+    """The label-width checks, made before anything is sized by n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > MAX_LABEL_BITS:
+        raise CapacityError(f"n={n} exceeds the label-width cap {MAX_LABEL_BITS}")
+
+
+def _undefined(name: str, n: int, lineno: int) -> ParseError:
+    """The error for an operand name missing from the parser's wire table."""
+    if not _WIRE_RE.fullmatch(name):
+        return ParseError(f"bad wire name {name!r}", lineno)
+    if name[0] == "w":
+        return ParseError(f"wire {name} is not defined yet", lineno)
+    return ParseError(f"input wire {name} out of range for n={n}", lineno)
 
 
 def parse_sgc(text: str) -> SuccinctCircuit:
-    """Parse SGC v1 text; raises :class:`ParseError` with a line number."""
-    header = {"n": None, "m": None}
-    gates: list[CircuitGate] = []
-    outs = {}
+    """Parse SGC v1 text; raises :class:`ParseError` with a line number.
+    Each line is split into whitespace tokens.  Operand names resolve through
+    the table of wires defined so far, the inputs once n is read and then
+    each gate, so :class:`SuccinctCircuit` alone checks wire indices."""
+    header, names, outs = {"n": None, "m": None}, {}, {}
+    ops, a, b = [], [], []
     saw_magic = False
-    known: dict[str, int] = {}    # wire names resolved so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        tokens = line.split()
+        if not tokens:
             continue
         if not saw_magic:
-            if line != "SGC 1":
-                raise ParseError(f"expected 'SGC 1' header, got {line!r}", lineno)
+            if tokens != ["SGC", "1"]:
+                raise ParseError(f"expected 'SGC 1' header, got {line.strip()!r}", lineno)
             saw_magic = True
             continue
-        mg = _GATE_RE.match(line)
-        if mg:
-            if header["n"] is None or header["m"] is None:
+        head = tokens[0]
+        gate = len(tokens) > 2 and tokens[1] == "=" and head[0] == "w"
+        arity = ARITY.get(tokens[2]) if gate else None
+        if arity is not None:
+            if None in header.values():
                 raise ParseError("gate line before n/m headers", lineno)
-            k, op, rest = int(mg.group(1)), mg.group(2), mg.group(3).split()
-            if k != len(gates):
-                raise ParseError(f"expected gate w{len(gates)}, got w{k}", lineno)
-            arity = ARITY[op]
-            if len(rest) != arity:
-                raise ParseError(f"{op} takes {arity} operand(s)", lineno)
-            wires = []
-            for tok in rest:
-                if tok not in known:
-                    known[tok] = _resolve_wire(tok, header["n"], len(gates), lineno)
-                wires.append(known[tok])
-            known[f"w{k}"] = 2 * header["n"] + k
-            gates.append(CircuitGate(op, *wires))
-            if len(gates) > MAX_GATES:
-                raise ParseError(f"gate count exceeds cap {MAX_GATES}", lineno)
-            continue
-        parts = line.split()
-        if parts[0] in header:
-            if len(parts) != 2:
-                raise ParseError(f"malformed header line {line!r}", lineno)
-            if header[parts[0]] is not None:
-                raise ParseError(f"repeated {parts[0]} header", lineno)
+            if head != f"w{len(ops)}":
+                raise ParseError(f"expected gate w{len(ops)}, got {head}", lineno)
+            if len(tokens) != 3 + arity:
+                raise ParseError(f"{tokens[2]} takes {arity} operand(s)", lineno)
             try:
-                header[parts[0]] = int(parts[1])
+                a.append(names[tokens[3]] if arity else -1)
+                b.append(names[tokens[4]] if arity == 2 else -1)
+            except KeyError as exc:
+                raise _undefined(exc.args[0], header["n"], lineno) from None
+            names[head] = len(names)        # 2n inputs, then one name per gate
+            ops.append(tokens[2])
+            if len(ops) > MAX_GATES:
+                raise ParseError(f"gate count exceeds cap {MAX_GATES}", lineno)
+        elif head in header:
+            if len(tokens) != 2:
+                raise ParseError(f"malformed header line {line.strip()!r}", lineno)
+            if header[head] is not None:
+                raise ParseError(f"repeated {head} header", lineno)
+            try:
+                header[head] = int(tokens[1])
             except ValueError:
-                raise ParseError(f"{parts[0]} must be an integer", lineno) from None
-            continue
-        if parts[0] == "out":
-            if len(parts) != 3 or parts[1] not in ("pair", "edge"):
-                raise ParseError(f"malformed output line {line!r}", lineno)
+                raise ParseError(f"{head} must be an integer", lineno) from None
+            if head == "n":             # the width, before 2n input names are tabled
+                try:
+                    _check_width(n := header["n"])
+                except ValueError as exc:
+                    raise ParseError(str(exc), lineno) from None
+                names = {f"{side}{i}": j * n + i for j, side in enumerate("uv")
+                         for i in range(n)}
+        elif head == "out":
+            if len(tokens) != 3 or tokens[1] not in ("pair", "edge"):
+                raise ParseError(f"malformed output line {line.strip()!r}", lineno)
             if header["n"] is None:
                 raise ParseError("output line before n header", lineno)
-            outs[parts[1]] = _resolve_wire(parts[2], header["n"], len(gates), lineno)
-            continue
-        raise ParseError(f"unrecognized line {line!r}", lineno)
+            if tokens[1] in outs:
+                raise ParseError(f"repeated out {tokens[1]} line", lineno)
+            if tokens[2] not in names:
+                raise _undefined(tokens[2], header["n"], lineno)
+            outs[tokens[1]] = names[tokens[2]]
+        else:
+            raise ParseError(f"unrecognized line {line.strip()!r}", lineno)
     if not saw_magic:
         raise ParseError("empty file; expected 'SGC 1' header", 1)
-    if header["n"] is None or header["m"] is None:
+    if None in header.values():
         raise ParseError("missing n/m header", 1)
-    if "pair" not in outs or "edge" not in outs:
+    if len(outs) < 2:
         raise ParseError("missing 'out pair' or 'out edge' line", 1)
     try:
-        return SuccinctCircuit(header["n"], header["m"], tuple(gates),
+        return SuccinctCircuit(header["n"], header["m"], tuple(ops), tuple(a), tuple(b),
                                outs["pair"], outs["edge"])
     except ValueError as exc:
         raise ParseError(str(exc)) from None
@@ -240,39 +252,28 @@ def parse_sgc(text: str) -> SuccinctCircuit:
 
 def format_sgc(c: SuccinctCircuit, comment: str | None = None) -> str:
     """Serialize a circuit back to SGC v1 text."""
-
-    def wire_name(w: int) -> str:
-        if w < c.n:
-            return f"u{w}"
-        if w < 2 * c.n:
-            return f"v{w - c.n}"
-        return f"w{w - 2 * c.n}"
-
+    names = ([f"u{i}" for i in range(c.n)] + [f"v{i}" for i in range(c.n)]
+             + [f"w{k}" for k in range(len(c.ops))])
     lines = ["SGC 1"]
     if comment:
         lines.append(f"# {comment}")
     lines += [f"n {c.n}", f"m {c.m}"]
-    for k, g in enumerate(c.gates):
-        if g.op in ("CONST0", "CONST1"):
-            lines.append(f"w{k} = {g.op}")
-        elif g.op == "NOT":
-            lines.append(f"w{k} = NOT {wire_name(g.a)}")
-        else:
-            lines.append(f"w{k} = {g.op} {wire_name(g.a)} {wire_name(g.b)}")
-    lines += [f"out pair {wire_name(c.out_pair)}", f"out edge {wire_name(c.out_edge)}"]
+    for k, (op, x, y) in enumerate(zip(c.ops, c.a, c.b)):
+        lines.append(" ".join([f"w{k}", "=", op] + [names[w] for w in (x, y)[:ARITY[op]]]))
+    lines += [f"out pair {names[c.out_pair]}", f"out edge {names[c.out_edge]}"]
     return "\n".join(lines) + "\n"
 
 
 def _wire_values(c: SuccinctCircuit, u_bits, v_bits, zero, one):
     vals = list(u_bits) + list(v_bits)
-    for g in c.gates:
-        if g.op == "AND":
-            vals.append(vals[g.a] & vals[g.b])
-        elif g.op == "OR":
-            vals.append(vals[g.a] | vals[g.b])
-        elif g.op == "NOT":
-            vals.append(one - vals[g.a])
-        elif g.op == "CONST0":
+    for op, x, y in zip(c.ops, c.a, c.b):
+        if op == "AND":
+            vals.append(vals[x] & vals[y])
+        elif op == "OR":
+            vals.append(vals[x] | vals[y])
+        elif op == "NOT":
+            vals.append(one - vals[x])
+        elif op == "CONST0":
             vals.append(zero)
         else:
             vals.append(one)
@@ -308,7 +309,7 @@ def expand(c: SuccinctCircuit) -> ExplicitGraph:
     MAX_EDGES raises before its edges are stored."""
     if c.m > MAX_EXPAND_VERTICES:
         raise CapacityError(f"m={c.m} vertices exceeds expand cap {MAX_EXPAND_VERTICES}")
-    wires = 2 * c.n + len(c.gates)
+    wires = 2 * c.n + len(c.ops)
     block = 8 * EXPAND_BLOCK_BYTES // (wires + 256)   # >= 669 pairs at MAX_GATES
     rows = np.arange(c.m, dtype=np.int64)
     first = rows * (2 * c.m - rows - 1) // 2          # flat index of the pair (u, u + 1)
@@ -333,44 +334,34 @@ def expand(c: SuccinctCircuit) -> ExplicitGraph:
     return g
 
 
-class _Builder:
-    """Accumulates gates; returns wire indices."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.gates: list[CircuitGate] = []
-
-    def emit(self, op, a=-1, b=-1) -> int:
-        self.gates.append(CircuitGate(op, a, b))
-        if len(self.gates) > MAX_GATES:
-            raise CapacityError(f"generated circuit exceeds {MAX_GATES} gates")
-        return 2 * self.n + len(self.gates) - 1
-
-    def chain(self, op, wires, empty) -> int:
-        if not wires:
-            return self.emit(empty)
-        acc = wires[0]
-        for w in wires[1:]:
-            acc = self.emit(op, acc, w)
-        return acc
-
-
 def encode_explicit(g: ExplicitGraph, n: int) -> SuccinctCircuit:
     """Lookup-table circuit (OR of pair minterms) with expand o encode = id."""
     if g.m > 2 ** n:
         raise CapacityError(f"m={g.m} does not fit in n={n} bits")
-    b = _Builder(n)
-    not_u = [b.emit("NOT", i) for i in range(n)]
-    not_v = [b.emit("NOT", n + i) for i in range(n)]
+    ops, a, b = [], [], []
+
+    def emit(op, x=-1, y=-1) -> int:
+        ops.append(op)
+        a.append(x)
+        b.append(y)
+        if len(ops) > MAX_GATES:
+            raise CapacityError(f"generated circuit exceeds {MAX_GATES} gates")
+        return 2 * n + len(ops) - 1
+
+    def chain(op, wires, empty) -> int:
+        return functools.reduce(lambda acc, w: emit(op, acc, w), wires) if wires else emit(empty)
+
+    not_u = [emit("NOT", i) for i in range(n)]
+    not_v = [emit("NOT", n + i) for i in range(n)]
     minterm = {}
     for u in range(g.m):
         for v in range(u + 1, g.m):
             lits = [(i if (u >> i) & 1 else not_u[i]) for i in range(n)]
             lits += [(n + i if (v >> i) & 1 else not_v[i]) for i in range(n)]
-            minterm[(u, v)] = b.chain("AND", lits, "CONST1")
-    out_pair = b.chain("OR", list(minterm.values()), "CONST0")
-    out_edge = b.chain("OR", [minterm[u, v] for u, v in g.edges.tolist()], "CONST0")
-    return SuccinctCircuit(n, g.m, tuple(b.gates), out_pair, out_edge)
+            minterm[(u, v)] = chain("AND", lits, "CONST1")
+    out_pair = chain("OR", list(minterm.values()), "CONST0")
+    out_edge = chain("OR", [minterm[u, v] for u, v in g.edges.tolist()], "CONST0")
+    return SuccinctCircuit(n, g.m, tuple(ops), tuple(a), tuple(b), out_pair, out_edge)
 
 
 def _least_violations(g: ExplicitGraph, bound: int) -> tuple[tuple[int, ...] | None, int]:

@@ -680,6 +680,17 @@ class TestConsistency:
         assert seconds < 0.05
         assert peak < mib * 2 ** 20
 
+    def test_refusal_shortens_a_long_count(self):
+        # K4 random proofs at n = 10, k = 1200 (the CLI's --seed 1 draw) have
+        # a 616-digit N: the refusal names its first four digits and its
+        # decimal exponent, as read from the digits, past float's range
+        c = encode_explicit(ExplicitGraph(4, frozenset(itertools.combinations(range(4), 2))), 10)
+        proofs = ProverStrategy("random", seed=1).states(c, 1200)
+        with pytest.raises(BudgetError, match=r"^9\.215e615 independent sets .* use Monte-Carlo"
+                           ) as exc:
+            bellqma.consistency_accept(c, proofs, "exact")
+        assert len(str(exc.value)) < 200
+
     def test_mc_needs_samples_and_seed(self, k4):
         proofs = random_product_proofs(proof_shape(2), 3, seed=2)
         with pytest.raises(ValueError, match="samples"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from uvlab import corpus, sgraph
 from uvlab.errors import AddressError, CapacityError, ParseError
 from uvlab.sgraph import (ARITY, EDGE, EXPAND_BLOCK_BYTES, INVALID, NON_EDGE,
-                          CircuitGate, Coloring, ExplicitGraph, SuccinctCircuit,
+                          Coloring, ExplicitGraph, SuccinctCircuit,
                           brute_force_3color, encode_explicit, eval_pair,
                           expand, format_sgc, min_violation_coloring,
                           parse_sgc)
@@ -45,14 +45,17 @@ def circuits(draw):
     the input wires."""
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 2 ** n))
-    gates = []
+    ops, a, b = [], [], []
     for k in range(draw(st.integers(0, 24))):
         op = draw(st.sampled_from(sorted(ARITY)))
         newest = 2 * n + k - 1
         operand = st.one_of(st.just(newest), st.integers(0, newest))
-        gates.append(CircuitGate(op, *[draw(operand) for _ in range(ARITY[op])]))
-    output = st.one_of(st.integers(0, 2 * n - 1), st.integers(0, 2 * n + len(gates) - 1))
-    return SuccinctCircuit(n, m, tuple(gates), draw(output), draw(output))
+        x, y = [draw(operand) for _ in range(ARITY[op])] + [-1] * (2 - ARITY[op])
+        ops.append(op)
+        a.append(x)
+        b.append(y)
+    output = st.one_of(st.integers(0, 2 * n - 1), st.integers(0, 2 * n + len(ops) - 1))
+    return SuccinctCircuit(n, m, tuple(ops), tuple(a), tuple(b), draw(output), draw(output))
 
 
 @st.composite
@@ -117,7 +120,16 @@ class TestParser:
     def test_format_round_trip(self):
         c = corpus.load("c5_n3")
         again = parse_sgc(format_sgc(c))
-        assert again == c
+        assert again == c and hash(again) == hash(c)
+        for name in corpus.available():
+            text = corpus.instance_text(name)
+            comment = text.splitlines()[1].removeprefix("# ")
+            assert format_sgc(corpus.load(name), comment=comment) == text, name
+
+    @settings(max_examples=100, deadline=None)
+    @given(circuits())
+    def test_format_round_trip_on_random_circuits(self, c):
+        assert parse_sgc(format_sgc(c)) == c
 
     def test_outputs_may_reference_input_wires(self):
         # pair bit = v0, edge bit = v0: edges are all (u, v) with v odd
@@ -133,17 +145,49 @@ class TestParser:
         ("SGC 1\nn 1\nm 2\nw0 = NOT v0\nn 2\nw1 = NOT v0\n", 5),
         ("SGC 1\nn 2\nn 2\nm 3\n", 3),
         ("SGC 1\nn 2\nm 3\nw0 = CONST0\nm 4\n", 5),
-    ], ids=["n-after-gate", "n-twice", "m-after-gate"])
+        # a second out line would silently replace the first
+        ("SGC 1\nn 1\nm 2\nw0 = CONST0\nout edge w0\nout edge u0\n", 6),
+        ("SGC 1\nn 1\nm 2\nw0 = CONST0\nout pair w0\n", 6),
+    ], ids=["n-after-gate", "n-twice", "m-after-gate", "out-edge-twice", "out-pair-twice"])
     def test_repeated_header_is_rejected(self, text, line):
         with pytest.raises(ParseError, match="repeated") as exc:
             parse_sgc(text + "out pair w0\nout edge w0\n")
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("gate, match", [
+        ("w0 = NOTu0", "unrecognized line"),
+        ("w0=ANDu0 v1", "unrecognized line"),
+        ("w00 = CONST1", "expected gate w0, got w00"),
+        ("w0 = NOT u00", "bad wire name 'u00'"),
+        ("w0 = AND u0 v2", "input wire v2 out of range for n=2"),
+    ], ids=["op-glued-to-operand", "no-spaces", "padded-gate-name", "padded-wire-name",
+            "input-past-n"])
+    def test_gate_tokens_must_be_whole(self, gate, match):
+        # tokens are whitespace-separated names: nothing is read out of a
+        # longer token, and a wire has one name
+        with pytest.raises(ParseError, match=match) as exc:
+            parse_sgc(f"SGC 1\nn 2\nm 3\n{gate}\nout pair w0\nout edge w0\n")
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("ops, a, b, out, match", [
+        (("NOT",), (0,), (), 2, "differ in length"),
+        (("XOR",), (0,), (1,), 2, "unknown gate op 'XOR'"),
+        (("NOT",), (2,), (-1,), 2, "gate w0"),
+        (("NOT",), (0,), (1,), 2, "gate w0"),
+        (("CONST1", "AND"), (-1, 0), (-1, -1), 2, "gate w1"),
+        (("CONST1",), (-1,), (-1,), 3, "output references wire 3"),
+    ], ids=["lengths", "op", "operand-not-earlier", "unused-operand-set",
+            "operand-missing", "output"])
+    def test_circuit_checks_its_columns(self, ops, a, b, out, match):
+        # n = 1: wires 0 and 1 are the inputs, gate k is wire 2 + k
+        with pytest.raises(ValueError, match=match):
+            SuccinctCircuit(1, 2, ops, a, b, out, out)
+
     def test_gate_count_cap(self):
         from uvlab.sgraph import MAX_GATES
-        gates = tuple(CircuitGate("CONST0") for _ in range(MAX_GATES + 1))
+        gates = MAX_GATES + 1
         with pytest.raises(CapacityError):
-            SuccinctCircuit(1, 2, gates, 2, 2)
+            SuccinctCircuit(1, 2, ("CONST0",) * gates, (-1,) * gates, (-1,) * gates, 2, 2)
 
     def test_label_width_capacity(self):
         text = "SGC 1\nn 1000000\nm 2\nw0 = CONST0\nout pair w0\nout edge w0\n"
@@ -303,9 +347,9 @@ class TestExpandEncode:
         # 2^12 bytes per wire, 80 MiB in all; here the 32,640 pairs run in
         # 10 blocks of at most EXPAND_BLOCK_BYTES
         n, depth, m = 12, 20_000, 256
-        gates = [CircuitGate("NOT", 0)]
-        gates += [CircuitGate("NOT", 2 * n + i) for i in range(depth - 1)]
-        c = SuccinctCircuit(n, m, tuple(gates), 2 * n + depth - 1, 2 * n + depth - 1)
+        a = (0,) + tuple(range(2 * n, 2 * n + depth - 1))
+        c = SuccinctCircuit(n, m, ("NOT",) * depth, a, (-1,) * depth,
+                            2 * n + depth - 1, 2 * n + depth - 1)
         tracemalloc.start()
         try:
             g = expand(c)
