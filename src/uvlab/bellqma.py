@@ -9,7 +9,6 @@ are described once, in the README's ``uvlab.bellqma`` bullet.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -151,21 +150,12 @@ def z_prime_set(proofs) -> list[int]:
 
 def _set_count(sizes: np.ndarray, polys: list, top: int) -> int:
     """sum_{j <= top} [x^j] of prod (1 + s x) over ``sizes`` times ``polys``, in ints:
-    equal sizes by binomials, equal polynomials by squaring."""
-    def times(a, b):
-        return np.convolve(a, b)[:top + 1]
-
-    def power(a, e):
-        out = np.ones(1, dtype=object)
-        while e:
-            out, a, e = (times(out, a) if e & 1 else out), times(a, a), e >> 1
-        return out
-
+    equal sizes by binomials."""
     factors = [np.array([math.comb(n, j) * s ** j for j in range(min(n, top) + 1)], dtype=object)
                for s, n in enumerate(np.bincount(sizes, minlength=1).tolist()) if n]
-    factors += [power(np.array(poly, dtype=object), e)
-                for poly, e in collections.Counter(map(tuple, polys)).items()]
-    return int(functools.reduce(times, factors, np.ones(1, dtype=object)).sum())
+    factors += [np.array(poly, dtype=object) for poly in polys]
+    return int(functools.reduce(lambda a, b: np.convolve(a, b)[:top + 1], factors,
+                                np.ones(1, dtype=object)).sum())
 
 
 def _step(table: np.ndarray, listed: np.ndarray, lo: int, hi: int, rows: int, top: int) -> tuple:
@@ -190,8 +180,6 @@ def _labels(m: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.nd
     at a label r whose outcomes conflict pairwise, every one-vertex
     component among them, whose sets are the empty one and the singletons."""
     label, last = np.arange(m), -1
-    if len(src) == m * (m - 1):                  # every pair conflicts: one clique
-        label = last = np.zeros(m, dtype=np.intp)
     while (label != last).any():
         last = label.copy()
         np.minimum.at(label, src, label[dst])
@@ -219,13 +207,10 @@ def _list_sets(first: np.ndarray, src: np.ndarray, dst: np.ndarray, label: np.nd
         table[np.searchsorted(own, src[at]), np.searchsorted(own, dst[at])] = True
         cuts = [*np.flatnonzero(first[own]).tolist(), len(own)]
         most = min(top, len(cuts) - 1)          # the most members a set of it can have
-        listed = np.zeros((2, 1), dtype=np.int32)
+        listed = np.array([0, 0] + [len(own)] * most, dtype=np.int32)[:, None]
         kept = None if steps is None else []     # this component's steps
         sets, rows = np.bincount([0], minlength=most + 1), 1
-        for lo, hi in zip(cuts, cuts[1:]):      # one member row more a step, up to most
-            if len(listed) < most + 2:
-                listed = np.concatenate([listed, np.full((1, listed.shape[1]), len(own),
-                                                         dtype=np.int32)])
+        for lo, hi in zip(cuts, cuts[1:]):
             _, color, _, parent, new, listed = _step(table, listed, lo, hi, rows, top)
             sets += np.bincount(new, minlength=most + 1)
             rows += len(color)
@@ -402,10 +387,10 @@ def _others(c: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
     """(whole, rest) over consecutive segments of ``c`` of the given sizes:
     whole[s] is the product of segment s, rest[j] that of j's segment
     without c[j], both from prefix and suffix products."""
-    width, even = max(sizes), min(sizes) == max(sizes)
+    width = max(sizes)
     pad = np.ones((len(sizes), width + 2))
-    keep = slice(None) if even else np.arange(width) < np.array(sizes)[:, None]
-    pad[:, 1:-1][keep] = c.reshape(len(sizes), width) if even else c
+    keep = np.arange(width) < np.array(sizes)[:, None]
+    pad[:, 1:-1][keep] = c
     before, after = pad.cumprod(axis=1), pad[:, ::-1].cumprod(axis=1)[:, ::-1]
     return before[:, -1], (before[:, :width] * after[:, 2:])[keep].ravel()
 

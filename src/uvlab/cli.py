@@ -83,6 +83,7 @@ def _proofs_for(c, strategy: str, k: int, seed: int | None):
 
 
 def _check_mc(args):
+    """The Monte-Carlo flags, checked before the instance is read."""
     if args.samples is None or args.seed is None:
         raise ParseError("--mode mc requires --samples and --seed")
     if not 1 <= args.samples <= 2 ** 63 - 1:     # numpy draws counts as int64
@@ -102,7 +103,6 @@ def _run_qma2(args, c, name) -> dict:
     if bad is not None:
         out["declared_violations"] = bad
     if args.mode == "mc":
-        _check_mc(args)
         hits = qma2.run_sampled(report, args.samples, np.random.default_rng(args.seed))
         out["sampled_acceptance"] = hits / args.samples
         out["samples"] = args.samples
@@ -115,8 +115,6 @@ def _run_bellqma(args, c, name) -> dict:
     if k < 2:
         raise ParseError("bellqma needs k >= 2")
     proofs, bad = _proofs_for(c, args.strategy, k, args.seed)
-    if args.mode == "mc":
-        _check_mc(args)
     report = bellqma.acceptance(c, proofs, mode=args.mode,
                                 samples=args.samples, seed=args.seed)
     out = {"instance": name, "n": c.n, "strategy": args.strategy,
@@ -171,6 +169,8 @@ def cmd_run(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ParseError(f"--seed must be a non-negative integer, got {args.seed}")
     _check_out(args.out)
+    if args.mode == "mc" and args.protocol in ("qma2", "bellqma"):
+        _check_mc(args)
     c, name = _load_instance(args.instance)
     runner = {"qma2": _run_qma2, "bellqma": _run_bellqma, "oracle": _run_oracle,
               "seesaw": _run_seesaw, "gadget": _run_gadget}[args.protocol]

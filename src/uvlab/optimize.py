@@ -48,7 +48,7 @@ from .states import PureState
 # n = 6 the norm takes about 0.07 s, a 500-iteration seesaw restart 0.3 s
 MAX_OPERATOR_N = 6
 HERMITIAN_TOL = 1e-10
-NORM_RESIDUAL_TOL = 1e-13      # the eigensolve's stop, lambda_max's error bound
+NORM_RESIDUAL_TOL = 1e-13      # the eigensolve's stop and error bound, times max(1, ||A||_inf)
 NORM_BASIS = 24                # Lanczos vectors held; a full basis restarts
 NORM_KEEP = 8                  # from this many of its top Ritz vectors
 NORM_CHECK = 4                 # Lanczos steps between residual estimates
@@ -220,13 +220,15 @@ def spectral_norm(op, *, steps: int = 10 ** 4, seed: int = 0) -> float:
     of NORM_BASIS vectors allocated up front that restarts from its top
     NORM_KEEP Ritz vectors when full (NORM_BASIS + NORM_KEEP + O(1) vectors
     in all).  Every NORM_CHECK steps the projection estimates the residual;
-    below NORM_RESIDUAL_TOL, one more product checks the unit Ritz vector x:
-    its Rayleigh quotient theta is returned once ||A x - theta x|| <
-    NORM_RESIDUAL_TOL, so within that of an eigenvalue of A, else Lanczos
-    restarts from x alone, whose short bases round less.  ValueError on an
-    empty, non-finite or non-Hermitian matrix; RuntimeError past ``steps``."""
+    below tol = NORM_RESIDUAL_TOL max(1, ||A||_inf), one more product checks
+    the unit Ritz vector x: its Rayleigh quotient theta is returned once
+    ||A x - theta x|| < tol, so within tol of an eigenvalue of A, else
+    Lanczos goes on.  An AcceptanceOperator averages three projections, so
+    its norm is at most 1 and its tol is NORM_RESIDUAL_TOL (1e-13).
+    ValueError on an empty, non-finite or non-Hermitian matrix;
+    RuntimeError past ``steps``."""
     if isinstance(op, AcceptanceOperator):
-        dim, dtype = op.proof_dim ** 2, np.float64
+        dim, dtype, tol = op.proof_dim ** 2, np.float64, NORM_RESIDUAL_TOL
     else:
         op = np.asarray(op)
         if op.ndim != 2 or op.shape[0] != op.shape[1] or op.size == 0:
@@ -234,6 +236,7 @@ def spectral_norm(op, *, steps: int = 10 ** 4, seed: int = 0) -> float:
         if not np.isfinite(op).all() or np.linalg.norm(op - op.conj().T, np.inf) > HERMITIAN_TOL:
             raise ValueError("operator must be finite and Hermitian within 1e-10")
         dim, dtype = len(op), np.result_type(op, np.float64)
+        tol = NORM_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(op, np.inf)))
     basis = np.empty((min(NORM_BASIS, dim), dim), dtype)
     proj = np.zeros((len(basis), len(basis)))         # basis^† A basis, lower triangle
     w, j = np.random.default_rng(seed).standard_normal(dim), 0
@@ -247,17 +250,17 @@ def spectral_norm(op, *, steps: int = 10 ** 4, seed: int = 0) -> float:
         w -= h @ basis[:j + 1]
         w -= (basis[:j + 1] @ w.conj()).conj() @ basis[:j + 1]
         proj[j, :j + 1], beta, j = h.real, np.linalg.norm(w), j + 1
-        if j == len(basis) or beta < NORM_RESIDUAL_TOL or j % NORM_CHECK == 0:
+        if j == len(basis) or beta < tol or j % NORM_CHECK == 0:
             ritz, s = np.linalg.eigh(proj[:j, :j])
-            if abs(beta * s[-1, -1]) < NORM_RESIDUAL_TOL:   # check the unit Ritz vector
+            if abs(beta * s[-1, -1]) < tol:    # check the unit Ritz vector
                 x = s[:, -1] @ basis[:j]
                 x /= np.linalg.norm(x)
                 ax = op @ x
                 theta = float(np.vdot(x, ax).real)
-                if np.linalg.norm(ax - theta * x) < NORM_RESIDUAL_TOL:
+                if np.linalg.norm(ax - theta * x) < tol:
                     return theta
-                w, j = x, 0                             # else restart from x alone
-    raise RuntimeError(f"Lanczos did not reach residual {NORM_RESIDUAL_TOL} in {steps} steps")
+    raise RuntimeError(f"Lanczos did not reach residual {tol:.3g} in {steps} steps (the stop "
+                       f"is NORM_RESIDUAL_TOL times max(1, ||A||_inf))")
 
 
 def product_value(op, r1: PureState | np.ndarray, r2: PureState | np.ndarray) -> float:

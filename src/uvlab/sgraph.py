@@ -24,7 +24,8 @@ SGC v1 text format (UTF-8, line oriented, ``#`` starts a comment):
 
 Tokens are separated by whitespace.  Input wires are named u0..u(n-1) and
 v0..v(n-1); u0 is the least significant bit of u.  The n and m headers
-each appear once, before any gate, and so does each out line.  Gate lines
+each appear once, before any gate, and so does each out line; their values
+are ASCII decimal digits, with 1 <= n and 1 <= m <= 2^n.  Gate lines
 must appear in order w0, w1, ... and may only reference inputs or earlier
 gates.
 
@@ -83,8 +84,7 @@ class SuccinctCircuit:
 
     def __post_init__(self):
         _check_width(self.n)            # before 2^n is evaluated
-        if not 1 <= self.m <= 2 ** self.n:
-            raise ValueError(f"m={self.m} outside [1, 2^{self.n}]")
+        _check_vertices(self.n, self.m)
         if len(self.ops) > MAX_GATES:
             raise CapacityError(f"{len(self.ops)} gates exceeds cap {MAX_GATES}")
         if not len(self.ops) == len(self.a) == len(self.b):
@@ -163,6 +163,12 @@ def _check_width(n: int):
         raise CapacityError(f"n={n} exceeds the label-width cap {MAX_LABEL_BITS}")
 
 
+def _check_vertices(n: int, m: int):
+    """The vertex count's range, once the width is checked."""
+    if not 1 <= m <= 2 ** n:
+        raise ValueError(f"m={m} outside [1, 2^{n}]")
+
+
 def _undefined(name: str, n: int, lineno: int) -> ParseError:
     """The error for an operand name missing from the parser's wire table."""
     if not _WIRE_RE.fullmatch(name):
@@ -176,7 +182,8 @@ def parse_sgc(text: str) -> SuccinctCircuit:
     """Parse SGC v1 text; raises :class:`ParseError` with a line number.
     Each line is split into whitespace tokens.  Operand names resolve through
     the table of wires defined so far, the inputs once n is read and then
-    each gate, so :class:`SuccinctCircuit` alone checks wire indices."""
+    each gate, so :class:`SuccinctCircuit` alone checks wire indices.  The
+    range of m is checked at the second of the n and m lines."""
     header, names, outs = {"n": None, "m": None}, {}, {}
     ops, a, b = [], [], []
     saw_magic = False
@@ -214,17 +221,18 @@ def parse_sgc(text: str) -> SuccinctCircuit:
                 raise ParseError(f"malformed header line {line.strip()!r}", lineno)
             if header[head] is not None:
                 raise ParseError(f"repeated {head} header", lineno)
+            if not (tokens[1].isascii() and tokens[1].isdigit()):
+                raise ParseError(f"{head} must be an integer", lineno)
             try:
-                header[head] = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"{head} must be an integer", lineno) from None
-            if head == "n":             # the width, before 2n input names are tabled
-                try:
+                header[head] = int(tokens[1])       # past 4,300 digits: int()'s ValueError
+                if head == "n":         # the width, before 2n input names are tabled
                     _check_width(n := header["n"])
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno) from None
-                names = {f"{side}{i}": j * n + i for j, side in enumerate("uv")
-                         for i in range(n)}
+                    names = {f"{side}{i}": j * n + i for j, side in enumerate("uv")
+                             for i in range(n)}
+                if None not in header.values():     # the second of n and m
+                    _check_vertices(header["n"], header["m"])
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
         elif head == "out":
             if len(tokens) != 3 or tokens[1] not in ("pair", "edge"):
                 raise ParseError(f"malformed output line {line.strip()!r}", lineno)

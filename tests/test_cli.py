@@ -287,6 +287,15 @@ class TestErrorsAndFormats:
                           "--k", "2", "--mode", "mc", "--samples", "5592406"],
                      cli.EXIT_CAPACITY, "--samples 5592406 times 2 draw steps of 96-word rows",
                      id="mc-wide-core-past-step-budget"),
+        # the Monte-Carlo flags are checked before the instance is read
+        pytest.param(20, ["--protocol", "qma2", "--strategy", "random", "--seed", "1",
+                          "--mode", "mc"],
+                     cli.EXIT_INSTANCE, "--mode mc requires --samples and --seed",
+                     id="qma2-mc-without-samples-n20"),
+        pytest.param(20, ["--protocol", "bellqma", "--strategy", "random", "--seed", "1",
+                          "--k", "2", "--mode", "mc"],
+                     cli.EXIT_INSTANCE, "--mode mc requires --samples and --seed",
+                     id="bellqma-mc-without-samples-n20"),
     ])
     def test_exit_codes(self, width, argv, code, message, tmp_path, capsys):
         from uvlab.sgraph import encode_explicit, format_sgc

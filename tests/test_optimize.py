@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from uvlab import corpus, optimize
 from uvlab.errors import CapacityError
-from uvlab.optimize import (NORM_BASIS, NORM_KEEP, build_acceptance_operator, product_value,
-                            seesaw, spectral_norm)
+from uvlab.optimize import (NORM_BASIS, NORM_KEEP, NORM_RESIDUAL_TOL, build_acceptance_operator,
+                            product_value, seesaw, spectral_norm)
 from uvlab.provers import haar_state, honest_proof, near_coloring_proof, proof_shape
 from uvlab.qma2 import acceptance_exact, consistency_accept_table, soundness_bound
 from uvlab.sgraph import Coloring, encode_explicit, expand, ExplicitGraph
@@ -142,20 +142,25 @@ class TestSpectralNorm:
             spectral_norm(a, steps=NORM_BASIS)
         assert abs(spectral_norm(a) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("norm", [100, 300, 1000, 100000])
     @pytest.mark.parametrize("seed", [2, 3])
-    def test_norm_100_restarts_from_the_ritz_vector(self, seed):
-        """At norm about 130 the Ritz vector of a full basis stalls near a
-        residual of 2e-13; Lanczos from it alone reaches 1e-13."""
+    def test_large_norms_converge(self, norm, seed):
+        """The stop scales with max(1, ||A||_inf): the rounding of one product
+        grows with the norm, and an absolute 1e-13 falls below it from norms
+        of a few hundred."""
         g = np.random.default_rng(seed).standard_normal((40, 40))
-        a = 100 * (g + g.T) / (2 * np.sqrt(40))
-        assert abs(spectral_norm(a) - np.linalg.eigvalsh(a)[-1]) < 1e-12
+        a = norm * (g + g.T) / (2 * np.sqrt(40))
+        err = abs(spectral_norm(a) - np.linalg.eigvalsh(a)[-1])
+        bound = NORM_RESIDUAL_TOL * max(1.0, np.linalg.norm(a, np.inf))
+        assert err < 1e-12 if norm == 100 else err <= bound
 
-    def test_exit_needs_the_true_residual(self):
-        """At norm 1e5 the rounding in A x is about 1e-11, so no Ritz vector
-        reaches a 1e-13 residual, though the projection's estimate does."""
+    def test_exit_needs_the_true_residual(self, monkeypatch):
+        """With the stop below the rounding of one product, the projection's
+        estimate can pass it but no Ritz vector's true residual does."""
+        monkeypatch.setattr(optimize, "NORM_RESIDUAL_TOL", 1e-18)
         g = np.random.default_rng(3).standard_normal((40, 40))
         with pytest.raises(RuntimeError, match="did not reach"):
-            spectral_norm(1e5 * (g + g.T) / (2 * np.sqrt(40)), steps=300)
+            spectral_norm((g + g.T) / (2 * np.sqrt(40)), steps=300)
 
     @pytest.mark.parametrize("diag, top", [([-3.0, 0.5], 0.5), ([-2.0, 0.1, 0.2], 0.2)])
     def test_eigenvalues_below_minus_one(self, diag, top):

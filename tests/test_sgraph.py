@@ -154,6 +154,28 @@ class TestParser:
             parse_sgc(text + "out pair w0\nout edge w0\n")
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("header, match, line", [
+        ("n 1_0\nm 2", "n must be an integer", 2),
+        ("n +2\nm 2", "n must be an integer", 2),
+        ("n ٢\nm 2", "n must be an integer", 2),      # Arabic-Indic two
+        ("n -1\nm 2", "n must be an integer", 2),
+        ("m 1_0\nn 2", "m must be an integer", 2),
+        ("m +2\nn 2", "m must be an integer", 2),
+        ("m ٢\nn 2", "m must be an integer", 2),
+        ("n 1\nm 5", r"m=5 outside \[1, 2\^1\]", 3),
+        ("m 5\nn 1", r"m=5 outside \[1, 2\^1\]", 3),
+        ("n 2\nm 0", r"m=0 outside \[1, 2\^2\]", 3),
+        ("m 0\nn 2", r"m=0 outside \[1, 2\^2\]", 3),
+    ], ids=["n-underscore", "n-sign", "n-non-ascii-digit", "n-negative", "m-underscore",
+            "m-sign", "m-non-ascii-digit", "m-past-2^n", "n-after-m-past-2^n", "m-zero",
+            "n-after-m-zero"])
+    def test_header_values_name_their_line(self, header, match, line):
+        # values are ASCII digits, which int() alone does not ensure, and the
+        # range of m is checked at the second of the n and m lines
+        with pytest.raises(ParseError, match=match) as exc:
+            parse_sgc(f"SGC 1\n{header}\nout pair u0\nout edge u0\n")
+        assert exc.value.line == line
+
     @pytest.mark.parametrize("gate, match", [
         ("w0 = NOTu0", "unrecognized line"),
         ("w0=ANDu0 v1", "unrecognized line"),
