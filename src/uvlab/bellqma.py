@@ -597,7 +597,7 @@ def _run_law(dist: np.ndarray, last: int, cols: np.ndarray, c: int) -> np.ndarra
     outcome distribution ``dist`` show together, bit j of a pattern for
     outcome ``cols[j]``.  A draw lands on outcome o with probability
     dist[o], and on ``last`` also with the mass past the CDF, as the
-    per-register draw clips it there; p holds the masses of ``cols`` and w
+    per-register draw stops there; p holds the masses of ``cols`` and w
     the rest.  Pattern S then has probability
     sum_{T <= S} (-1)^|S - T| (w + p(T))^c: the powers over a (2,)*q array,
     then a ``np.diff`` Moebius pass along each axis.  Patterns of more than
@@ -613,6 +613,19 @@ def _run_law(dist: np.ndarray, last: int, cols: np.ndarray, c: int) -> np.ndarra
         law = np.diff(law, axis=axis, prepend=0.0)
     cdf = np.cumsum(np.where(size <= c, np.maximum(law.reshape(-1), 0.0), 0.0))
     return cdf / cdf[-1]
+
+
+def _draw(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, side="right")`` for uniforms u in [0, 1):
+    start at u's bin of ``guide``, the same search of the bin starts
+    b / GUIDE_BINS, and step forward while ``u >= cdf[out]``.  ``cdf``
+    must end above every u: at 1, or at ``inf`` from the last outcome on."""
+    out = guide.take((u * GUIDE_BINS).astype(np.intp))
+    step = np.flatnonzero(u >= cdf.take(out))
+    while step.size:
+        out[step] += 1
+        step = step[u[step] >= cdf.take(out[step])]
+    return out
 
 
 def _pattern_rows(rows: np.ndarray) -> np.ndarray:
@@ -643,20 +656,22 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
     live row, an index ``at`` into a table pair ``(shown, conf)``: it ORs
     ``shown[at]`` into the row's seen bits and rejects the row when they
     meet ``conf[at]``.  A rejected row stays rejected, so it is counted and
-    dropped there and draws nothing more; a batch with no live row left
-    skips its remaining steps.
+    compressed out there and draws nothing more; a batch with no live row
+    left skips its remaining steps.
 
-    A register step reads ``(marks, conflict)`` at the core index of
-    ``searchsorted(cdf, u, side="right")``, clipped to the register's last
-    outcome of nonzero probability.  The search starts at u's bin of a
-    guide table of GUIDE_BINS bins, built per distinct distribution when
-    one of its registers is first drawn, and steps forward while
+    Both kinds of step draw through :func:`_draw`, which starts at u's bin
+    of a guide table of GUIDE_BINS bins and steps forward while
     ``u >= cdf[out]``; GUIDE_BINS is a power of two, so ``u * GUIDE_BINS``
-    and the bin edges are exact.
+    and the bin edges are exact.  A register step reads ``(marks,
+    conflict)`` at the core index of the outcome drawn from its CDF, which
+    is ``inf`` from the register's last outcome of nonzero probability on,
+    so a draw past the summed mass lands there.  A register's guide table
+    is built per distinct distribution when one of its registers is first
+    drawn, and a run's with its law.
 
     A run of c >= 2 registers of one distinct proof whose draws can land
     on q <= RUN_CORE_CAP core outcomes is one step: ``at`` is the pattern
-    S of core outcomes the run shows, searched in the 2^q-pattern CDF of
+    S of core outcomes the run shows, drawn from the 2^q-pattern CDF of
     :func:`_run_law`, and row S of its table pair ORs the ``marks`` and
     ``conflict`` rows of S, which also catches a conflict inside S.  A run
     with q = 0 draws nothing; a run past the cap, and a register of
@@ -696,9 +711,8 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
                             f"{conflict.shape[1]}-word rows exceeds the Monte-Carlo budget "
                             f"of {MC_STEP_BUDGET} (2^30) row-word steps")
     batch = min(50_000, MC_TABLE_BYTES // (8 * conflict.shape[1]))
-    cdfs = np.empty((g, d + 1))
-    np.cumsum(dists, axis=1, out=cdfs[:, :d])
-    cdfs[:, d] = np.inf                       # stepping stops past the last outcome
+    cdfs = np.cumsum(dists, axis=1)
+    cdfs[np.arange(d) >= last[:, None]] = np.inf      # a draw stops at the last outcome
     bin_starts = np.arange(GUIDE_BINS) / GUIDE_BINS
     guides = [None] * g
     rng = np.random.default_rng(seed)
@@ -712,22 +726,17 @@ def _consistency_monte_carlo(dists: np.ndarray, counts: np.ndarray, edges, size:
             if cols is None:
                 if guides[r] is None:
                     guides[r] = np.searchsorted(cdfs[r], bin_starts, side="right")
-                out = guides[r][(u * GUIDE_BINS).astype(np.intp)]
-                step = np.flatnonzero(u >= cdfs[r, out])
-                while step.size:
-                    out[step] += 1
-                    step = step[u[step] >= cdfs[r, out[step]]]
-                np.minimum(out, last[r], out=out)
-                at, shown, conf = pos[out], marks, conflict
+                at, shown, conf = pos.take(_draw(cdfs[r], guides[r], u)), marks, conflict
             else:
-                at = np.searchsorted(_run_law(dists[r], last[r], cols, counts[r]), u,
-                                     side="right")
+                law = _run_law(dists[r], last[r], cols, counts[r])
+                at = _draw(law, np.searchsorted(law, bin_starts, side="right"), u)
                 shown, conf = _pattern_rows(marks[pos[cols]]), _pattern_rows(conflict[pos[cols]])
-            seen |= np.take(shown, at, axis=0)
-            bad = (seen & np.take(conf, at, axis=0)).any(axis=1)
+            seen |= shown.take(at, axis=0)
+            bad = (seen & conf.take(at, axis=0)).any(axis=1)
             if bad.any():
-                rejected += int(bad.sum())
-                seen = seen[~bad]
+                live = seen.compress(~bad, axis=0)
+                rejected += len(seen) - len(live)
+                seen = live
                 if not len(seen):
                     break
         done += b

@@ -904,6 +904,77 @@ class TestConsistency:
                                              samples=40000, seed=3)
         assert abs(est - exact) <= hw
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_draw_matches_clipped_search(self, data):
+        # a register's CDF is inf from its last outcome of mass on, a run's
+        # pattern CDF ends at 1; either way the guided draw is the binary
+        # search clipped to the last outcome.  Plateaus, a register with no
+        # mass, mass rounding below 1, u = 0, bin edges and 1 - 2^-53
+        d = data.draw(st.integers(1, 40))
+        dist = np.zeros(d)
+        support = data.draw(st.lists(st.integers(0, d - 1), max_size=d, unique=True))
+        if support:
+            weights = np.array(data.draw(st.lists(st.floats(1e-300, 1.0), min_size=len(support),
+                                                  max_size=len(support))))
+            dist[support] = weights / weights.sum() * data.draw(st.sampled_from([1.0, 0.7]))
+        last = d - 1 - int(np.argmax(dist[::-1] > 0.0))
+        if data.draw(st.booleans()):
+            lands = dist > 0.0
+            lands[last] = True
+            cols = np.flatnonzero(lands)[:data.draw(st.integers(0, 6))]
+            cumsum = cdf = bellqma._run_law(dist, last, cols, data.draw(st.integers(2, 5)))
+            last = len(cdf) - 1
+        else:
+            cumsum, cdf = np.cumsum(dist), np.cumsum(dist)
+            cdf[last:] = np.inf
+        edges = np.arange(bellqma.GUIDE_BINS + 1) / bellqma.GUIDE_BINS
+        u = np.concatenate([[0.0, 1.0 - 2.0 ** -53], edges[:-1], np.nextafter(edges[1:], 0.0),
+                            cumsum[cumsum < 1.0],
+                            data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True)))])
+        guide = np.searchsorted(cdf, edges[:-1], side="right")
+        want = np.minimum(np.searchsorted(cumsum, u, side="right"), last)
+        assert np.array_equal(bellqma._draw(cdf, guide, u), want)
+
+    # (dists, counts, edges, size, samples, seed) -> p_cons, from
+    # handmade masses so that no BLAS rounding can move them
+    @pytest.mark.parametrize("case, want", [
+        ("register", 0.12160000000000004), ("run-q2-k240", 0.8548),
+        ("run-past-cap", 0.06840000000000002), ("massless", 0.5034000000000001),
+        ("all-rejected", 0.0), ("two-batches", 0.03428333333333333), ("wide-core", 0.819)])
+    def test_mc_pinned_values(self, case, want):
+        # each step kind at a fixed seed: one-word register steps, a q = 2
+        # run of 240 registers, a run past RUN_CORE_CAP drawn register by
+        # register, a massless register, a batch that rejects every sample
+        # at its second step, 60,000 samples in two batches (with a run of
+        # 2), and a 90-outcome core of two words a row
+        def row(d, masses):
+            r = np.zeros(d)
+            r[list(masses)] = list(masses.values())
+            return r
+
+        k4 = edge_rows(list(itertools.combinations(range(4), 2)))
+        three = np.stack([row(12, {0: 0.5, 4: 0.25, 11: 0.25}),
+                          row(12, {1: 0.125, 5: 0.375, 6: 0.25, 9: 0.25}),
+                          row(12, {2: 0.5, 3: 0.25, 10: 0.25})])
+        s, u = row(96, {75: 0.5, 85: 0.5}), row(96, {o: 1 / 90 for o in range(90)})
+        dists, counts, edges, size, samples, seed = {
+            "register": (three, [1, 1, 1], k4, 4, 5000, 7),
+            "run-q2-k240": (row(12, {0: 0.002, 4: 0.5, 8: 0.496, 9: 0.002})[None], [240],
+                            k4, 4, 20_000, 3),
+            "run-past-cap": (np.full((1, 12), 1 / 12), [4], k4, 4, 5000, 5),
+            "massless": (np.stack([np.zeros(12), row(12, {0: 0.5, 9: 0.25})]), [1, 1],
+                         edge_rows([]), 4, 5000, 2),
+            "all-rejected": (np.stack([row(12, {0: 1.0}), row(12, {1: 1.0}), np.full(12, 1 / 12)]),
+                             [1, 1, 2], edge_rows([]), 4, 1000, 1),
+            "two-batches": (three, [1, 2, 1], k4, 4, 60_000, 11),
+            "wide-core": (np.stack([0.8 * s + 0.2 * u, s, 0.9 * s + 0.1 * u]), [1, 3, 1],
+                          edge_rows(list(itertools.combinations(range(30), 2))), 32, 3000, 5),
+        }[case]
+        hw = math.sqrt(math.log(2.0 / (1.0 - bellqma.MC_CONFIDENCE)) / (2.0 * samples))
+        got = bellqma._consistency_monte_carlo(dists, np.array(counts), edges, size, samples, seed)
+        assert got == (want, hw) and type(got[0]) is float
+
 
 class TestAcceptance:
     def test_honest_completeness_floor(self, k3, k3_coloring):
@@ -986,6 +1057,10 @@ class TestAcceptance:
         assert rep.mode == "montecarlo"
         assert rep.samples == 5000 and rep.seed == 11
         assert rep.ci_halfwidth is not None and rep.z_tail is not None
+        # Python floats, whose repr the JSON report prints, not numpy scalars
+        p, hw = bellqma.consistency_accept(k4, [cheat] * 20, "mc", samples=5000, seed=11)
+        assert 0.0 < p < 1.0 and type(p) is float and type(hw) is float
+        assert type(rep.p_consistency) is float and type(rep.p_total) is float
         d = rep.to_dict()
         assert {"p_cons", "p_unif", "p_total", "mode", "k", "samples",
                 "seed", "ci_halfwidth", "z_tail"} <= set(d)
